@@ -19,7 +19,10 @@
 //!   are lazily extended across a random APPEND/query interleaving answers
 //!   byte-identically to fresh zero-cache engines replaying the same
 //!   LOAD + APPEND history, and its STATS prove the extension path (not a
-//!   recompute) produced those answers.
+//!   recompute) produced those answers;
+//! * **serve-shipped-defaults** — the same claim at the engine's shipped
+//!   budgets and the paper's `p = 50` on a 2048-point series, where every
+//!   append must extend: the parked state has to fit a default stripe.
 //!
 //! Schedules deliberately mix single samples, sub-window chunks, and
 //! batches longer than the subsequence length, so the extension machinery
@@ -271,6 +274,56 @@ fn serve_schedule_vs_cold_history(seed: u64) -> Result<(), String> {
     result
 }
 
+/// Incremental APPEND at the shipped engine defaults (no budget override):
+/// LOAD 2048 ECG-like points, MOTIFS `[64, 80]` at `p = 50`, then four
+/// 16-sample APPEND → MOTIFS rounds. Every round must extend the parked
+/// state and answer byte-identically to a cold same-history replay.
+fn serve_shipped_defaults_vs_cold_history(seed: u64) -> Result<(), String> {
+    const BASE: usize = 2048;
+    const BATCH: usize = 16;
+    const ROUNDS: usize = 4;
+    let values = valmod_data::datasets::ecg_like(BASE + ROUNDS * BATCH, seed).into_values();
+    let q = || QuerySpec { p: 50, ..spec(QueryKind::Motifs { top: 3 }, 64, 80) };
+    let cfg = EngineConfig::builder()
+        .default_deadline(Duration::from_secs(300))
+        .build()
+        .map_err(|e| format!("default engine config: {e}"))?;
+    let engine = QueryEngine::new(cfg);
+    let result = (|| {
+        engine
+            .load("s", values[..BASE].to_vec(), &[], ExclusionPolicy::HALF, false)
+            .map_err(|e| format!("load: {e}"))?;
+        engine.query(q()).map_err(|e| format!("priming query: {e}"))?;
+        let mut history: Vec<&[f64]> = vec![&values[..BASE]];
+        for round in 1..=ROUNDS {
+            let batch = &values[BASE + (round - 1) * BATCH..BASE + round * BATCH];
+            engine.append("s", batch).map_err(|e| format!("append {round}: {e}"))?;
+            history.push(batch);
+            let out = engine.query(q()).map_err(|e| format!("query {round}: {e}"))?;
+            let warm = body_of(&out.payload)?;
+            let cold = cold_history_body(&history, q())?;
+            if warm != cold {
+                return Err(format!(
+                    "append {round}: extended answer diverges from cold same-history replay: \
+                     {warm} vs {cold}"
+                ));
+            }
+            let extended = planner_stat(&engine.stats(), "fragments_extended")?;
+            if extended != round {
+                return Err(format!(
+                    "append {round}: {extended} extensions — the parked state did not fit a \
+                     default stripe (states_refused = {})",
+                    planner_stat(&engine.stats(), "states_refused")?
+                ));
+            }
+        }
+        Ok(())
+    })();
+    engine.shutdown();
+    engine.join();
+    result
+}
+
 /// Runs every extension scenario and reports.
 pub fn run_extend_matrix(seed: u64) -> ExtendReport {
     let mut report = ExtendReport::default();
@@ -283,6 +336,10 @@ pub fn run_extend_matrix(seed: u64) -> ExtendReport {
         "serve-schedule-vs-cold-history",
         serve_schedule_vs_cold_history(seed ^ 0x6578_7464),
     );
+    report.record(
+        "serve-shipped-defaults",
+        serve_shipped_defaults_vs_cold_history(seed ^ 0x6466_6c74),
+    );
     report
 }
 
@@ -294,7 +351,7 @@ mod tests {
     fn the_extend_matrix_passes() {
         let report = run_extend_matrix(42);
         assert!(report.all_passed(), "failed scenarios: {:?}", report.failed);
-        assert_eq!(report.passed.len(), 3);
+        assert_eq!(report.passed.len(), 4);
     }
 
     #[test]

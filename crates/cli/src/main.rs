@@ -31,6 +31,33 @@ use valmod_mp::{stomp, stomp_parallel, ExclusionPolicy, ProfiledSeries};
 use valmod_serve::engine::{EngineConfig, QueryEngine, QueryKind, QuerySpec};
 use valmod_serve::{Client, Server, Value as WireValue};
 
+/// `println!` for command output: when the reader closes the pipe early
+/// (`valmod mp … | head -1`) the process ends quietly instead of panicking.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` counterpart of [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// Writes command output to stdout. A closed pipe exits with success —
+/// the reader took all it wanted; any other write error is a bug.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(args) => args,
@@ -57,7 +84,7 @@ fn main() -> ExitCode {
         "cluster-worker" => cmd_cluster_worker(&args),
         "cluster-run" => cmd_cluster_run(&args),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown subcommand {other:?}; try `valmod help`").into()),
@@ -177,12 +204,12 @@ fn cmd_discover(args: &Args) -> CliResult {
     let out = Valmod::from_config(cfg.clone()).run(&series)?;
     let motifs = top_variable_length_motifs(&out.valmp, top, cfg.policy);
     if args.switch("csv") {
-        println!("rank,offset_a,offset_b,length,dist,norm_dist");
+        outln!("rank,offset_a,offset_b,length,dist,norm_dist");
         for (rank, m) in motifs.iter().enumerate() {
-            println!("{},{},{},{},{:.6},{:.6}", rank + 1, m.a, m.b, m.l, m.dist, m.norm_dist());
+            outln!("{},{},{},{},{:.6},{:.6}", rank + 1, m.a, m.b, m.l, m.dist, m.norm_dist());
         }
     } else {
-        println!(
+        outln!(
             "top {} variable-length motifs in [{}, {}] over {} points:",
             motifs.len(),
             cfg.l_min,
@@ -190,7 +217,7 @@ fn cmd_discover(args: &Args) -> CliResult {
             series.len()
         );
         for (rank, m) in motifs.iter().enumerate() {
-            println!(
+            outln!(
                 "  #{:<2} offsets ({:>7}, {:>7})  length {:>5}  dist {:>9.4}  norm {:>8.4}",
                 rank + 1,
                 m.a,
@@ -214,7 +241,7 @@ fn cmd_sets(args: &Args) -> CliResult {
     let ps = ProfiledSeries::new(&series);
     let tracker = out.best_pairs.ok_or("motif sets need pair tracking; pass --k 1 or greater")?;
     let (sets, stats) = compute_var_length_motif_sets(&ps, &tracker, radius, cfg.policy);
-    println!(
+    outln!(
         "{} motif sets (K={k}, D={radius}); {} expansions from snapshots, {} recomputed:",
         sets.len(),
         stats.served_from_snapshots,
@@ -223,7 +250,7 @@ fn cmd_sets(args: &Args) -> CliResult {
     for (rank, set) in sets.iter().enumerate() {
         let mut offsets: Vec<usize> = set.members.iter().map(|m| m.offset).collect();
         offsets.sort_unstable();
-        println!(
+        outln!(
             "  set #{:<2} length {:>5}  radius {:>8.4}  frequency {:>3}  offsets {:?}",
             rank + 1,
             set.l,
@@ -242,9 +269,9 @@ fn cmd_discords(args: &Args) -> CliResult {
     let top: usize = args.parsed_or("top", 3)?;
     let out = Valmod::from_config(cfg.clone()).run(&series)?;
     let discords = variable_length_discords(&out.valmp, top, cfg.policy);
-    println!("top {} variable-length discords in [{}, {}]:", discords.len(), cfg.l_min, cfg.l_max);
+    outln!("top {} variable-length discords in [{}, {}]:", discords.len(), cfg.l_min, cfg.l_max);
     for (rank, d) in discords.iter().enumerate() {
-        println!(
+        outln!(
             "  #{:<2} offset {:>7}  best-match length {:>5}  nn {:>7}  score {:>8.4}",
             rank + 1,
             d.offset,
@@ -275,14 +302,14 @@ fn cmd_mp(args: &Args) -> CliResult {
             for i in 0..profile.len() {
                 writeln!(f, "{},{:.6},{}", i, profile.mp[i], profile.ip[i] as i64)?;
             }
-            println!("matrix profile (length {l}) written to {path}");
+            outln!("matrix profile (length {l}) written to {path}");
         }
         None => {
             if let Some((a, b, d)) = profile.motif_pair() {
-                println!("motif pair at length {l}: offsets ({a}, {b}), dist {d:.4}");
+                outln!("motif pair at length {l}: offsets ({a}, {b}), dist {d:.4}");
             }
             if let Some((i, d)) = profile.discord() {
-                println!("discord  at length {l}: offset {i}, nn dist {d:.4}");
+                outln!("discord  at length {l}: offset {i}, nn dist {d:.4}");
             }
         }
     }
@@ -309,7 +336,7 @@ fn cmd_profiles(args: &Args) -> CliResult {
     }
     let certified: usize = stats.iter().map(|s| s.certified_rows).sum();
     let recomputed: usize = stats.iter().map(|s| s.recomputed_rows).sum();
-    println!(
+    outln!(
         "wrote {} complete matrix profiles to {} ({} rows certified by the lower bound, {} recomputed)",
         profiles.len(),
         dir.display(),
@@ -330,7 +357,7 @@ fn cmd_join(args: &Args) -> CliResult {
     let join = valmod_mp::join::ab_join(&pa, &pb, l)?;
     let mut order: Vec<usize> = (0..join.len()).filter(|&i| join.mp[i].is_finite()).collect();
     order.sort_by(|&x, &y| join.mp[x].total_cmp(&join.mp[y]));
-    println!("top {} cross-series matches at length {l}:", top.min(order.len()));
+    outln!("top {} cross-series matches at length {l}:", top.min(order.len()));
     let mut printed = 0usize;
     let mut last: Option<usize> = None;
     for &i in &order {
@@ -343,7 +370,7 @@ fn cmd_join(args: &Args) -> CliResult {
                 continue;
             }
         }
-        println!("  A offset {:>7} -> B offset {:>7}   dist {:>9.4}", i, join.ip[i], join.mp[i]);
+        outln!("  A offset {:>7} -> B offset {:>7}   dist {:>9.4}", i, join.ip[i], join.mp[i]);
         last = Some(i);
         printed += 1;
     }
@@ -357,14 +384,17 @@ fn cmd_hint(args: &Args) -> CliResult {
     let min_period: usize = args.parsed_or("min-period", 8)?;
     let hints = valmod_core::suggest_length_ranges(series.values(), top, min_period, 0.15);
     if hints.is_empty() {
-        println!("no strong periodicities detected; try a wider search range manually");
+        outln!("no strong periodicities detected; try a wider search range manually");
         return Ok(());
     }
-    println!("suggested motif-length ranges (from autocorrelation peaks):");
+    outln!("suggested motif-length ranges (from autocorrelation peaks):");
     for h in &hints {
-        println!(
+        outln!(
             "  period {:>6}  -> try --min {} --max {}   (strength {:.2})",
-            h.period, h.l_min, h.l_max, h.strength
+            h.period,
+            h.l_min,
+            h.l_max,
+            h.strength
         );
     }
     Ok(())
@@ -397,12 +427,12 @@ fn cmd_serve(args: &Args) -> CliResult {
     let server = Server::bind(addr, QueryEngine::open(cfg)?)?;
     // Tests and scripts parse this line to learn the ephemeral port; it
     // must stay the first line printed.
-    println!("listening on {}", server.local_addr()?);
+    outln!("listening on {}", server.local_addr()?);
     if let Some(dir) = &data_dir {
-        println!("data dir: {} (snapshots + WAL recovery enabled)", dir.display());
+        outln!("data dir: {} (snapshots + WAL recovery enabled)", dir.display());
     }
     server.run()?;
-    println!("server stopped");
+    outln!("server stopped");
     Ok(())
 }
 
@@ -430,13 +460,13 @@ fn cmd_query(args: &Args) -> CliResult {
             let values = load(args)?.values().to_vec();
             let hot = parse_hot_lengths(args)?;
             let ack = client.load(name, values, hot, args.switch("replace"))?;
-            println!("loaded {name}: version {}, {} points", ack.version, ack.len);
+            outln!("loaded {name}: version {}, {} points", ack.version, ack.len);
         }
         "append" => {
             let name = args.require("name")?;
             let values = load(args)?.values().to_vec();
             let ack = client.append(name, values)?;
-            println!("appended to {name}: version {}, {} points", ack.version, ack.len);
+            outln!("appended to {name}: version {}, {} points", ack.version, ack.len);
         }
         cmd @ ("motifs" | "sets" | "discords") => {
             let kind = match cmd {
@@ -463,24 +493,24 @@ fn cmd_query(args: &Args) -> CliResult {
                 deadline,
             };
             let resp = client.query(spec)?;
-            println!("cached: {}", resp.cached.unwrap_or(false));
+            outln!("cached: {}", resp.cached.unwrap_or(false));
             if resp.coalesced {
-                println!("coalesced: true");
+                outln!("coalesced: true");
             }
-            println!("{}", resp.result.encode());
+            outln!("{}", resp.result.encode());
         }
-        "stats" => println!("{}", client.stats()?.encode()),
+        "stats" => outln!("{}", client.stats()?.encode()),
         "ping" => {
             client.ping()?;
-            println!("pong");
+            outln!("pong");
         }
         "save" => {
             let saved = client.save()?;
-            println!("saved {} snapshot(s)", saved.snapshots);
+            outln!("saved {} snapshot(s)", saved.snapshots);
         }
         "shutdown" => {
             client.shutdown()?;
-            println!("server shutting down");
+            outln!("server shutting down");
         }
         other => {
             return Err(format!(
@@ -502,12 +532,12 @@ fn cmd_stats(args: &Args) -> CliResult {
     let mut client = Client::connect(addr)?;
     let stats = client.stats()?;
     if args.switch("raw") {
-        println!("{}", stats.encode());
+        outln!("{}", stats.encode());
         return Ok(());
     }
     if let Some(engine) = stats.get("engine") {
         let n = |key: &str| engine.get(key).and_then(WireValue::as_usize).unwrap_or(0);
-        println!(
+        outln!(
             "engine: {} queries ({} computed, {} hot), {} busy, {} deadline misses",
             n("queries"),
             n("computed"),
@@ -518,7 +548,7 @@ fn cmd_stats(args: &Args) -> CliResult {
     }
     if let Some(cache) = stats.get("cache") {
         let n = |key: &str| cache.get(key).and_then(WireValue::as_usize).unwrap_or(0);
-        println!(
+        outln!(
             "cache:  {} entries, {}/{} bytes, {} hits / {} misses, {} evicted, {} invalidated",
             n("entries"),
             n("used_bytes"),
@@ -531,7 +561,7 @@ fn cmd_stats(args: &Args) -> CliResult {
     }
     if let Some(series) = stats.get("series").and_then(WireValue::as_arr) {
         for s in series {
-            println!(
+            outln!(
                 "series: {} ({} points, version {})",
                 s.get("name").and_then(WireValue::as_str).unwrap_or("?"),
                 s.get("len").and_then(WireValue::as_usize).unwrap_or(0),
@@ -540,14 +570,14 @@ fn cmd_stats(args: &Args) -> CliResult {
         }
     }
     let Some(obs) = stats.get("obs").and_then(WireValue::as_obj) else {
-        println!("(server reported no metric registry)");
+        outln!("(server reported no metric registry)");
         return Ok(());
     };
-    println!("\nmetrics ({}):", obs.len());
+    outln!("\nmetrics ({}):", obs.len());
     for (key, metric) in obs {
         match metric {
             v if v.as_f64().is_some() => {
-                println!("  {key:<28} {}", format_number(v.as_f64().unwrap()));
+                outln!("  {key:<28} {}", format_number(v.as_f64().unwrap()));
             }
             v => {
                 let count = v.get("count").and_then(WireValue::as_usize).unwrap_or(0);
@@ -556,7 +586,7 @@ fn cmd_stats(args: &Args) -> CliResult {
                         .and_then(WireValue::as_f64)
                         .map_or_else(|| "-".to_string(), format_number)
                 };
-                println!(
+                outln!(
                     "  {key:<28} count {count:<8} mean {:<12} p50 {:<12} p99 {}",
                     field("mean"),
                     field("p50"),
@@ -615,7 +645,7 @@ fn cmd_check(args: &Args) -> CliResult {
     }
     config.stress_threads = args.parsed_or("stress-threads", config.stress_threads)?;
     let report = valmod_check::run(&config);
-    println!("{report}");
+    outln!("{report}");
     if report.clean() {
         Ok(())
     } else {
@@ -638,10 +668,10 @@ fn cmd_bench(args: &Args) -> CliResult {
     WireValue::parse(&json).map_err(|e| format!("emitted JSON failed self-validation: {e}"))?;
     std::fs::write(out, &json)?;
     if args.switch("json") {
-        println!("{json}");
+        outln!("{json}");
     } else {
-        print!("{}", report.table());
-        println!("snapshot written to {out}");
+        out!("{}", report.table());
+        outln!("snapshot written to {out}");
     }
     Ok(())
 }
@@ -659,9 +689,9 @@ fn cmd_cluster_worker(args: &Args) -> CliResult {
     )?;
     // Tests and scripts parse this line to learn the ephemeral port; it
     // must stay the first line printed.
-    println!("listening on {}", worker.local_addr()?);
+    outln!("listening on {}", worker.local_addr()?);
     worker.run()?;
-    println!("worker stopped");
+    outln!("worker stopped");
     Ok(())
 }
 
@@ -737,10 +767,10 @@ fn cmd_cluster_run(args: &Args) -> CliResult {
     };
 
     if args.switch("json") {
-        println!("{}", output.body().encode());
+        outln!("{}", output.body().encode());
         return Ok(());
     }
-    println!(
+    outln!(
         "merged {} per-length profiles over {} points (lengths {}..={})",
         output.profiles.len(),
         output.n,
@@ -748,7 +778,7 @@ fn cmd_cluster_run(args: &Args) -> CliResult {
         output.l_max
     );
     for (rank, m) in output.motifs.iter().enumerate() {
-        println!(
+        outln!(
             "  #{:<2} offsets ({:>7}, {:>7})  length {:>5}  dist {:>9.4}  norm {:>8.4}",
             rank + 1,
             m.a,
@@ -800,7 +830,7 @@ fn cmd_generate(args: &Args) -> CliResult {
         io::save_text(&series, output)?;
     }
     let s = series.summary();
-    println!(
+    outln!(
         "wrote {} points of {} to {output} (mean {:.4}, std {:.4})",
         s.len,
         ds.name(),

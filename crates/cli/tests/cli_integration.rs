@@ -2,7 +2,7 @@
 //! discords → mp → profiles → join, plus error handling.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn bin() -> PathBuf {
     // CARGO_BIN_EXE_<name> is set by cargo for integration tests of a crate
@@ -122,6 +122,27 @@ fn sets_and_discords_run() {
     ]);
     assert!(discords.status.success(), "{}", stderr(&discords));
     assert!(stdout(&discords).contains("variable-length discords"));
+}
+
+#[test]
+fn a_reader_closing_the_pipe_early_ends_the_command_quietly() {
+    let dir = tmp_dir("pipe");
+    let data = dir.join("ecg.csv");
+    let gen =
+        run(&["generate", "--dataset", "ecg", "--n", "4000", "--output", data.to_str().unwrap()]);
+    assert!(gen.status.success(), "{}", stderr(&gen));
+    // `valmod mp … | head -0`: the read end is closed before the first
+    // line is written, so every write hits a broken pipe.
+    let mut child = Command::new(bin())
+        .args(["mp", "--input", data.to_str().unwrap(), "--length", "50"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "exit {:?}: {}", out.status.code(), stderr(&out));
+    assert!(stderr(&out).is_empty(), "no panic, no noise: {}", stderr(&out));
 }
 
 #[test]

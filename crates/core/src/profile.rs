@@ -12,10 +12,11 @@
 //! entries survive an over-full heap is independent of the order they were
 //! offered in — row-order and diagonal-order harvests retain the same set.
 
-use valmod_mp::distance::dist_from_qt;
+use valmod_mp::distance::{dist_from_qt, is_flat};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::ProfiledSeries;
 
+use crate::compute_mp::key_for_pair;
 use crate::lb::lb_scale;
 
 /// One retained entry of a partial distance profile: the pair
@@ -82,6 +83,20 @@ impl PartialProfile {
             entries: Vec::with_capacity(capacity),
             capacity,
         }
+    }
+
+    /// Rebuilds a profile from entries already in heap order, exactly as
+    /// [`PartialProfile::entries`] listed them.
+    fn from_heap(
+        owner: usize,
+        anchor_l: usize,
+        anchor_sigma: f64,
+        capacity: usize,
+        entries: Vec<DpEntry>,
+    ) -> Self {
+        debug_assert!(entries.len() <= capacity);
+        debug_assert!((1..entries.len()).all(|k| !heap_gt(&entries[k], &entries[(k - 1) / 2])));
+        PartialProfile { owner, current_l: anchor_l, anchor_l, anchor_sigma, entries, capacity }
     }
 
     /// Number of retained entries.
@@ -195,6 +210,91 @@ impl PartialProfile {
             self.entries.swap(idx, largest);
             idx = largest;
         }
+    }
+}
+
+/// `listDP` in the compact form a parked segment keeps between queries:
+/// per retained entry only the neighbour (`u32`) and the dot product
+/// (`f64`), row after row in each heap's own order, plus a fill count per
+/// row — 12 bytes per entry instead of a [`DpEntry`]'s 32.
+///
+/// Everything else is a pure function of those and the series' prefix-stable
+/// statistics, so [`PackedPartials::unpack`] rebuilds it with the accessors
+/// the fused kernel used: `dist` by [`dist_from_qt`] (bitwise symmetric in
+/// its two subsequences), `lb_key` by `key_for_pair` with the same flat
+/// flags, and the anchor σ by `ps.std(owner, ℓ)`. Only *anchor-fresh*
+/// partials pack — row `r` owned by subsequence `r`, never advanced or
+/// re-anchored — which is what a captured segment holds.
+#[derive(Debug, Clone)]
+pub(crate) struct PackedPartials {
+    l: usize,
+    capacity: usize,
+    fill: Vec<u32>,
+    neighbor: Vec<u32>,
+    qt: Vec<f64>,
+}
+
+impl PackedPartials {
+    /// Packs anchor-fresh partials harvested at length `l`, or `None` when
+    /// a row or neighbour index does not fit in `u32`.
+    pub(crate) fn pack(partials: &[PartialProfile], l: usize, capacity: usize) -> Option<Self> {
+        let total = partials.iter().map(PartialProfile::len).sum();
+        let mut packed = PackedPartials {
+            l,
+            capacity,
+            fill: Vec::with_capacity(partials.len()),
+            neighbor: Vec::with_capacity(total),
+            qt: Vec::with_capacity(total),
+        };
+        for (r, prof) in partials.iter().enumerate() {
+            debug_assert!(prof.owner == r && prof.anchor_l == l && prof.current_l == l);
+            debug_assert_eq!(prof.capacity, capacity);
+            packed.fill.push(u32::try_from(prof.len()).ok()?);
+            for e in prof.entries() {
+                packed.neighbor.push(u32::try_from(e.neighbor).ok()?);
+                packed.qt.push(e.qt);
+            }
+        }
+        Some(packed)
+    }
+
+    /// Rebuilds every row's [`PartialProfile`], entries in the order they
+    /// were packed. `ps` must cover at least the packed rows in the frame
+    /// they were harvested in.
+    pub(crate) fn unpack(&self, ps: &ProfiledSeries) -> Vec<PartialProfile> {
+        let l = self.l;
+        let stats: Vec<(f64, f64, bool)> = (0..self.fill.len())
+            .map(|i| {
+                let (mean, std) = (ps.mean_c(i, l), ps.std(i, l));
+                (mean, std, is_flat(std, mean))
+            })
+            .collect();
+        let mut at = 0;
+        self.fill
+            .iter()
+            .enumerate()
+            .map(|(r, &fill)| {
+                let (mean_r, std_r, flat_r) = stats[r];
+                let end = at + fill as usize;
+                let mut entries = Vec::with_capacity(self.capacity);
+                for (&nb, &qt) in self.neighbor[at..end].iter().zip(&self.qt[at..end]) {
+                    let neighbor = nb as usize;
+                    let (mean_n, std_n, flat_n) = stats[neighbor];
+                    let dist = dist_from_qt(qt, l, mean_r, std_r, mean_n, std_n);
+                    let lb_key = key_for_pair(dist, l, flat_r, flat_n);
+                    entries.push(DpEntry { neighbor, qt, dist, lb_key });
+                }
+                at = end;
+                PartialProfile::from_heap(r, l, std_r, self.capacity, entries)
+            })
+            .collect()
+    }
+
+    /// Heap bytes held: 4 per row plus 12 per entry.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.fill.len() * std::mem::size_of::<u32>()
+            + self.neighbor.len() * std::mem::size_of::<u32>()
+            + self.qt.len() * std::mem::size_of::<f64>()
     }
 }
 

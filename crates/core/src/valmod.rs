@@ -11,6 +11,7 @@ use valmod_mp::diagonal::lex_update;
 use valmod_mp::distance::is_flat;
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::extend::{extend_cells, TailState};
+use valmod_mp::matrix_profile::MatrixProfile;
 use valmod_mp::motif::MotifPair;
 use valmod_mp::ProfiledSeries;
 use valmod_obs::{Recorder, SharedRecorder};
@@ -22,7 +23,7 @@ use crate::compute_mp::{
     MpWithProfiles,
 };
 use crate::pairs::BestKPairs;
-use crate::profile::{DpEntry, PartialProfile};
+use crate::profile::{DpEntry, PackedPartials, PartialProfile};
 use crate::sub_mp::compute_sub_mp_threaded_with_ws;
 use crate::valmp::Valmp;
 
@@ -387,7 +388,8 @@ impl Valmod {
     /// Capture requires the sequential fused kernel (`threads == 1`): the
     /// chunked parallel kernel does not produce the diagonal chains the
     /// tail continues. With any other thread count this falls back to the
-    /// plain walk and returns `None` for the state.
+    /// plain walk and returns `None` for the state; so does a series whose
+    /// row indices do not fit the packed `u32` neighbours.
     pub fn run_lengths_capturing(
         &self,
         ps: &ProfiledSeries,
@@ -407,19 +409,26 @@ impl Valmod {
         }
         ps.require_pairs(cfg.l_max)?;
         let mut ws = Workspace::new();
-        let (state, tail) =
+        let (mut walk, tail) =
             compute_matrix_profile_capture_with_ws(ps, l_lo, cfg.p, cfg.policy, recorder, &mut ws)?;
-        let seg = SegmentState { config: cfg, n: ps.len(), state, tail };
-        out.push(anchor_profile(&seg.state, l_lo));
-        let mut walk = seg.state.clone();
-        advance_walk(ps, &seg.config, recorder, &mut ws, &mut walk, &mut |lp, _| out.push(lp))?;
-        Ok((out, Some(seg)))
+        // Pack before the walk advances the partials in place.
+        let seg = PackedPartials::pack(&walk.partials, l_lo, cfg.p).map(|partials| SegmentState {
+            config: cfg.clone(),
+            n: ps.len(),
+            extended: false,
+            profile: walk.profile.clone(),
+            partials,
+            tail,
+        });
+        out.push(anchor_profile(&walk.profile, l_lo));
+        advance_walk(ps, &cfg, recorder, &mut ws, &mut walk, &mut |lp, _| out.push(lp))?;
+        Ok((out, seg))
     }
 }
 
 /// The cached artifacts of one anchor segment: the pre-advance anchor
-/// profile, its harvested partial profiles, and the diagonal tail
-/// ([`TailState`]) of the fused kernel that produced them.
+/// profile, its harvested partial profiles (packed, see below), and the
+/// diagonal tail ([`TailState`]) of the fused kernel that produced them.
 ///
 /// A `SegmentState` makes a segment *resumable* in two directions:
 ///
@@ -436,6 +445,11 @@ impl Valmod {
 ///   subsequent replay equals a cold run over the grown series bit for bit
 ///   (`valmod-check`'s `extend` oracle holds this under randomized append
 ///   schedules).
+///
+/// The partial profiles dominate the footprint, so they are held packed
+/// (neighbour and dot product per entry, 12 bytes instead of 32) and
+/// rebuilt on use, entry for entry in the same heap order — packing is
+/// invisible to every result.
 #[derive(Debug, Clone)]
 pub struct SegmentState {
     /// The segment's configuration at capture time (`l_min` is the anchor;
@@ -443,8 +457,12 @@ pub struct SegmentState {
     config: ValmodConfig,
     /// Samples covered so far.
     n: usize,
-    /// Pre-advance anchor artifacts (profile + `listDP`).
-    state: MpWithProfiles,
+    /// Whether [`SegmentState::extend`] has grown the state at least once.
+    extended: bool,
+    /// Pre-advance anchor profile.
+    profile: MatrixProfile,
+    /// Pre-advance `listDP`, packed.
+    partials: PackedPartials,
     /// The diagonal chain heads the extension continues from.
     tail: TailState,
 }
@@ -462,20 +480,27 @@ impl SegmentState {
         self.n
     }
 
-    /// Approximate heap bytes held (for cache byte-budget accounting).
+    /// Whether the state has been extended over appended samples at least
+    /// once since capture — evidence that its series really grows, which
+    /// the serve layer's parking policy rewards.
+    #[inline]
+    pub fn was_extended(&self) -> bool {
+        self.extended
+    }
+
+    /// Approximate heap bytes held (for cache byte-budget accounting):
+    /// 12 per retained `listDP` entry plus under 32 per row (anchor
+    /// profile, fill count, tail).
     pub fn heap_bytes(&self) -> usize {
-        let profile = self.state.profile.mp.len() * std::mem::size_of::<f64>()
-            + self.state.profile.ip.len() * std::mem::size_of::<usize>();
-        let partials: usize = self
-            .state
-            .partials
-            .iter()
-            .map(|p| {
-                std::mem::size_of::<PartialProfile>()
-                    + p.capacity() * std::mem::size_of::<DpEntry>()
-            })
-            .sum();
-        profile + partials + self.tail.heap_bytes()
+        self.profile.mp.len() * std::mem::size_of::<f64>()
+            + self.profile.ip.len() * std::mem::size_of::<usize>()
+            + self.partials.heap_bytes()
+            + self.tail.heap_bytes()
+    }
+
+    /// The anchor artifacts rebuilt for a walk or an extension.
+    fn unpack(&self, ps: &ProfiledSeries) -> MpWithProfiles {
+        MpWithProfiles { profile: self.profile.clone(), partials: self.partials.unpack(ps) }
     }
 
     /// Advances the anchor artifacts over the appended tail of `ps` in
@@ -487,15 +512,20 @@ impl SegmentState {
         if old_ndp == new_ndp && ps.len() == self.n {
             return Ok(());
         }
+        if u32::try_from(new_ndp).is_err() {
+            return Err(ValmodError::InvalidParameter(format!(
+                "segment extend: {new_ndp} rows exceed the packed u32 neighbour range"
+            )));
+        }
         let _span = valmod_obs::span!(recorder, "core.valmod.extend_us");
         if recorder.enabled() {
             recorder.add("core.valmod.extends", 1);
         }
         let (l, p) = (self.config.l_min, self.config.p);
-        let profile = &mut self.state.profile;
+        let mut partials = self.partials.unpack(ps);
+        let profile = &mut self.profile;
         profile.mp.resize(new_ndp, f64::INFINITY);
         profile.ip.resize(new_ndp, usize::MAX);
-        let partials = &mut self.state.partials;
         partials.reserve(new_ndp - old_ndp);
         for r in old_ndp..new_ndp {
             partials.push(PartialProfile::new(r, l, ps.std(r, l), p));
@@ -512,7 +542,9 @@ impl SegmentState {
                 partials[j].offer(DpEntry { neighbor: i, qt: q, dist: d, lb_key: key });
             }
         })?;
+        self.partials = PackedPartials::pack(&partials, l, p).expect("row count checked above");
         self.n = ps.len();
+        self.extended = true;
         Ok(())
     }
 
@@ -540,9 +572,9 @@ impl SegmentState {
         cfg.validate_for(ps.len())?;
         let _span = valmod_obs::span!(recorder, "core.valmod.segment_us");
         let mut out = Vec::with_capacity(l_hi - cfg.l_min + 1);
-        out.push(anchor_profile(&self.state, cfg.l_min));
+        out.push(anchor_profile(&self.profile, cfg.l_min));
         let mut ws = Workspace::new();
-        let mut walk = self.state.clone();
+        let mut walk = self.unpack(ps);
         advance_walk(ps, &cfg, recorder, &mut ws, &mut walk, &mut |lp, _| out.push(lp))?;
         Ok(out)
     }
@@ -639,22 +671,22 @@ fn drive_lengths(
         recorder,
         &mut ws,
     )?;
-    visit(anchor_profile(&state, config.l_min), &state.partials);
+    visit(anchor_profile(&state.profile, config.l_min), &state.partials);
     advance_walk(ps, config, recorder, &mut ws, &mut state, &mut visit)
 }
 
 /// The anchor's [`LengthProfile`] — emitted identically by the cold walk
 /// ([`drive_lengths`]) and by [`SegmentState::replay`], which is what makes
 /// replayed fragments bit-identical to freshly computed ones.
-fn anchor_profile(state: &MpWithProfiles, l_min: usize) -> LengthProfile {
+fn anchor_profile(profile: &MatrixProfile, l_min: usize) -> LengthProfile {
     LengthProfile {
         l: l_min,
-        mp: state.profile.mp.clone(),
-        ip: state.profile.ip.clone(),
+        mp: profile.mp.clone(),
+        ip: profile.ip.clone(),
         method: LengthMethod::FullProfile,
-        motif: state.profile.motif_pair().map(|(a, b, d)| MotifPair::new(a, b, l_min, d)),
-        known_entries: state.profile.len(),
-        valid_rows: state.profile.len(),
+        motif: profile.motif_pair().map(|(a, b, d)| MotifPair::new(a, b, l_min, d)),
+        known_entries: profile.len(),
+        valid_rows: profile.len(),
         nonvalid_rows: 0,
         recomputed_rows: 0,
     }
@@ -1136,6 +1168,7 @@ mod tests {
         assert_eq!(seg.anchor(), 16);
         assert_eq!(seg.n(), 700);
         assert!(seg.heap_bytes() > 0);
+        assert!(!seg.was_extended(), "a fresh capture is not yet extended");
         // Replay to the same hi, a smaller hi, and a larger hi — all
         // bit-identical to fresh runs (fragments are anchor-pure).
         for hi in [44usize, 20, 16, 52] {
@@ -1143,6 +1176,77 @@ mod tests {
             let fresh = runner.run_lengths_on(&ps, 16, hi).unwrap();
             assert_fragments_bit_identical(&replayed, &fresh, &format!("replay hi={hi}"));
         }
+    }
+
+    /// Packing must be invisible: every rebuilt [`PartialProfile`] equals
+    /// the kernel's own, field by field and entry by entry in heap order.
+    /// Returns the kernel's partials for shape checks.
+    fn assert_packed_round_trip(
+        values: &[f64],
+        l: usize,
+        p: usize,
+        what: &str,
+    ) -> Vec<PartialProfile> {
+        let ps = ProfiledSeries::from_values(values).unwrap();
+        let (kernel, _) = compute_matrix_profile_capture_with_ws(
+            &ps,
+            l,
+            p,
+            ExclusionPolicy::HALF,
+            &SharedRecorder::noop(),
+            &mut Workspace::new(),
+        )
+        .unwrap();
+        let (_, seg) = Valmod::new(l, l).p(p).run_lengths_capturing(&ps, l, l).unwrap();
+        let seg = seg.expect("threads=1 must capture");
+        let rebuilt = seg.unpack(&ps);
+        assert_eq!(rebuilt.profile.mp, kernel.profile.mp, "{what}: anchor profile");
+        assert_eq!(rebuilt.profile.ip, kernel.profile.ip, "{what}: anchor indices");
+        assert_eq!(rebuilt.partials.len(), kernel.partials.len(), "{what}: rows");
+        for (a, b) in rebuilt.partials.iter().zip(&kernel.partials) {
+            let row = b.owner;
+            assert_eq!(
+                (a.owner, a.anchor_l, a.current_l, a.capacity()),
+                (b.owner, b.anchor_l, b.current_l, b.capacity()),
+                "{what}: row {row} header"
+            );
+            assert_eq!(a.anchor_sigma.to_bits(), b.anchor_sigma.to_bits(), "{what}: row {row} σ");
+            let bits = |p: &PartialProfile| -> Vec<(usize, u64, u64, u64)> {
+                p.entries()
+                    .iter()
+                    .map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(a), bits(b), "{what}: row {row} entries in heap order");
+        }
+        let entries: usize = kernel.partials.iter().map(PartialProfile::len).sum();
+        let ndp = kernel.profile.len();
+        assert!(
+            seg.heap_bytes() <= 12 * entries + 32 * ndp,
+            "{what}: {} bytes for {entries} entries over {ndp} rows",
+            seg.heap_bytes()
+        );
+        kernel.partials
+    }
+
+    #[test]
+    fn packed_partials_round_trip_bit_for_bit_in_heap_order() {
+        // A flat stretch: its rows carry key-0 entries and tied distances.
+        let mut flat = random_walk(400, 17);
+        for v in &mut flat[120..200] {
+            *v = 2.5;
+        }
+        let partials = assert_packed_round_trip(&flat, 16, 6, "flat stretch");
+        assert!(
+            partials[150].entries().iter().all(|e| e.lb_key == 0.0),
+            "the flat stretch must exercise key-0 rows"
+        );
+        // Short and exclusion-heavy: no heap fills at the shipped p.
+        let partials = assert_packed_round_trip(&random_walk(40, 5), 16, 50, "short series");
+        assert!(partials.iter().all(|p| !p.is_full()), "every heap must stay partially filled");
+        // Shipped shape: full heaps at p = 50.
+        let partials = assert_packed_round_trip(&fallback_rich_series(700), 64, 50, "p=50");
+        assert!(partials.iter().any(PartialProfile::is_full));
     }
 
     #[test]
@@ -1176,6 +1280,7 @@ mod tests {
             let grown = ProfiledSeries::with_offset(&values[..n], offset).unwrap();
             seg.extend(&grown, &recorder).unwrap();
             assert_eq!(seg.n(), n);
+            assert!(seg.was_extended());
             let replayed = seg.replay(&grown, 44, &recorder).unwrap();
             let cold = runner.run_lengths_on(&grown, 16, 44).unwrap();
             assert_fragments_bit_identical(&replayed, &cold, &format!("n={n}"));
@@ -1212,6 +1317,7 @@ mod tests {
         // Zero-sample extend is a no-op.
         seg.extend(&base, &recorder).unwrap();
         assert_eq!(seg.n(), 320);
+        assert!(!seg.was_extended(), "neither a rejection nor a no-op counts as extended");
     }
 
     #[test]

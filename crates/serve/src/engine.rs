@@ -805,10 +805,11 @@ impl QueryEngine {
             ("invalidated", invalidated.into()),
             ("per_stripe", Value::Arr(per_stripe)),
         ]);
-        let (mut f_entries, mut f_used, mut f_budget, mut parked) =
-            (0usize, 0usize, 0usize, 0usize);
+        let (mut f_entries, mut f_used, mut f_budget) = (0usize, 0usize, 0usize);
+        let (mut parked, mut parked_bytes, mut parked_proven) = (0usize, 0usize, 0usize);
         let (mut f_hits, mut f_misses, mut f_evictions, mut f_invalidated, mut f_extended) =
             (0u64, 0u64, 0u64, 0u64, 0u64);
+        let mut refused = 0u64;
         for shard in self.shared.shards.iter() {
             let fragments = shard.fragments.lock().expect("fragment cache lock");
             let fs = fragments.stats();
@@ -816,11 +817,14 @@ impl QueryEngine {
             f_used += fragments.used_bytes();
             f_budget += fragments.budget_bytes();
             parked += fragments.state_count();
+            parked_bytes += fragments.parked_bytes();
+            parked_proven += fragments.proven_count();
             f_hits += fs.hits;
             f_misses += fs.misses;
             f_evictions += fs.evictions;
             f_invalidated += fs.invalidated;
             f_extended += fs.extended;
+            refused += fs.states_refused;
         }
         let c = &self.shared.counters;
         let planner_v = Value::obj(vec![
@@ -833,6 +837,9 @@ impl QueryEngine {
             ("fragment_invalidated", f_invalidated.into()),
             ("fragments_extended", f_extended.into()),
             ("parked_states", parked.into()),
+            ("parked_bytes", parked_bytes.into()),
+            ("parked_proven", parked_proven.into()),
+            ("states_refused", refused.into()),
             ("inflight", c.inflight_flights.load(Ordering::Relaxed).into()),
         ]);
         Value::obj(vec![

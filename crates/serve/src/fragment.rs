@@ -31,6 +31,15 @@
 //! `valmod-check`'s extension oracle enforces. Only a `LOAD` (replace)
 //! purges both maps, because a replace rewrites history instead of
 //! growing it. Both maps share one byte budget and one LRU clock.
+//!
+//! ## Parking tiers
+//!
+//! A parked state only pays off if its series is appended to, and a
+//! state costs as much as a few dozen fragments. So a state starts
+//! **speculative**: it may take only free space (or space held by other
+//! speculative states) and is evicted before any fragment. Once it has
+//! been extended ([`SegmentState::was_extended`]) it is **proven** for
+//! good and competes with fragments on the LRU clock.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -96,6 +105,9 @@ pub struct FragmentCacheStats {
     /// Parked segment states extended in place over appended samples
     /// instead of recomputing the segment from scratch.
     pub extended: u64,
+    /// States not parked: larger than the whole budget, or speculative
+    /// without the free space to hold them.
+    pub states_refused: u64,
 }
 
 /// An LRU cache of per-length profile fragments, bounded by approximate
@@ -190,25 +202,39 @@ impl FragmentCache {
         Some(entry.state)
     }
 
-    /// Parks a segment state for future extension. Replaces any previous
-    /// state under the same key; a state larger than the whole budget is
-    /// dropped (the planner then recomputes, which is always correct).
-    pub fn put_state(&mut self, series: &str, anchor: usize, knobs: &str, state: SegmentState) {
+    /// Parks a segment state for future extension, replacing any previous
+    /// state under the same key. A speculative state (never extended) may
+    /// only take free space or displace other speculative states; a proven
+    /// one may displace anything older on the LRU clock. A state that does
+    /// not fit is refused — and the previous one is still dropped — so the
+    /// planner recomputes, which is always correct. Returns whether the
+    /// state was parked.
+    pub fn put_state(
+        &mut self,
+        series: &str,
+        anchor: usize,
+        knobs: &str,
+        state: SegmentState,
+    ) -> bool {
         let key = StateKey { series: series.into(), anchor, knobs: knobs.into() };
-        let bytes = state_bytes(&key, &state);
-        if bytes > self.budget {
-            if let Some(old) = self.states.remove(&key) {
-                self.used -= old.bytes;
-            }
-            return;
-        }
-        self.tick += 1;
         if let Some(old) = self.states.remove(&key) {
             self.used -= old.bytes;
         }
+        let bytes = state_bytes(&key, &state);
+        let room = if state.was_extended() {
+            self.budget
+        } else {
+            self.budget - (self.used - self.speculative_bytes())
+        };
+        if bytes > room {
+            self.stats.states_refused += 1;
+            return false;
+        }
+        self.tick += 1;
         self.used += bytes;
         self.states.insert(key, StateEntry { state, bytes, last_used: self.tick });
         self.evict_to_budget();
+        true
     }
 
     /// Notes one in-place extension (surfaced through `STATS`).
@@ -216,10 +242,28 @@ impl FragmentCache {
         self.stats.extended += 1;
     }
 
-    /// Evicts least-recently-used entries — fragments and parked states
-    /// compete under one clock — until the budget holds.
+    /// Bytes held by speculative (never extended) states.
+    fn speculative_bytes(&self) -> usize {
+        self.states.values().filter(|e| !e.state.was_extended()).map(|e| e.bytes).sum()
+    }
+
+    /// Evicts until the budget holds: speculative states first (LRU among
+    /// them), then least-recently-used entries — fragments and proven
+    /// states compete under one clock.
     fn evict_to_budget(&mut self) {
         while self.used > self.budget {
+            let speculative = self
+                .states
+                .iter()
+                .filter(|(_, e)| !e.state.was_extended())
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone());
+            if let Some(key) = speculative {
+                let e = self.states.remove(&key).expect("key just observed");
+                self.used -= e.bytes;
+                self.stats.evictions += 1;
+                continue;
+            }
             let frag_lru = self
                 .map
                 .iter()
@@ -296,6 +340,16 @@ impl FragmentCache {
     /// Number of parked segment states.
     pub fn state_count(&self) -> usize {
         self.states.len()
+    }
+
+    /// Number of parked states in the proven tier.
+    pub fn proven_count(&self) -> usize {
+        self.states.values().filter(|e| e.state.was_extended()).count()
+    }
+
+    /// Bytes the parked states charge against the budget.
+    pub fn parked_bytes(&self) -> usize {
+        self.states.values().map(|e| e.bytes).sum()
     }
 
     /// Whether the cache holds neither fragments nor parked states.
@@ -416,6 +470,90 @@ mod tests {
         let (_, state) =
             Valmod::new(anchor, anchor + 2).run_lengths_capturing(&ps, anchor, anchor + 2).unwrap();
         (state.expect("single-threaded runs capture"), series)
+    }
+
+    /// [`captured_state`] extended over `grow` more samples: a proven
+    /// state.
+    fn proven_state(n: usize, anchor: usize, grow: usize) -> SegmentState {
+        let (mut state, series) = captured_state(n, anchor);
+        let offset = ProfiledSeries::from_values(&series[..n]).unwrap().offset();
+        let grown = ProfiledSeries::with_offset(&series[..n + grow], offset).unwrap();
+        state.extend(&grown, &SharedRecorder::noop()).unwrap();
+        assert!(state.was_extended());
+        state
+    }
+
+    fn skey(knobs: &str) -> StateKey {
+        StateKey { series: "s".into(), anchor: 8, knobs: knobs.into() }
+    }
+
+    #[test]
+    fn speculative_put_state_never_evicts_a_fragment() {
+        let (state, _) = captured_state(80, 8);
+        let sbytes = state_bytes(&skey("p=8;excl=1/2"), &state);
+        let fbytes = entry_bytes(&key("s", 1, 16, 16), &fragment(16, 32));
+        // Two fragments leave less free space than the state needs.
+        let mut cache = FragmentCache::new(2 * fbytes + sbytes - 1);
+        cache.insert(key("s", 1, 16, 16), fragment(16, 32));
+        cache.insert(key("s", 1, 16, 17), fragment(17, 32));
+        assert!(!cache.put_state("s", 8, "p=8;excl=1/2", state.clone()), "no free room");
+        assert_eq!(cache.len(), 2, "the fragments stay");
+        assert_eq!(cache.state_count(), 0);
+        assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.stats().states_refused, 1);
+        assert_eq!(cache.used_bytes(), 2 * fbytes);
+
+        // With one fragment gone there is room, and another speculative
+        // state is displaced to make it.
+        let mut cache = FragmentCache::new(fbytes + sbytes + sbytes / 2);
+        cache.insert(key("s", 1, 16, 16), fragment(16, 32));
+        assert!(cache.put_state("s", 8, "p=8;excl=1/2", state.clone()));
+        assert!(cache.put_state("s", 8, "p=9;excl=1/2", state));
+        assert_eq!(cache.len(), 1, "the fragment stays");
+        assert_eq!(cache.state_count(), 1);
+        assert!(cache.take_state("s", 8, "p=9;excl=1/2").is_some(), "newest state kept");
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.stats().states_refused, 0);
+    }
+
+    #[test]
+    fn fragment_inserts_evict_speculative_states_first() {
+        let (state, _) = captured_state(80, 8);
+        let sbytes = state_bytes(&skey("p=8;excl=1/2"), &state);
+        let fbytes = entry_bytes(&key("s", 1, 16, 16), &fragment(16, 32));
+        let mut cache = FragmentCache::new(sbytes + fbytes + fbytes / 2);
+        // The fragment is older than the state, yet the state goes first.
+        cache.insert(key("s", 1, 16, 16), fragment(16, 32));
+        assert!(cache.put_state("s", 8, "p=8;excl=1/2", state));
+        cache.insert(key("s", 1, 16, 17), fragment(17, 32));
+        assert_eq!(cache.state_count(), 0, "speculative state evicted before any fragment");
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.parked_bytes(), 0);
+    }
+
+    #[test]
+    fn a_proven_state_follows_the_lru_clock() {
+        let state = proven_state(80, 8, 20);
+        let sbytes = state_bytes(&skey("p=8;excl=1/2"), &state);
+        let fbytes = entry_bytes(&key("s", 1, 16, 16), &fragment(16, 32));
+        let mut cache = FragmentCache::new(sbytes + fbytes + fbytes / 2);
+        cache.insert(key("s", 1, 16, 16), fragment(16, 32));
+        cache.insert(key("s", 1, 17, 17), fragment(17, 32));
+        // A proven state may displace older fragments: fragment 16 is LRU.
+        assert!(cache.put_state("s", 8, "p=8;excl=1/2", state));
+        assert_eq!((cache.state_count(), cache.proven_count()), (1, 1));
+        assert_eq!(cache.parked_bytes(), sbytes);
+        assert!(cache.get_segment("s", 1, 16, 16, "p=8;excl=1/2").is_none(), "16 was LRU");
+        assert!(cache.get_segment("s", 1, 17, 17, "p=8;excl=1/2").is_some());
+        assert_eq!(cache.stats().evictions, 1);
+        // Now the state is the LRU entry: the next fragment evicts it and
+        // keeps the just-touched fragment 17.
+        cache.insert(key("s", 1, 18, 18), fragment(18, 32));
+        assert_eq!(cache.state_count(), 0, "the proven state was the oldest entry");
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().evictions, 2);
+        assert!(cache.used_bytes() <= cache.budget_bytes());
     }
 
     #[test]
@@ -545,24 +683,30 @@ mod tests {
         use std::sync::OnceLock;
         use valmod_core::ValmodConfig;
 
-        /// Three advance-ready states of different sizes (tiny `p` keeps
-        /// them cheap); swapping them under one key models an in-place
-        /// extension changing an entry's byte footprint.
+        /// Advance-ready states of different sizes (tiny `p` keeps them
+        /// cheap); swapping them under one key models an in-place extension
+        /// changing an entry's byte footprint. The first three are fresh
+        /// captures (speculative), the last three extended ones (proven).
         fn states() -> &'static Vec<SegmentState> {
             static STATES: OnceLock<Vec<SegmentState>> = OnceLock::new();
             STATES.get_or_init(|| {
                 let series = random_walk(160, 9);
-                [40usize, 70, 100]
-                    .iter()
-                    .map(|&n| {
-                        let ps = ProfiledSeries::from_values(&series[..n]).unwrap();
-                        let mut cfg = ValmodConfig::new(8, 10);
-                        cfg.p = 2;
-                        let (_, state) =
-                            Valmod::from_config(cfg).run_lengths_capturing(&ps, 8, 10).unwrap();
-                        state.expect("single-threaded runs capture")
-                    })
-                    .collect()
+                let capture = |n: usize| {
+                    let ps = ProfiledSeries::from_values(&series[..n]).unwrap();
+                    let mut cfg = ValmodConfig::new(8, 10);
+                    cfg.p = 2;
+                    let (_, state) =
+                        Valmod::from_config(cfg).run_lengths_capturing(&ps, 8, 10).unwrap();
+                    (state.expect("single-threaded runs capture"), ps.offset())
+                };
+                let fresh = [40usize, 70, 100].iter().map(|&n| capture(n).0);
+                let extended = [(30usize, 40usize), (60, 70), (90, 100)].iter().map(|&(n, m)| {
+                    let (mut state, offset) = capture(n);
+                    let grown = ProfiledSeries::with_offset(&series[..m], offset).unwrap();
+                    state.extend(&grown, &SharedRecorder::noop()).unwrap();
+                    state
+                });
+                fresh.chain(extended).collect()
             })
         }
 
@@ -570,15 +714,16 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// After any randomized sequence of fragment inserts, state
-            /// park/take cycles (including size-changing replacements, the
-            /// shape an in-place extension produces), lazy staleness GC,
-            /// and full invalidation, the tracked byte total equals the
-            /// sum recomputed from both live maps and never exceeds the
-            /// budget.
+            /// park/take cycles over both tiers (including size-changing
+            /// replacements, the shape an in-place extension produces),
+            /// lazy staleness GC, and full invalidation, the tracked byte
+            /// total equals the sum recomputed from both live maps and
+            /// never exceeds the budget, and no speculative park ever
+            /// evicts a fragment.
             #[test]
             fn used_bytes_equals_recomputed_sum_across_both_maps(
                 ops in prop::collection::vec(
-                    (0usize..7, 0usize..2, 1u64..4, 0usize..2, 0usize..3),
+                    (0usize..7, 0usize..2, 1u64..4, 0usize..2, 0usize..6),
                     1..100,
                 ),
                 budget in 1024usize..32768,
@@ -595,7 +740,13 @@ mod tests {
                             fragment(anchor + size, 16 * (size + 1)),
                         ),
                         2 => { cache.get_segment(name, version, anchor, anchor + 2, "p=8;excl=1/2"); }
-                        3 => cache.put_state(name, anchor, "p=8;excl=1/2", states()[size].clone()),
+                        3 => {
+                            let state = states()[size].clone();
+                            let speculative = !state.was_extended();
+                            let before = cache.len();
+                            cache.put_state(name, anchor, "p=8;excl=1/2", state);
+                            prop_assert!(!speculative || cache.len() == before);
+                        }
                         4 => { cache.take_state(name, anchor, "p=8;excl=1/2"); }
                         5 => { cache.invalidate_stale(name, version); }
                         _ => cache.invalidate_series(name),

@@ -34,9 +34,10 @@
 //! An append bumps the series version, so every cached fragment stops
 //! matching — but nothing is purged. On the next touch the planner first
 //! garbage-collects the stale-watermarked fragments, then revives each
-//! missed segment from its parked [`SegmentState`](valmod_core::SegmentState):
-//! extend over the
-//! appended tail (`O(k·n)`), replay, re-insert under the new version.
+//! missed segment from its parked [`SegmentState`]: extend over the
+//! appended tail (`O(k·n)`), replay, re-insert under the new version, and
+//! park the state again — after the fragments, so a state never pushes
+//! out its own segment (see [`crate::fragment`] for the parking tiers).
 //! Extension is bit-identical to a cold recompute (the `valmod check`
 //! extension oracle proves it), so revival is invisible to results —
 //! only to latency. The ordering matters: staleness is judged against
@@ -46,7 +47,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use valmod_core::{compose_output, Valmod, ValmodOutput};
+use valmod_core::{compose_output, LengthProfile, SegmentState, Valmod, ValmodOutput};
 use valmod_mp::ProfiledSeries;
 use valmod_obs::{Recorder, SharedRecorder};
 
@@ -154,7 +155,7 @@ pub fn execute_plan(
                 plan_fragments.extend(frags);
             }
             None => {
-                let computed =
+                let (computed, state) =
                     revive_or_compute(ps, series, seg, runner, fragments, recorder, &knobs)?;
                 stats.fragments_computed += computed.len();
                 recorder.add("serve.fragment.miss", computed.len() as u64);
@@ -170,6 +171,14 @@ pub fn execute_plan(
                     let lp = Arc::new(lp);
                     cache.insert(key, Arc::clone(&lp));
                     plan_fragments.push(lp);
+                }
+                // Park after the segment's own fragments are in: a
+                // speculative state then only gets what they left free,
+                // and a proven one is the newest entry on the clock.
+                if let Some(state) = state {
+                    if !cache.put_state(series, seg.anchor, &knobs, state) {
+                        recorder.add("serve.fragment.state_refused", 1);
+                    }
                 }
             }
         }
@@ -187,6 +196,7 @@ pub fn execute_plan(
 /// first — and only fall back to a cold `O(n²)` segment run when there is
 /// no state (or it cannot serve this series' current shape). Cold runs
 /// capture a fresh state so the *next* append finds something to extend.
+/// The state, revived or fresh, is handed back for the caller to park.
 fn revive_or_compute(
     ps: &ProfiledSeries,
     series: &str,
@@ -195,7 +205,7 @@ fn revive_or_compute(
     fragments: &Mutex<FragmentCache>,
     recorder: &SharedRecorder,
     knobs: &str,
-) -> ServeResult<Vec<valmod_core::LengthProfile>> {
+) -> ServeResult<(Vec<LengthProfile>, Option<SegmentState>)> {
     let parked =
         fragments.lock().expect("fragment cache lock").take_state(series, seg.anchor, knobs);
     if let Some(mut state) = parked {
@@ -216,19 +226,11 @@ fn revive_or_compute(
         };
         if current {
             if let Ok(out) = state.replay(ps, seg.hi, recorder) {
-                fragments
-                    .lock()
-                    .expect("fragment cache lock")
-                    .put_state(series, seg.anchor, knobs, state);
-                return Ok(out);
+                return Ok((out, Some(state)));
             }
         }
     }
-    let (out, captured) = runner.run_lengths_capturing(ps, seg.anchor, seg.hi)?;
-    if let Some(state) = captured {
-        fragments.lock().expect("fragment cache lock").put_state(series, seg.anchor, knobs, state);
-    }
-    Ok(out)
+    runner.run_lengths_capturing(ps, seg.anchor, seg.hi)
 }
 
 #[cfg(test)]
