@@ -15,8 +15,9 @@
 //! * [`oracles`] — the diagonal-blocked kernel vs the row streamer
 //!   (bit-exact, across block widths), VALMOD vs STOMP-per-length, parallel
 //!   vs sequential, streaming-append vs batch recompute, serve cached vs
-//!   cold, and the Eq. 2 lower-bound admissibility invariant probed against
-//!   naive z-normalised distances;
+//!   cold, the seeded `listDP` harvest vs an unseeded one (bit-exact), and
+//!   the Eq. 2 lower-bound admissibility invariant probed against naive
+//!   z-normalised distances;
 //! * [`faults`] — truncated frames, oversized lines, malformed JSON,
 //!   mid-`APPEND` disconnects, hostile numeric fields, and deadline expiry
 //!   replayed against a real loopback server;

@@ -13,16 +13,21 @@
 //! `ip` indices exactly, across several block widths and a parallel run.
 
 use valmod_baselines::stomp_range;
+use valmod_core::harvest::seed_gate;
 use valmod_core::lb::lb_scale;
-use valmod_core::{compute_matrix_profile, Valmod, ValmodConfig};
+use valmod_core::{
+    compute_matrix_profile, compute_matrix_profile_with_ws, compute_matrix_profile_ws,
+    compute_sub_mp_threaded_with_ws, MpWithProfiles, Valmod, ValmodConfig,
+};
 use valmod_data::rng::Xoshiro256;
 use valmod_mp::diagonal::{stomp_diagonal_parallel_ws, stomp_diagonal_ws};
 use valmod_mp::distance::zdist_naive;
 use valmod_mp::matrix_profile::MatrixProfile;
 use valmod_mp::parallel::stomp_parallel;
 use valmod_mp::stomp::{stomp, stomp_row};
-use valmod_mp::workspace::Workspace;
+use valmod_mp::workspace::{HarvestHint, Workspace};
 use valmod_mp::{ExclusionPolicy, ProfiledSeries, StreamingProfile};
+use valmod_obs::{Registry, SharedRecorder};
 use valmod_serve::engine::{EngineConfig, QueryEngine, QueryKind, QuerySpec};
 use valmod_serve::Value;
 
@@ -60,7 +65,7 @@ fn diverge(case: &Case, oracle: &'static str, detail: String) -> Divergence {
     Divergence { case_id: case.id, oracle, detail: format!("{}: {detail}", case.label()) }
 }
 
-/// Runs the five differential oracles plus the LB-admissibility invariant.
+/// Runs the six differential oracles plus the LB-admissibility invariant.
 pub fn run_case(case: &Case, lb_probe_budget: usize) -> CaseOutcome {
     let mut out = CaseOutcome::default();
     let ps = match ProfiledSeries::from_values(&case.values) {
@@ -83,6 +88,9 @@ pub fn run_case(case: &Case, lb_probe_budget: usize) -> CaseOutcome {
         out.divergences.push(d);
     }
     if let Some(d) = check_serve_cached_vs_cold(case) {
+        out.divergences.push(d);
+    }
+    if let Some(d) = check_harvest_seeded_vs_cold(case, &ps) {
         out.divergences.push(d);
     }
     let (probes, lb_div) = check_lb_admissibility(case, &ps, lb_probe_budget);
@@ -350,6 +358,139 @@ pub fn check_serve_cached_vs_cold(case: &Case) -> Option<Divergence> {
         ));
     }
     None
+}
+
+/// The gated harvest's seed against a cold, unseeded harvest.
+///
+/// Walks the case's length range the way `Valmod::run` does, on one
+/// workspace. On every fallback length (ComputeSubMP could not certify the
+/// motif) the workspace holds a [`HarvestHint`]; a full profile seeded from
+/// it must retain exactly the entries of an unseeded one — per row, the
+/// neighbours and the bits of qt, dist and lb_key as sorted sets — with the
+/// same `mp`/`ip` bits. Two adversarial hints follow on the same length:
+/// every bound 0, and a random half of the rows at half their true bound.
+/// A seeded pass must rerun unseeded exactly when some seeded row's gate
+/// sits below its cold `p`-th smallest key, and still match. A case without
+/// a fallback length gets the adversarial hints at `ℓ_max`.
+pub fn check_harvest_seeded_vs_cold(case: &Case, ps: &ProfiledSeries) -> Option<Divergence> {
+    const ORACLE: &str = "harvest-seeded-vs-cold";
+    let policy = ExclusionPolicy::HALF;
+    let (p, noop) = (case.p, SharedRecorder::noop());
+    let mut rng = Xoshiro256::seed_from_u64(0x5eed_ca7e ^ case.id);
+    let mut ws = Workspace::new();
+    let mut state = match compute_matrix_profile_ws(ps, case.l_min, p, policy, &mut ws) {
+        Ok(s) => s,
+        Err(e) => return Some(diverge(case, ORACLE, format!("anchor: {e}"))),
+    };
+    let mut probed = false;
+    for l in (case.l_min + 1)..=case.l_max {
+        let res =
+            compute_sub_mp_threaded_with_ws(ps, &mut state.partials, l, policy, 1, &noop, &mut ws);
+        if res.found_motif {
+            continue;
+        }
+        let Some(hint) = ws.take_harvest_hint() else {
+            return Some(diverge(case, ORACLE, format!("l={l}: fallback left no hint")));
+        };
+        let cold = match compute_matrix_profile(ps, l, p, policy) {
+            Ok(c) => c,
+            Err(e) => return Some(diverge(case, ORACLE, format!("l={l}: cold: {e}"))),
+        };
+        if let Some(detail) = seeded_matches_cold(ps, &cold, p, "hint", hint, &mut rng) {
+            return Some(diverge(case, ORACLE, format!("l={l}: {detail}")));
+        }
+        state = cold;
+        probed = true;
+    }
+    if probed {
+        return None;
+    }
+    let l = case.l_max;
+    let cold = match compute_matrix_profile(ps, l, p, policy) {
+        Ok(c) => c,
+        Err(e) => return Some(diverge(case, ORACLE, format!("l={l}: cold: {e}"))),
+    };
+    let unseeded = HarvestHint { l, p, max_dist: vec![f64::INFINITY; cold.partials.len()] };
+    seeded_matches_cold(ps, &cold, p, "no hint", unseeded, &mut rng)
+        .map(|detail| diverge(case, ORACLE, format!("l={l}: {detail}")))
+}
+
+/// Runs seeded passes at `cold`'s length — `hint` itself, then every bound
+/// 0, then a random half of the rows at half their `hint` bound (or of the
+/// cold root's distance where `hint` is `+∞`) — and compares each with
+/// `cold`. Returns the first disagreement.
+fn seeded_matches_cold(
+    ps: &ProfiledSeries,
+    cold: &MpWithProfiles,
+    p: usize,
+    what: &str,
+    hint: HarvestHint,
+    rng: &mut Xoshiro256,
+) -> Option<String> {
+    let l = cold.profile.l;
+    let zero = HarvestHint { max_dist: vec![0.0; hint.max_dist.len()], ..hint.clone() };
+    let mut half = hint.clone();
+    for (d, prof) in half.max_dist.iter_mut().zip(&cold.partials) {
+        if rng.next_u64() & 1 == 1 {
+            let root = prof.entries().first().map_or(0.0, |e| e.dist);
+            *d = if d.is_finite() { *d * 0.5 } else { root * 0.5 };
+        }
+    }
+    for (label, h) in [(what, hint), ("all-zero", zero), ("too-tight half", half)] {
+        // The pass holds the top p exactly iff every seeded gate is at or
+        // above its row's cold p-th smallest key; otherwise it must rerun.
+        let expect_rerun = h.max_dist.iter().zip(&cold.partials).any(|(&d, prof)| {
+            let gate = seed_gate(d, l);
+            gate.is_finite() && (!prof.is_full() || prof.max_lb_key().is_some_and(|k| k > gate))
+        });
+        let registry = Registry::new();
+        let mut ws = Workspace::new();
+        ws.set_harvest_hint(h);
+        let seeded = match compute_matrix_profile_with_ws(
+            ps,
+            l,
+            p,
+            ExclusionPolicy::HALF,
+            1,
+            &SharedRecorder::from(registry.clone()),
+            &mut ws,
+        ) {
+            Ok(s) => s,
+            Err(e) => return Some(format!("{label}: seeded pass failed: {e}")),
+        };
+        let reran = registry.snapshot().counter("core.harvest.seed_reruns").unwrap_or(0) > 0;
+        if reran != expect_rerun {
+            return Some(format!("{label}: reran={reran}, expected {expect_rerun}"));
+        }
+        if let Some(detail) = same_harvest(&seeded, cold) {
+            return Some(format!("{label}: {detail}"));
+        }
+    }
+    None
+}
+
+/// Bit-for-bit equality of two harvests: `mp`/`ip`, and each row's retained
+/// entries as a sorted set of (neighbour, qt, dist, lb_key) bits.
+fn same_harvest(a: &MpWithProfiles, b: &MpWithProfiles) -> Option<String> {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    if bits(&a.profile.mp) != bits(&b.profile.mp) || a.profile.ip != b.profile.ip {
+        return Some("matrix profile differs".into());
+    }
+    for (pa, pb) in a.partials.iter().zip(&b.partials) {
+        let set = |prof: &valmod_core::profile::PartialProfile| {
+            let mut v: Vec<_> = prof
+                .entries()
+                .iter()
+                .map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        if set(pa) != set(pb) {
+            return Some(format!("row {} retains different entries", pa.owner));
+        }
+    }
+    (a.partials.len() != b.partials.len()).then(|| "row counts differ".into())
 }
 
 /// The Eq. 2 invariant: every harvested lower bound, scaled to any longer

@@ -18,7 +18,8 @@ use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::matrix_profile::MatrixProfile;
 use valmod_mp::ProfiledSeries;
 
-use crate::compute_mp::{compute_matrix_profile, harvest_row};
+use crate::compute_mp::{compute_matrix_profile, MpWithProfiles};
+use crate::harvest::harvest_row;
 use crate::profile::{update_dist_and_lb, EntryState};
 
 /// Per-length cost accounting for [`complete_profiles`].
@@ -44,7 +45,19 @@ pub fn complete_profiles(
     policy: ExclusionPolicy,
 ) -> Result<(Vec<MatrixProfile>, Vec<CompletionStats>)> {
     ps.require_pairs(l_max)?;
-    let mut state = compute_matrix_profile(ps, l_min, p, policy)?;
+    let state = compute_matrix_profile(ps, l_min, p, policy)?;
+    Ok(complete_from(ps, state, l_max, policy))
+}
+
+/// The length walk of [`complete_profiles`] from an already harvested
+/// anchor `state` up to `l_max`.
+fn complete_from(
+    ps: &ProfiledSeries,
+    mut state: MpWithProfiles,
+    l_max: usize,
+    policy: ExclusionPolicy,
+) -> (Vec<MatrixProfile>, Vec<CompletionStats>) {
+    let l_min = state.profile.l;
     let mut profiles = Vec::with_capacity(l_max - l_min + 1);
     let mut stats = Vec::with_capacity(l_max - l_min + 1);
     stats.push(CompletionStats {
@@ -74,7 +87,9 @@ pub fn complete_profiles(
                 }
                 if let EntryState::Valid { dist } = update_dist_and_lb(ps, e, j, from_l, l, &policy)
                 {
-                    if dist < min_dist {
+                    // Ties resolve to the smaller neighbour, independent of
+                    // the heap's internal layout (as in `ComputeSubMP`).
+                    if dist < min_dist || (dist == min_dist && e.neighbor < ind) {
                         min_dist = dist;
                         ind = e.neighbor;
                     }
@@ -102,14 +117,16 @@ pub fn complete_profiles(
         profiles.push(MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) });
         stats.push(CompletionStats { l, certified_rows: certified, recomputed_rows: recomputed });
     }
-    Ok((profiles, stats))
+    (profiles, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::PartialProfile;
     use valmod_data::datasets::{ecg_like, emg_like};
     use valmod_data::generators::random_walk;
+    use valmod_data::rng::Xoshiro256;
     use valmod_mp::stomp::stomp;
 
     fn check_exact(series: &[f64], l_min: usize, l_max: usize, p: usize) {
@@ -152,6 +169,53 @@ mod tests {
     fn every_length_profile_matches_stomp_emg_worst_case() {
         // EMG defeats the bound; everything is recomputed — still exact.
         check_exact(emg_like(400, 5).values(), 24, 30, 4);
+    }
+
+    /// Every heap rebuilt by offering its entries in a seeded random order:
+    /// the same retained set in another internal layout.
+    fn relayout(state: &MpWithProfiles, seed: u64) -> MpWithProfiles {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut out = state.clone();
+        for prof in &mut out.partials {
+            let mut entries = prof.entries().to_vec();
+            rng.shuffle(&mut entries);
+            let mut rebuilt =
+                PartialProfile::new(prof.owner, prof.anchor_l, prof.anchor_sigma, prof.capacity());
+            for e in entries {
+                rebuilt.offer(e);
+            }
+            *prof = rebuilt;
+        }
+        out
+    }
+
+    #[test]
+    fn heap_layout_does_not_change_complete_profiles() {
+        // Rows owned inside the second flat block keep neighbours 0..5 of
+        // the first (every key is 0 for a flat owner). One step longer,
+        // neighbours 0..4 are still flat — a four-way tie at distance 0 below
+        // the root, certified because the owner's σ is 0 — so a tie-break
+        // by heap position would show.
+        let mut series = random_walk(320, 83);
+        for i in (0..20).chain(200..260) {
+            series[i] = if i < 20 { 2.0 } else { -1.0 };
+        }
+        let ps = ProfiledSeries::from_values(&series).unwrap();
+        let policy = ExclusionPolicy::HALF;
+        let state = compute_matrix_profile(&ps, 16, 5, policy).unwrap();
+        let (a, sa) = complete_from(&ps, state.clone(), 24, policy);
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let split = |s: &[CompletionStats]| {
+            s.iter().map(|c| (c.certified_rows, c.recomputed_rows)).collect::<Vec<_>>()
+        };
+        for seed in 1..=4 {
+            let (b, sb) = complete_from(&ps, relayout(&state, seed), 24, policy);
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(bits(&x.mp), bits(&y.mp), "seed {seed} l={}: mp", x.l);
+                assert_eq!(x.ip, y.ip, "seed {seed} l={}: ip", x.l);
+            }
+            assert_eq!(split(&sa), split(&sb), "seed {seed}");
+        }
     }
 
     #[test]

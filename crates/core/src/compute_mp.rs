@@ -6,25 +6,27 @@
 //! folds into both rows' minima *and* both rows' [`PartialProfile`]s
 //! (`listDP` in the paper) in one cache-resident pass, reusing a
 //! [`Workspace`]'s buffers and FFT plans across calls. Total cost
-//! `O(n² log p)`. The heap's strict total order makes the retained set
-//! independent of visit order, so the result matches the row-streamed
-//! harvest (`harvest_row` over [`valmod_mp::stomp::StompDriver`] rows) —
-//! which survives as the per-chunk kernel of the parallel path and as the
-//! refinement step of `ComputeSubMP`.
+//! `O(n² log p)` at worst; the per-row gates of [`crate::harvest`] keep
+//! most cells out of the heaps. The heap's strict total order makes the
+//! retained set independent of visit order, so the result matches the
+//! row-streamed harvest (`harvest_row` over
+//! [`valmod_mp::stomp::StompDriver`] rows) — which survives as the
+//! per-chunk kernel of the parallel path and as the refinement step of
+//! `ComputeSubMP`.
 
 use valmod_data::error::Result;
-use valmod_mp::diagonal::{diagonal_cells, lex_update};
-use valmod_mp::distance::is_flat;
+use valmod_mp::diagonal::diagonal_cells;
 use valmod_mp::distance_profile::profile_min;
 use valmod_mp::exclusion::ExclusionPolicy;
+use valmod_mp::extend::{capture_cells, TailState};
 use valmod_mp::matrix_profile::MatrixProfile;
 use valmod_mp::parallel::{row_chunks, stomp_rows};
 use valmod_mp::workspace::Workspace;
 use valmod_mp::ProfiledSeries;
 use valmod_obs::{Recorder, SharedRecorder};
 
-use crate::lb::lb_key;
-use crate::profile::{DpEntry, PartialProfile};
+use crate::harvest::{harvest_pass, harvest_row, take_hint, HarvestStats, Harvested};
+use crate::profile::PartialProfile;
 
 /// A matrix profile together with the per-row partial distance profiles
 /// harvested while computing it.
@@ -36,37 +38,11 @@ pub struct MpWithProfiles {
     pub partials: Vec<PartialProfile>,
 }
 
-/// Derives the Eq. 2 anchor key for a pair from its already-computed
-/// distance: `q = 1 − d²/(2ℓ)`. Pairs involving a flat subsequence fall back
-/// to key 0 (LB 0, unconditionally admissible), because the analytic bound's
-/// derivation assumes both σ > 0.
-#[inline]
-pub(crate) fn key_for_pair(dist: f64, l: usize, owner_flat: bool, neighbor_flat: bool) -> f64 {
-    if owner_flat || neighbor_flat {
-        return 0.0;
-    }
-    let q = 1.0 - (dist * dist) / (2.0 * l as f64);
-    lb_key(q.clamp(-1.0, 1.0), l)
-}
-
-/// Harvests the `p` smallest-LB entries of one freshly computed distance
-/// profile row into `prof` (which must already be (re-)anchored at `l`).
-pub(crate) fn harvest_row(
-    ps: &ProfiledSeries,
-    prof: &mut PartialProfile,
-    dp: &[f64],
-    qt: &[f64],
-    owner: usize,
-    l: usize,
-) {
-    let owner_flat = is_flat(ps.std(owner, l), ps.mean_c(owner, l));
-    for (i, (&dist, &q)) in dp.iter().zip(qt).enumerate() {
-        if !dist.is_finite() {
-            continue; // exclusion zone
-        }
-        let neighbor_flat = is_flat(ps.std(i, l), ps.mean_c(i, l));
-        let key = key_for_pair(dist, l, owner_flat, neighbor_flat);
-        prof.offer(DpEntry { neighbor: i, qt: q, dist, lb_key: key });
+impl MpWithProfiles {
+    /// Splits a finished pass at `l` into its result and its accounting.
+    fn from_harvest(h: Harvested, l: usize, policy: ExclusionPolicy) -> (Self, HarvestStats) {
+        let profile = MatrixProfile { l, mp: h.mp, ip: h.ip, exclusion_radius: policy.radius(l) };
+        (MpWithProfiles { profile, partials: h.partials }, h.stats)
     }
 }
 
@@ -88,10 +64,16 @@ pub fn compute_matrix_profile(
 /// [`compute_matrix_profile`] over a caller-held [`Workspace`]: one blocked
 /// diagonal traversal computes the matrix profile *and* harvests both ends
 /// of every visited pair — `(i, j)` is touched once and offered to
-/// `partials[i]` and `partials[j]` with the same distance, dot product, and
-/// Eq. 2 key (the key is symmetric in the pair's flat flags). The retained
-/// sets equal the row-streamed harvest's: the heap order is total, so offer
-/// order cannot change which entries survive.
+/// `partials[i]` and `partials[j]` through their gates (see
+/// [`crate::harvest`]). The retained sets equal the row-streamed harvest's:
+/// the heap order is total, so offer order cannot change which entries
+/// survive.
+///
+/// When the workspace holds a [`HarvestHint`](valmod_mp::HarvestHint) for
+/// this `l`, `p` and row count (left by a `ComputeSubMP` that could not
+/// certify `l`), the pass takes it and seeds its gates from it; any
+/// pending hint is consumed either way. The result does not depend on the
+/// hint.
 pub fn compute_matrix_profile_ws(
     ps: &ProfiledSeries,
     l: usize,
@@ -99,63 +81,55 @@ pub fn compute_matrix_profile_ws(
     policy: ExclusionPolicy,
     ws: &mut Workspace,
 ) -> Result<MpWithProfiles> {
-    let ndp = ps.require_pairs(l)?;
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    let mut partials: Vec<PartialProfile> =
-        (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
-    let flats: Vec<bool> = (0..ndp).map(|i| is_flat(ps.std(i, l), ps.mean_c(i, l))).collect();
-    diagonal_cells(ps, l, &policy, ws, |i, j, q, d| {
-        lex_update(&mut mp[i], &mut ip[i], d, j);
-        lex_update(&mut mp[j], &mut ip[j], d, i);
-        if d.is_finite() {
-            let key = key_for_pair(d, l, flats[i], flats[j]);
-            partials[i].offer(DpEntry { neighbor: j, qt: q, dist: d, lb_key: key });
-            partials[j].offer(DpEntry { neighbor: i, qt: q, dist: d, lb_key: key });
-        }
-    })?;
-    Ok(MpWithProfiles {
-        profile: MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) },
-        partials,
-    })
+    fused_harvest(ps, l, p, policy, ws).map(|(out, _)| out)
 }
 
-/// [`compute_matrix_profile_ws`] plus a captured
-/// [`TailState`](valmod_mp::extend::TailState): the same fused diagonal
-/// harvest, additionally recording the distance matrix's last-column QT
-/// values so the whole result — profile *and* partial profiles — can later
-/// be extended under appends (`SegmentState` in [`crate::valmod`]) instead
-/// of recomputed. Output is bit-identical to [`compute_matrix_profile_ws`];
-/// the capture only reads QT values the traversal produces anyway.
+fn fused_harvest(
+    ps: &ProfiledSeries,
+    l: usize,
+    p: usize,
+    policy: ExclusionPolicy,
+    ws: &mut Workspace,
+) -> Result<(MpWithProfiles, HarvestStats)> {
+    let ndp = ps.require_pairs(l)?;
+    let hint = take_hint(ws, l, p, ndp);
+    let (harvest, _) = harvest_pass(ps, l, p, ndp, hint, |sink| {
+        diagonal_cells(ps, l, &policy, ws, |i, j, q, d| sink.visit(i, j, q, d))
+    })?;
+    Ok(MpWithProfiles::from_harvest(harvest, l, policy))
+}
+
+/// [`compute_matrix_profile_ws`] plus a captured [`TailState`]: the same
+/// fused diagonal harvest, additionally recording the distance matrix's
+/// last-column QT values so the whole result — profile *and* partial
+/// profiles — can later be extended under appends (`SegmentState` in
+/// [`crate::valmod`]) instead of recomputed. Output is bit-identical to
+/// [`compute_matrix_profile_ws`]; the capture only reads QT values the
+/// traversal produces anyway.
 pub fn compute_matrix_profile_capture_ws(
     ps: &ProfiledSeries,
     l: usize,
     p: usize,
     policy: ExclusionPolicy,
     ws: &mut Workspace,
-) -> Result<(MpWithProfiles, valmod_mp::extend::TailState)> {
+) -> Result<(MpWithProfiles, TailState)> {
+    capture_harvest(ps, l, p, policy, ws).map(|(out, tail, _)| (out, tail))
+}
+
+fn capture_harvest(
+    ps: &ProfiledSeries,
+    l: usize,
+    p: usize,
+    policy: ExclusionPolicy,
+    ws: &mut Workspace,
+) -> Result<(MpWithProfiles, TailState, HarvestStats)> {
     let ndp = ps.require_pairs(l)?;
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    let mut partials: Vec<PartialProfile> =
-        (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
-    let flats: Vec<bool> = (0..ndp).map(|i| is_flat(ps.std(i, l), ps.mean_c(i, l))).collect();
-    let tail = valmod_mp::extend::capture_cells(ps, l, policy, ws, |i, j, q, d| {
-        lex_update(&mut mp[i], &mut ip[i], d, j);
-        lex_update(&mut mp[j], &mut ip[j], d, i);
-        if d.is_finite() {
-            let key = key_for_pair(d, l, flats[i], flats[j]);
-            partials[i].offer(DpEntry { neighbor: j, qt: q, dist: d, lb_key: key });
-            partials[j].offer(DpEntry { neighbor: i, qt: q, dist: d, lb_key: key });
-        }
+    let hint = take_hint(ws, l, p, ndp);
+    let (harvest, tail) = harvest_pass(ps, l, p, ndp, hint, |sink| {
+        capture_cells(ps, l, policy, ws, |i, j, q, d| sink.visit(i, j, q, d))
     })?;
-    Ok((
-        MpWithProfiles {
-            profile: MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) },
-            partials,
-        },
-        tail,
-    ))
+    let (out, stats) = MpWithProfiles::from_harvest(harvest, l, policy);
+    Ok((out, tail, stats))
 }
 
 /// Multi-threaded [`compute_matrix_profile`]: rows are split into contiguous
@@ -172,13 +146,25 @@ pub fn compute_matrix_profile_parallel(
     policy: ExclusionPolicy,
     threads: usize,
 ) -> Result<MpWithProfiles> {
+    parallel_harvest(ps, l, p, policy, threads).map(|(out, _)| out)
+}
+
+fn parallel_harvest(
+    ps: &ProfiledSeries,
+    l: usize,
+    p: usize,
+    policy: ExclusionPolicy,
+    threads: usize,
+) -> Result<(MpWithProfiles, HarvestStats)> {
     let ndp = ps.require_pairs(l)?;
     let mut mp = vec![f64::INFINITY; ndp];
     let mut ip = vec![usize::MAX; ndp];
     let mut partials: Vec<PartialProfile> =
         (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
 
+    let mut stats = HarvestStats::default();
     std::thread::scope(|scope| {
+        let mut handles = Vec::new();
         let mut mp_rest: &mut [f64] = &mut mp;
         let mut ip_rest: &mut [usize] = &mut ip;
         let mut pr_rest: &mut [PartialProfile] = &mut partials;
@@ -189,22 +175,24 @@ pub fn compute_matrix_profile_parallel(
             mp_rest = mp_tail;
             ip_rest = ip_tail;
             pr_rest = pr_tail;
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
+                let mut chunk_stats = HarvestStats::default();
                 stomp_rows(ps, l, &policy, chunk_start, len, |i, dp, qt| {
                     let k = i - chunk_start;
                     if let Some((arg, d)) = profile_min(dp) {
                         mp_chunk[k] = d;
                         ip_chunk[k] = arg;
                     }
-                    harvest_row(ps, &mut pr_chunk[k], dp, qt, i, l);
+                    chunk_stats.merge(harvest_row(ps, &mut pr_chunk[k], dp, qt, i, l));
                 });
-            });
+                chunk_stats
+            }));
+        }
+        for h in handles {
+            stats.merge(h.join().expect("harvest worker panicked"));
         }
     });
-    Ok(MpWithProfiles {
-        profile: MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) },
-        partials,
-    })
+    Ok(MpWithProfiles::from_harvest(Harvested { mp, ip, partials, stats }, l, policy))
 }
 
 /// Unified recorded entry point for the harvesting matrix-profile pass:
@@ -228,7 +216,11 @@ pub fn compute_matrix_profile_with(
 /// accounted under `core.mp.full_profiles`, `mp.mass.calls` (one FFT seed
 /// per chunk), and `mp.stomp.rows`; the sequential diagonal path also
 /// records `mp.diag.blocks`, `mp.workspace.reuses`, and the FFT plan-cache
-/// traffic (`fft.plan_cache.hits`/`misses`).
+/// traffic (`fft.plan_cache.hits`/`misses`). Both paths add the harvest
+/// counters `core.harvest.offers`, `.accepted`, `.seeded_rows` and
+/// `.seed_reruns` (see [`crate::harvest`]). A pass rerun unseeded counts
+/// once in `core.mp.full_profiles`, `mp.stomp.rows` and `mp.diag.blocks`;
+/// its plan-cache traffic and harvest offers cover both traversals.
 #[allow(clippy::too_many_arguments)] // recorder + workspace ride along with the knobs
 pub fn compute_matrix_profile_with_ws(
     ps: &ProfiledSeries,
@@ -241,12 +233,15 @@ pub fn compute_matrix_profile_with_ws(
 ) -> Result<MpWithProfiles> {
     let _span = valmod_obs::span!(recorder, "core.mp.full_profile_us");
     let baseline = PassBaseline::take(ws);
-    let out = if threads == 1 {
-        compute_matrix_profile_ws(ps, l, p, policy, ws)?
+    let (out, stats) = if threads == 1 {
+        fused_harvest(ps, l, p, policy, ws)?
     } else {
-        compute_matrix_profile_parallel(ps, l, p, policy, threads)?
+        // Only the fused pass seeds its gates; drop the hint all the same.
+        ws.take_harvest_hint();
+        parallel_harvest(ps, l, p, policy, threads)?
     };
     baseline.record(recorder, out.profile.len(), l, policy, threads, ws);
+    stats.record(recorder);
     Ok(out)
 }
 
@@ -261,11 +256,12 @@ pub fn compute_matrix_profile_capture_with_ws(
     policy: ExclusionPolicy,
     recorder: &SharedRecorder,
     ws: &mut Workspace,
-) -> Result<(MpWithProfiles, valmod_mp::extend::TailState)> {
+) -> Result<(MpWithProfiles, TailState)> {
     let _span = valmod_obs::span!(recorder, "core.mp.full_profile_us");
     let baseline = PassBaseline::take(ws);
-    let (out, tail) = compute_matrix_profile_capture_ws(ps, l, p, policy, ws)?;
+    let (out, tail, stats) = capture_harvest(ps, l, p, policy, ws)?;
     baseline.record(recorder, out.profile.len(), l, policy, 1, ws);
+    stats.record(recorder);
     Ok((out, tail))
 }
 
@@ -418,8 +414,18 @@ mod tests {
         }
         let ps = ProfiledSeries::from_values(&series).unwrap();
         let reference = row_streamed_reference(&ps, 16, 3, ExclusionPolicy::HALF);
-        let fused = compute_matrix_profile(&ps, 16, 3, ExclusionPolicy::HALF).unwrap();
-        assert_harvests_bit_identical(&fused, &reference, "flat stretch");
+        // Narrow blocks offer a flat row its far neighbours first, so a gate
+        // that turned away ties at the root key would keep the wrong ones.
+        for block in [1usize, 4, 256] {
+            let mut ws = Workspace::with_block(block);
+            let fused =
+                compute_matrix_profile_ws(&ps, 16, 3, ExclusionPolicy::HALF, &mut ws).unwrap();
+            assert_harvests_bit_identical(
+                &fused,
+                &reference,
+                &format!("flat stretch, block {block}"),
+            );
+        }
     }
 
     #[test]

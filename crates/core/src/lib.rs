@@ -20,6 +20,7 @@
 //! | [`lb`] | §4.1, Eq. 2 + TLB (§6.2) |
 //! | [`profile`] | `listDP` heaps, `updateDistAndLB` |
 //! | [`compute_mp`] | Algorithm 3 (`ComputeMatrixProfile`) |
+//! | [`harvest`] | Algorithm 3 lines 18–24 (`listDP` harvest, gated) |
 //! | [`sub_mp`] | Algorithm 4 (`ComputeSubMP`) |
 //! | [`valmp`] | Algorithm 2 (`updateVALMP`) |
 //! | [`mod@valmod`] | Algorithm 1 (driver) |
@@ -74,6 +75,7 @@
 pub mod complete_profiles;
 pub mod compute_mp;
 pub mod discords;
+pub mod harvest;
 pub mod instrument;
 pub mod lb;
 pub mod length_hint;

@@ -81,8 +81,9 @@ pub fn compute_var_length_motif_sets(
         members.push(SetMember { offset: pair.b, dist: 0.0 });
 
         // Greedy trivial-match removal: best (closest) members claim their
-        // exclusion zone first.
-        members.sort_by(|x, y| x.dist.total_cmp(&y.dist));
+        // exclusion zone first. Equal distances order by offset, so the
+        // result does not depend on the order snapshots list neighbours in.
+        members.sort_by(|x, y| x.dist.total_cmp(&y.dist).then(x.offset.cmp(&y.offset)));
         let radius = policy.radius(pair.l);
         let mut kept: Vec<SetMember> = Vec::new();
         for m in members {
@@ -206,6 +207,55 @@ mod tests {
         let (small, _) = run(9, 2.0, 1);
         let (large, _) = run(9, 6.0, 1);
         assert!(large[0].frequency() >= small[0].frequency());
+    }
+
+    #[test]
+    fn snapshot_order_does_not_change_the_sets() {
+        // Snapshots list neighbours in heap order, which depends on the
+        // order the harvest offered them. Here two neighbours tie at 0.5
+        // and are trivial matches of each other, so the greedy removal
+        // keeps exactly one of them: it must be the same one (the smaller
+        // offset) whatever the listing order.
+        let ps =
+            valmod_mp::ProfiledSeries::from_values(&valmod_data::generators::random_walk(400, 31))
+                .unwrap();
+        let (l, dist) = (16, 1.0);
+        let snapshot = |owner: usize, neighbors: Vec<(usize, f64)>| PartialSnapshot {
+            owner,
+            l,
+            max_lb: f64::INFINITY,
+            neighbors,
+        };
+        let tied = vec![(200, 0.5), (205, 0.5), (300, 0.7), (150, 1.2)];
+        // Listing orders: as given, reversed, rotated by one.
+        let sets_for = |order: usize| {
+            let (mut na, mut nb) = (tied.clone(), vec![(260, 0.9), (266, 0.9), (330, 0.2)]);
+            for v in [&mut na, &mut nb] {
+                match order {
+                    0 => {}
+                    1 => v.reverse(),
+                    _ => v.rotate_left(1),
+                }
+            }
+            let mut best = BestKPairs::new(1);
+            best.extend_sorted(vec![PairCandidate {
+                a: 0,
+                b: 100,
+                l,
+                dist,
+                norm_dist: dist,
+                part_a: snapshot(0, na),
+                part_b: snapshot(100, nb),
+            }]);
+            let (sets, stats) =
+                compute_var_length_motif_sets(&ps, &best, 1.5, ExclusionPolicy::HALF);
+            assert_eq!(stats.served_from_snapshots, 2);
+            sets[0].members.iter().map(|m| (m.offset, m.dist.to_bits())).collect::<Vec<_>>()
+        };
+        let forward = sets_for(0);
+        assert!(forward.iter().any(|&(o, _)| o == 200) && !forward.iter().any(|&(o, _)| o == 205));
+        assert_eq!(sets_for(1), forward);
+        assert_eq!(sets_for(2), forward);
     }
 
     #[test]

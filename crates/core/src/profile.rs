@@ -16,7 +16,7 @@ use valmod_mp::distance::{dist_from_qt, is_flat};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::ProfiledSeries;
 
-use crate::compute_mp::key_for_pair;
+use crate::harvest::key_for_pair;
 use crate::lb::lb_scale;
 
 /// One retained entry of a partial distance profile: the pair
@@ -160,15 +160,20 @@ impl PartialProfile {
 
     /// Offers an entry during harvesting (paper Alg. 3 lines 18–24): keep it
     /// iff the heap is not full or it beats the current worst under the
-    /// strict total order (`lb_key`, then neighbour index).
+    /// strict total order (`lb_key`, then neighbour index). Returns whether
+    /// the entry was kept.
     #[inline]
-    pub fn offer(&mut self, entry: DpEntry) {
+    pub fn offer(&mut self, entry: DpEntry) -> bool {
         if self.entries.len() < self.capacity {
             self.entries.push(entry);
             self.sift_up(self.entries.len() - 1);
+            true
         } else if heap_gt(&self.entries[0], &entry) {
             self.entries[0] = entry;
             self.sift_down(0);
+            true
+        } else {
+            false
         }
     }
 

@@ -23,11 +23,11 @@
 use valmod_mp::distance_profile::{dp_from_qt_into, profile_min};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::parallel::row_chunks;
-use valmod_mp::workspace::Workspace;
+use valmod_mp::workspace::{HarvestHint, Workspace};
 use valmod_mp::ProfiledSeries;
 use valmod_obs::{Recorder, SharedRecorder};
 
-use crate::compute_mp::harvest_row;
+use crate::harvest::{harvest_row, HarvestStats};
 use crate::lb::{lb_scale, tightness};
 use crate::profile::{update_dist_and_lb, EntryState, PartialProfile};
 
@@ -199,8 +199,9 @@ pub fn compute_sub_mp_threaded(
 /// (`core.lb.margin`, normalised by the `2√ℓ` distance range — Fig. 9) and
 /// the mean tightness of the Eq. 2 lower bound (`core.lb.tlb` — Fig. 10);
 /// the merge records `core.lb.valid_rows`/`core.lb.nonvalid_rows` counters,
-/// the last-chance pass records `core.lb.refined_rows` plus one
-/// `mp.mass.calls` per recomputed row, and the whole first pass is timed
+/// the last-chance pass records `core.lb.refined_rows`, one
+/// `mp.mass.calls` per recomputed row and the refined rows' harvest under
+/// the `core.harvest.*` counters, and the whole first pass is timed
 /// into `core.submp.advance_us`. The instrumentation only *reads* the
 /// algorithm's state: outputs are bitwise identical with any recorder.
 pub fn compute_sub_mp_threaded_with(
@@ -220,6 +221,14 @@ pub fn compute_sub_mp_threaded_with(
 /// through the workspace's FFT plan cache ([`Workspace::self_qt`], bitwise
 /// identical to a fresh-plan seed), so a driver walking a length range pays
 /// for each FFT size once.
+///
+/// When the motif is not certified (`found_motif == false`), the call
+/// leaves a [`HarvestHint`] in the workspace: per row, the largest advanced
+/// distance over its `p` entries (`+∞` when the heap is not full or an
+/// entry went invalid). The fallback
+/// [`compute_matrix_profile_with_ws`](crate::compute_matrix_profile_with_ws)
+/// at `new_l` on the same workspace seeds its harvest gates from it. Any
+/// earlier hint is consumed.
 #[allow(clippy::too_many_arguments)] // recorder + workspace ride along with the row-chunk knobs
 pub fn compute_sub_mp_threaded_with_ws(
     ps: &ProfiledSeries,
@@ -230,6 +239,8 @@ pub fn compute_sub_mp_threaded_with_ws(
     recorder: &SharedRecorder,
     ws: &mut Workspace,
 ) -> SubMpResult {
+    // Recycle an earlier hint's buffer; a stale hint must not survive.
+    let mut hint = ws.take_harvest_hint().map(|h| h.max_dist).unwrap_or_default();
     let ndp = ps.num_subsequences(new_l);
     if ndp == 0 {
         // No subsequences at this length: vacuously solved, nothing to do.
@@ -264,19 +275,22 @@ pub fn compute_sub_mp_threaded_with_ws(
 
     let chunk_outs: Vec<AdvanceOut> = {
         let _span = valmod_obs::span!(recorder, "core.submp.advance_us");
+        let chunks = row_chunks(ndp, threads);
+        let last = chunks.len() - 1;
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             let mut mp_rest: &mut [f64] = &mut sub_mp;
             let mut ip_rest: &mut [usize] = &mut ip;
             let mut pr_rest: &mut [PartialProfile] = &mut partials[..ndp];
-            for (chunk_start, len) in row_chunks(ndp, threads) {
+            let mut own = None;
+            for (i, (chunk_start, len)) in chunks.into_iter().enumerate() {
                 let (mp_chunk, mp_tail) = mp_rest.split_at_mut(len);
                 let (ip_chunk, ip_tail) = ip_rest.split_at_mut(len);
                 let (pr_chunk, pr_tail) = pr_rest.split_at_mut(len);
                 mp_rest = mp_tail;
                 ip_rest = ip_tail;
                 pr_rest = pr_tail;
-                handles.push(scope.spawn(move || {
+                let mut work = move || {
                     advance_rows(
                         ps,
                         pr_chunk,
@@ -287,9 +301,19 @@ pub fn compute_sub_mp_threaded_with_ws(
                         ip_chunk,
                         recorder,
                     )
-                }));
+                };
+                // The last chunk runs on this thread: one spawn fewer at
+                // every thread count, and none at all for a single chunk.
+                if i == last {
+                    own = Some(work());
+                } else {
+                    handles.push(scope.spawn(work));
+                }
             }
-            handles.into_iter().map(|h| h.join().expect("sub-MP worker panicked")).collect()
+            let mut outs: Vec<AdvanceOut> =
+                handles.into_iter().map(|h| h.join().expect("sub-MP worker panicked")).collect();
+            outs.extend(own);
+            outs
         })
     };
 
@@ -306,6 +330,7 @@ pub fn compute_sub_mp_threaded_with_ws(
     let nonvalid_rows = non_valid.len();
     let mut found = min_dist_abs < min_lb_abs;
     let mut recomputed = 0usize;
+    let mut refined = HarvestStats::default();
 
     // Paper lines 27–37: the last chance to avoid a full matrix-profile
     // recomputation — refine only the non-valid rows whose bound leaves room
@@ -318,7 +343,7 @@ pub fn compute_sub_mp_threaded_with_ws(
                 dp_from_qt_into(ps, qt, j, new_l, &policy, &mut dp);
                 let prof = &mut partials[j];
                 prof.reanchor(new_l, ps.std(j, new_l));
-                harvest_row(ps, prof, &dp, qt, j, new_l);
+                refined.merge(harvest_row(ps, prof, &dp, qt, j, new_l));
                 match profile_min(&dp) {
                     Some((arg, d)) => {
                         sub_mp[j] = d;
@@ -342,7 +367,24 @@ pub fn compute_sub_mp_threaded_with_ws(
             recorder.add("core.lb.refined_rows", recomputed as u64);
             // Each refined row re-seeds its dot-product vector with one FFT.
             recorder.add("mp.mass.calls", recomputed as u64);
+            // The refined rows' harvest, under the same counters as a pass.
+            refined.record(recorder);
         }
+    }
+
+    if !found {
+        // The seed hint for the fallback harvest: a full heap whose entries
+        // all stayed valid holds p distinct real pairs at most this far
+        // apart (an invalid entry's distance is +∞).
+        hint.clear();
+        hint.extend(partials[..ndp].iter().map(|prof| {
+            if prof.is_full() {
+                prof.entries().iter().map(|e| e.dist).fold(0.0, f64::max)
+            } else {
+                f64::INFINITY
+            }
+        }));
+        ws.set_harvest_hint(HarvestHint { l: new_l, p, max_dist: hint });
     }
 
     SubMpResult {
@@ -490,6 +532,50 @@ mod tests {
             rows
         );
         assert_eq!(snap.histogram("core.submp.advance_us").unwrap().count, 6);
+    }
+
+    #[test]
+    fn refined_rows_count_in_the_harvest_counters() {
+        use valmod_obs::Registry;
+        // This periodic series at p = 2 reaches the last-chance refinement.
+        let series = sine_mixture(400, &[(0.02, 1.0), (0.05, 0.4)], 0.05, 2);
+        let ps = ProfiledSeries::from_values(&series).unwrap();
+        let (p, policy) = (2, ExclusionPolicy::HALF);
+        let mut state = compute_matrix_profile(&ps, 16, p, policy).unwrap();
+        let mut refined_total = 0;
+        for l in 17..=30 {
+            let registry = Registry::new();
+            let rec = SharedRecorder::from(registry.clone());
+            let mut ws = Workspace::new();
+            let res = compute_sub_mp_threaded_with_ws(
+                &ps,
+                &mut state.partials,
+                l,
+                policy,
+                1,
+                &rec,
+                &mut ws,
+            );
+            let snap = registry.snapshot();
+            let offers = snap.counter("core.harvest.offers");
+            let accepted = snap.counter("core.harvest.accepted");
+            let refined = res.recomputed_rows as u64;
+            if refined == 0 {
+                assert_eq!((offers, accepted), (None, None), "l={l}");
+            } else {
+                let (offers, accepted) = (offers.unwrap(), accepted.unwrap());
+                // Each refined row starts from an empty heap, so its first
+                // finite cell is kept.
+                assert!(accepted >= refined && accepted <= offers, "l={l}");
+                assert!(offers <= refined * res.sub_mp.len() as u64, "l={l}");
+                assert_eq!(snap.counter("core.harvest.seed_reruns"), Some(0), "l={l}");
+            }
+            refined_total += refined;
+            if !res.found_motif {
+                state = compute_matrix_profile(&ps, l, p, policy).unwrap();
+            }
+        }
+        assert!(refined_total > 0, "construction no longer reaches the refinement");
     }
 
     #[test]

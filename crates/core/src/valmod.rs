@@ -7,8 +7,6 @@
 
 use valmod_data::error::{Result, ValmodError};
 use valmod_data::series::Series;
-use valmod_mp::diagonal::lex_update;
-use valmod_mp::distance::is_flat;
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::extend::{extend_cells, TailState};
 use valmod_mp::matrix_profile::MatrixProfile;
@@ -19,11 +17,11 @@ use valmod_obs::{Recorder, SharedRecorder};
 use valmod_mp::workspace::Workspace;
 
 use crate::compute_mp::{
-    compute_matrix_profile_capture_with_ws, compute_matrix_profile_with_ws, key_for_pair,
-    MpWithProfiles,
+    compute_matrix_profile_capture_with_ws, compute_matrix_profile_with_ws, MpWithProfiles,
 };
+use crate::harvest::HarvestSink;
 use crate::pairs::BestKPairs;
-use crate::profile::{DpEntry, PackedPartials, PartialProfile};
+use crate::profile::{PackedPartials, PartialProfile};
 use crate::sub_mp::compute_sub_mp_threaded_with_ws;
 use crate::valmp::Valmp;
 
@@ -523,26 +521,22 @@ impl SegmentState {
         }
         let (l, p) = (self.config.l_min, self.config.p);
         let mut partials = self.partials.unpack(ps);
-        let profile = &mut self.profile;
-        profile.mp.resize(new_ndp, f64::INFINITY);
-        profile.ip.resize(new_ndp, usize::MAX);
         partials.reserve(new_ndp - old_ndp);
         for r in old_ndp..new_ndp {
             partials.push(PartialProfile::new(r, l, ps.std(r, l), p));
         }
-        let flats: Vec<bool> =
-            (0..new_ndp).map(|i| is_flat(ps.std(i, l), ps.mean_c(i, l))).collect();
-        let (mp, ip) = (&mut profile.mp, &mut profile.ip);
-        extend_cells(&mut self.tail, ps, |i, j, q, d| {
-            lex_update(&mut mp[i], &mut ip[i], d, j);
-            lex_update(&mut mp[j], &mut ip[j], d, i);
-            if d.is_finite() {
-                let key = key_for_pair(d, l, flats[i], flats[j]);
-                partials[i].offer(DpEntry { neighbor: j, qt: q, dist: d, lb_key: key });
-                partials[j].offer(DpEntry { neighbor: i, qt: q, dist: d, lb_key: key });
-            }
-        })?;
-        self.partials = PackedPartials::pack(&partials, l, p).expect("row count checked above");
+        let mut mp = std::mem::take(&mut self.profile.mp);
+        let mut ip = std::mem::take(&mut self.profile.ip);
+        mp.resize(new_ndp, f64::INFINITY);
+        ip.resize(new_ndp, usize::MAX);
+        let mut sink = HarvestSink::resume(ps, l, mp, ip, partials);
+        let grown = extend_cells(&mut self.tail, ps, |i, j, q, d| sink.visit(i, j, q, d));
+        let harvest = sink.finish();
+        (self.profile.mp, self.profile.ip) = (harvest.mp, harvest.ip);
+        grown?;
+        harvest.stats.record(recorder);
+        self.partials =
+            PackedPartials::pack(&harvest.partials, l, p).expect("row count checked above");
         self.n = ps.len();
         self.extended = true;
         Ok(())

@@ -67,4 +67,4 @@ pub use parallel::{resolve_threads, stomp_parallel, stomp_parallel_with, stomp_r
 pub use stamp::stamp;
 pub use stomp::{stomp, stomp_row, StompDriver};
 pub use streaming::StreamingProfile;
-pub use workspace::{Workspace, DEFAULT_BLOCK};
+pub use workspace::{HarvestHint, Workspace, DEFAULT_BLOCK};

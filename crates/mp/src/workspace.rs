@@ -9,9 +9,11 @@
 //! and reuses every FFT plan instead of rebuilding per length.
 //!
 //! A workspace never changes results: the plan cache is bit-identical to
-//! fresh plans by construction, and buffers are fully overwritten before
-//! use. It is deliberately not thread-safe; parallel kernels give each
-//! worker its own thread-local scratch and share only the read-only seeds.
+//! fresh plans by construction, buffers are fully overwritten before use,
+//! and the [`HarvestHint`] it may carry between passes is verified by the
+//! harvest that reads it. It is deliberately not thread-safe; parallel
+//! kernels give each worker its own thread-local scratch and share only the
+//! read-only seeds.
 
 use valmod_fft::PlanCache;
 
@@ -23,6 +25,25 @@ use crate::context::ProfiledSeries;
 /// series window comfortably inside L1 while leaving enough width for the
 /// update loop to vectorise.
 pub const DEFAULT_BLOCK: usize = 256;
+
+/// Per-row distance bounds that one pass over a workspace leaves for the
+/// next harvesting pass at the same length.
+///
+/// `valmod-core`'s `ComputeSubMP` sets it when it fails to certify a length:
+/// `max_dist[r]` is the largest distance among `p` distinct valid pairs of
+/// row `r` at length `l` (`+∞` when the row knows fewer). The harvest that
+/// follows at `l` starts each row's admission gate there. Any content is
+/// safe: the harvest verifies the hint and reruns without it when the hint
+/// was too tight.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HarvestHint {
+    /// The subsequence length the bounds hold at.
+    pub l: usize,
+    /// The per-row entry count `p` the bounds were taken over.
+    pub p: usize,
+    /// One bound per row.
+    pub max_dist: Vec<f64>,
+}
 
 /// Reusable buffers + FFT plan cache for the matrix-profile kernels.
 #[derive(Debug)]
@@ -39,6 +60,8 @@ pub struct Workspace {
     pub(crate) stds: Vec<f64>,
     /// Generic dot-product row scratch (lower-bound refinement).
     pub(crate) qt: Vec<f64>,
+    /// Left by one pass for the next harvest at the same length.
+    harvest_hint: Option<HarvestHint>,
     block: usize,
     uses: u64,
 }
@@ -65,6 +88,7 @@ impl Workspace {
             means: Vec::new(),
             stds: Vec::new(),
             qt: Vec::new(),
+            harvest_hint: None,
             block: block.max(1),
             uses: 0,
         }
@@ -93,6 +117,16 @@ impl Workspace {
     pub(crate) fn note_use(&mut self) -> bool {
         self.uses += 1;
         self.uses > 1
+    }
+
+    /// Leaves `hint` for the next harvesting pass, replacing any earlier one.
+    pub fn set_harvest_hint(&mut self, hint: HarvestHint) {
+        self.harvest_hint = Some(hint);
+    }
+
+    /// Removes and returns the pending hint, if any.
+    pub fn take_harvest_hint(&mut self) -> Option<HarvestHint> {
+        self.harvest_hint.take()
     }
 
     /// `⟨T_i, T_j⟩` for all `j`, via the cached FFT plans into workspace
