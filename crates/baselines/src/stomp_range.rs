@@ -5,30 +5,14 @@
 
 use valmod_data::error::Result;
 use valmod_mp::exclusion::ExclusionPolicy;
-use valmod_mp::matrix_profile::MatrixProfile;
 use valmod_mp::motif::MotifPair;
 use valmod_mp::parallel::stomp_parallel;
-use valmod_mp::stomp::stomp;
 use valmod_mp::ProfiledSeries;
 
-/// One profile at length `l`: the sequential row streamer for one thread,
-/// the chunked kernel otherwise (0 = all available cores). Keeps the
-/// baseline comparable to VALMOD at matching thread counts.
-fn profile_at(
-    ps: &ProfiledSeries,
-    l: usize,
-    policy: ExclusionPolicy,
-    threads: usize,
-) -> Result<MatrixProfile> {
-    if threads == 1 {
-        stomp(ps, l, policy)
-    } else {
-        stomp_parallel(ps, l, policy, threads)
-    }
-}
-
 /// The motif pair of every length in `[l_min, l_max]`, each obtained by an
-/// independent STOMP run with `threads` workers (1 = sequential).
+/// independent STOMP run with `threads` workers (1 = sequential, 0 = all
+/// available cores; every count gives the same bits), so the baseline stays
+/// comparable to VALMOD at matching thread counts.
 pub fn stomp_range(
     ps: &ProfiledSeries,
     l_min: usize,
@@ -39,7 +23,7 @@ pub fn stomp_range(
     valmod_core::validate_length_range(ps.len(), l_min, l_max)?;
     (l_min..=l_max)
         .map(|l| {
-            let profile = profile_at(ps, l, policy, threads)?;
+            let profile = stomp_parallel(ps, l, policy, threads)?;
             Ok(profile.motif_pair().map(|(a, b, d)| MotifPair::new(a, b, l, d)))
         })
         .collect()
@@ -64,7 +48,7 @@ pub fn stomp_range_with_deadline(
         if start.elapsed() > deadline {
             return Ok((out, true));
         }
-        let profile = profile_at(ps, l, policy, threads)?;
+        let profile = stomp_parallel(ps, l, policy, threads)?;
         out.push(profile.motif_pair().map(|(a, b, d)| MotifPair::new(a, b, l, d)));
     }
     Ok((out, false))

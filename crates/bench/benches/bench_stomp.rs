@@ -5,7 +5,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use valmod_core::compute_mp::{compute_matrix_profile, compute_matrix_profile_parallel};
+use valmod_core::compute_mp::{compute_matrix_profile, compute_matrix_profile_with};
 use valmod_core::sub_mp::{compute_sub_mp, compute_sub_mp_threaded};
 use valmod_data::datasets::Dataset;
 use valmod_mp::parallel::stomp_parallel;
@@ -13,6 +13,7 @@ use valmod_mp::stamp::stamp;
 use valmod_mp::stomp::stomp;
 use valmod_mp::streaming::StreamingProfile;
 use valmod_mp::{ExclusionPolicy, ProfiledSeries};
+use valmod_obs::SharedRecorder;
 
 const N: usize = 2_000;
 const L: usize = 64;
@@ -100,8 +101,15 @@ fn bench_parallel_and_streaming(c: &mut Criterion) {
             |b, &threads| {
                 b.iter(|| {
                     black_box(
-                        compute_matrix_profile_parallel(&ps, L, 50, ExclusionPolicy::HALF, threads)
-                            .unwrap(),
+                        compute_matrix_profile_with(
+                            &ps,
+                            L,
+                            50,
+                            ExclusionPolicy::HALF,
+                            threads,
+                            &SharedRecorder::noop(),
+                        )
+                        .unwrap(),
                     )
                 })
             },

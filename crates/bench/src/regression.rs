@@ -180,42 +180,41 @@ pub fn run_suite(smoke: bool) -> RegressionReport {
         });
     }
 
-    // --- Harvesting matrix profile: row-chunked (the pre-fusion path,
-    // still used by the parallel harvest) vs the fused diagonal harvest. ---
+    // --- Harvesting matrix profile: the one fused diagonal pass at one
+    // thread (baseline) vs two threads (current), same workspace reuse. ---
     let (hn, hl, hp) = if smoke { (1_024, 32, 8) } else { (8_192, 128, 50) };
     {
         let ps = ProfiledSeries::from_values(&random_walk(hn, SEED)).unwrap();
         let iters = iters_for(hn);
+        let noop = SharedRecorder::noop();
         let mut sink = 0usize;
-        // threads=2 forces the row-streamed chunk kernel even on 1 core;
-        // it is the surviving pre-fusion implementation.
-        let row_ms = median_ms(iters, || {
-            let h =
-                valmod_core::compute_matrix_profile_parallel(&ps, hl, hp, ExclusionPolicy::HALF, 2)
-                    .unwrap();
-            sink += std::hint::black_box(h.partials.len());
-        });
-        let mut hws = Workspace::new();
-        let fused_ms = median_ms(iters, || {
-            let h = valmod_core::compute_matrix_profile_ws(
-                &ps,
-                hl,
-                hp,
-                ExclusionPolicy::HALF,
-                &mut hws,
-            )
-            .unwrap();
-            sink += std::hint::black_box(h.partials.len());
-        });
+        let mut pass_ms = |threads: usize| {
+            let mut hws = Workspace::new();
+            median_ms(iters, || {
+                let h = valmod_core::compute_matrix_profile_with_ws(
+                    &ps,
+                    hl,
+                    hp,
+                    ExclusionPolicy::HALF,
+                    threads,
+                    &noop,
+                    &mut hws,
+                )
+                .unwrap();
+                sink += std::hint::black_box(h.partials.len());
+            })
+        };
+        let one_ms = pass_ms(1);
+        let two_ms = pass_ms(2);
         std::hint::black_box(sink);
         entries.push(BenchEntry {
-            name: format!("compute_mp/n{hn}/l{hl}/p{hp}"),
+            name: format!("compute_mp/n{hn}/l{hl}/p{hp}/threads{{1,2}}"),
             kind: "compute_mp",
             n: hn,
             l: hl,
             iters,
-            baseline_ms: Some(row_ms),
-            current_ms: fused_ms,
+            baseline_ms: Some(one_ms),
+            current_ms: two_ms,
         });
     }
 

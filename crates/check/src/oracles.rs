@@ -1,16 +1,19 @@
 //! Differential oracles: independent implementations answering the same
 //! question must agree.
 //!
-//! Most comparisons are tolerance-based: the row-chunked harvest kernels
-//! legitimately differ from sequential ones by sub-1e-12 rounding at chunk
-//! seams, and tie-breaks between equal-distance pairs may pick different
-//! indices. A divergence is only reported when *distances* disagree beyond
-//! tolerance or when one side finds a motif the other says does not exist.
+//! Two implementations that reach a distance along different arithmetic
+//! paths — VALMOD's advanced entries against per-length STOMP, streaming
+//! against batch — are compared with a tolerance, and tie-breaks between
+//! equal-distance pairs may pick different indices. A divergence is then
+//! only reported when *distances* disagree beyond tolerance or when one side
+//! finds a motif the other says does not exist.
 //!
-//! The exception is [`check_diagonal_vs_row`]: the diagonal-blocked STOMP
-//! kernel *guarantees* bit-identity with the row streamer (see
-//! `valmod_mp::diagonal`), so that oracle compares `mp` bit patterns and
-//! `ip` indices exactly, across several block widths and a parallel run.
+//! Where the two sides share their arithmetic, the oracle compares bits:
+//! [`check_diagonal_vs_row`] (the diagonal-blocked kernel against the row
+//! streamer, across block widths and a parallel run),
+//! [`check_parallel_vs_sequential`] (3 threads against 1) and
+//! [`check_harvest_seeded_vs_cold`] (a seeded harvest against an unseeded
+//! one).
 
 use valmod_baselines::stomp_range;
 use valmod_core::harvest::seed_gate;
@@ -23,7 +26,6 @@ use valmod_data::rng::Xoshiro256;
 use valmod_mp::diagonal::{stomp_diagonal_parallel_ws, stomp_diagonal_ws};
 use valmod_mp::distance::zdist_naive;
 use valmod_mp::matrix_profile::MatrixProfile;
-use valmod_mp::parallel::stomp_parallel;
 use valmod_mp::stomp::{stomp, stomp_row};
 use valmod_mp::workspace::{HarvestHint, Workspace};
 use valmod_mp::{ExclusionPolicy, ProfiledSeries, StreamingProfile};
@@ -34,7 +36,7 @@ use valmod_serve::Value;
 use crate::generators::Case;
 
 /// Absolute+relative tolerance for distance agreement between two exact
-/// algorithms (covers chunk-seam and accumulation-order rounding).
+/// algorithms (covers accumulation-order rounding).
 const DIST_TOL: f64 = 1e-6;
 
 /// One disagreement between an implementation and its oracle.
@@ -210,35 +212,69 @@ pub fn check_valmod_vs_stomp(case: &Case, ps: &ProfiledSeries) -> Option<Diverge
     None
 }
 
-/// The chunked parallel kernel against the sequential row streamer, element
-/// by element over the full profile at `l_min`.
+/// Thread count against one thread, bit for bit. The harvesting pass at
+/// `ℓ_min` must give the same `mp`/`ip` bits and every row the same retained
+/// entries at 3 threads as at 1 (`same_harvest`); Valmod's per-length
+/// `mp`/`ip` over the case's range must match to the bit; and on every
+/// fallback length, a 3-thread pass seeded from the hint `ComputeSubMP`
+/// leaves must match the 1-thread pass seeded from the same hint.
 pub fn check_parallel_vs_sequential(case: &Case, ps: &ProfiledSeries) -> Option<Divergence> {
-    let l = case.l_min;
-    let seq = match stomp(ps, l, ExclusionPolicy::HALF) {
-        Ok(p) => p,
-        Err(e) => return Some(diverge(case, "parallel-vs-sequential", format!("stomp: {e}"))),
-    };
-    let par = match stomp_parallel(ps, l, ExclusionPolicy::HALF, 3) {
-        Ok(p) => p,
-        Err(e) => return Some(diverge(case, "parallel-vs-sequential", format!("parallel: {e}"))),
-    };
-    if seq.len() != par.len() {
-        return Some(diverge(
-            case,
-            "parallel-vs-sequential",
-            format!("profile lengths differ: {} vs {}", seq.len(), par.len()),
-        ));
-    }
-    for i in 0..seq.len() {
-        let (a, b) = (seq.mp[i], par.mp[i]);
-        let agree = (a.is_finite() == b.is_finite()) && (!a.is_finite() || close(a, b));
-        if !agree {
-            return Some(diverge(
-                case,
-                "parallel-vs-sequential",
-                format!("row {i} at l={l}: sequential {a} vs parallel {b}"),
-            ));
+    const ORACLE: &str = "parallel-vs-sequential";
+    const THREADS: usize = 3;
+    let (p, policy, noop) = (case.p, ExclusionPolicy::HALF, SharedRecorder::noop());
+    let pass = |l: usize, threads: usize, hint: Option<HarvestHint>| {
+        let mut ws = Workspace::new();
+        if let Some(hint) = hint {
+            ws.set_harvest_hint(hint);
         }
+        compute_matrix_profile_with_ws(ps, l, p, policy, threads, &noop, &mut ws)
+            .map_err(|e| diverge(case, ORACLE, format!("l={l} threads={threads}: {e}")))
+    };
+    let compare = |l: usize, hint: Option<HarvestHint>| -> Result<MpWithProfiles, Divergence> {
+        let one = pass(l, 1, hint.clone())?;
+        let many = pass(l, THREADS, hint)?;
+        match same_harvest(&many, &one) {
+            Some(detail) => Err(diverge(case, ORACLE, format!("l={l}: {detail}"))),
+            None => Ok(one),
+        }
+    };
+    let mut state = match compare(case.l_min, None) {
+        Ok(s) => s,
+        Err(d) => return Some(d),
+    };
+
+    let run = |threads: usize| {
+        Valmod::new(case.l_min, case.l_max)
+            .p(p)
+            .threads(threads)
+            .run_lengths_on(ps, case.l_min, case.l_max)
+            .map_err(|e| diverge(case, ORACLE, format!("valmod threads={threads}: {e}")))
+    };
+    let (one, many) = match (run(1), run(THREADS)) {
+        (Ok(one), Ok(many)) => (one, many),
+        (Err(d), _) | (_, Err(d)) => return Some(d),
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (a, b) in one.iter().zip(&many) {
+        if a.method != b.method || bits(&a.mp) != bits(&b.mp) || a.ip != b.ip {
+            return Some(diverge(case, ORACLE, format!("valmod l={}: profiles differ", a.l)));
+        }
+    }
+
+    let mut ws = Workspace::new();
+    for l in (case.l_min + 1)..=case.l_max {
+        let res =
+            compute_sub_mp_threaded_with_ws(ps, &mut state.partials, l, policy, 1, &noop, &mut ws);
+        if res.found_motif {
+            continue;
+        }
+        let Some(hint) = ws.take_harvest_hint() else {
+            return Some(diverge(case, ORACLE, format!("l={l}: fallback left no hint")));
+        };
+        state = match compare(l, Some(hint)) {
+            Ok(s) => s,
+            Err(d) => return Some(d),
+        };
     }
     None
 }

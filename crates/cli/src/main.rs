@@ -27,7 +27,7 @@ use valmod_core::{
 use valmod_data::datasets::Dataset;
 use valmod_data::io;
 use valmod_data::series::Series;
-use valmod_mp::{stomp, stomp_parallel, ExclusionPolicy, ProfiledSeries};
+use valmod_mp::{stomp_parallel, ExclusionPolicy, ProfiledSeries};
 use valmod_serve::engine::{EngineConfig, QueryEngine, QueryKind, QuerySpec};
 use valmod_serve::{Client, Server, Value as WireValue};
 
@@ -137,7 +137,8 @@ Input: text (one value per line; `#` comments; commas/whitespace) or raw
 little-endian f64 for `.bin`/`.f64` extensions.
 
 --threads controls the worker count for the profile computations:
-1 (default) is sequential, 0 uses every available core.
+1 (default) is sequential, 0 uses every available core. Every count gives
+byte-identical output.
 
 `serve` keeps named series resident, answers repeated queries from an LRU
 result cache, plans variable-length queries over a per-length fragment
@@ -289,11 +290,7 @@ fn cmd_mp(args: &Args) -> CliResult {
     let l: usize = args.require_parsed("length")?;
     let threads: usize = args.parsed_or("threads", 1)?;
     let ps = ProfiledSeries::new(&series);
-    let profile = if threads == 1 {
-        stomp(&ps, l, ExclusionPolicy::HALF)?
-    } else {
-        stomp_parallel(&ps, l, ExclusionPolicy::HALF, threads)?
-    };
+    let profile = stomp_parallel(&ps, l, ExclusionPolicy::HALF, threads)?;
     match args.get("output") {
         Some(path) => {
             use std::io::Write;

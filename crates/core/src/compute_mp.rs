@@ -1,31 +1,30 @@
 //! `ComputeMatrixProfile` (paper Algorithm 3): STOMP plus lower-bound
 //! harvesting.
 //!
-//! The sequential path fuses the harvest into the diagonal-blocked kernel
+//! The harvest is fused into the diagonal-blocked kernel
 //! ([`valmod_mp::diagonal::diagonal_cells`]): every visited cell `(i, j)`
 //! folds into both rows' minima *and* both rows' [`PartialProfile`]s
 //! (`listDP` in the paper) in one cache-resident pass, reusing a
 //! [`Workspace`]'s buffers and FFT plans across calls. Total cost
 //! `O(n² log p)` at worst; the per-row gates of [`crate::harvest`] keep
-//! most cells out of the heaps. The heap's strict total order makes the
-//! retained set independent of visit order, so the result matches the
+//! most cells out of the heaps. With several threads the pass splits its
+//! diagonals into ranges ([`Diagonals::chunks`]), one sink per range,
+//! merged afterwards. The heap's strict total order makes the retained set
+//! independent of visit order and of the split, so the result matches the
 //! row-streamed harvest (`harvest_row` over
 //! [`valmod_mp::stomp::StompDriver`] rows) — which survives as the
-//! per-chunk kernel of the parallel path and as the refinement step of
-//! `ComputeSubMP`.
+//! refinement step of `ComputeSubMP` — at every thread count.
 
 use valmod_data::error::Result;
-use valmod_mp::diagonal::diagonal_cells;
-use valmod_mp::distance_profile::profile_min;
+use valmod_mp::diagonal::{diagonal_cells, Diagonals};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::extend::{capture_cells, TailState};
 use valmod_mp::matrix_profile::MatrixProfile;
-use valmod_mp::parallel::{row_chunks, stomp_rows};
 use valmod_mp::workspace::Workspace;
 use valmod_mp::ProfiledSeries;
 use valmod_obs::{Recorder, SharedRecorder};
 
-use crate::harvest::{harvest_pass, harvest_row, take_hint, HarvestStats, Harvested};
+use crate::harvest::{harvest_pass, take_hint, HarvestSink};
 use crate::profile::PartialProfile;
 
 /// A matrix profile together with the per-row partial distance profiles
@@ -36,14 +35,6 @@ pub struct MpWithProfiles {
     pub profile: MatrixProfile,
     /// `listDP`: one partial profile per row, anchored at the same length.
     pub partials: Vec<PartialProfile>,
-}
-
-impl MpWithProfiles {
-    /// Splits a finished pass at `l` into its result and its accounting.
-    fn from_harvest(h: Harvested, l: usize, policy: ExclusionPolicy) -> (Self, HarvestStats) {
-        let profile = MatrixProfile { l, mp: h.mp, ip: h.ip, exclusion_radius: policy.radius(l) };
-        (MpWithProfiles { profile, partials: h.partials }, h.stats)
-    }
 }
 
 /// Computes the matrix profile at length `l`, harvesting `p` lower-bound
@@ -81,124 +72,55 @@ pub fn compute_matrix_profile_ws(
     policy: ExclusionPolicy,
     ws: &mut Workspace,
 ) -> Result<MpWithProfiles> {
-    fused_harvest(ps, l, p, policy, ws).map(|(out, _)| out)
+    compute_matrix_profile_with_ws(ps, l, p, policy, 1, &SharedRecorder::noop(), ws)
 }
 
-fn fused_harvest(
-    ps: &ProfiledSeries,
-    l: usize,
-    p: usize,
-    policy: ExclusionPolicy,
-    ws: &mut Workspace,
-) -> Result<(MpWithProfiles, HarvestStats)> {
-    let ndp = ps.require_pairs(l)?;
-    let hint = take_hint(ws, l, p, ndp);
-    let (harvest, _) = harvest_pass(ps, l, p, ndp, hint, |sink| {
-        diagonal_cells(ps, l, &policy, ws, |i, j, q, d| sink.visit(i, j, q, d))
-    })?;
-    Ok(MpWithProfiles::from_harvest(harvest, l, policy))
+/// One range of a plain pass: every cell into the sink.
+fn plain_walk(diags: &Diagonals<'_>, range: (usize, usize), sink: &mut HarvestSink) {
+    diagonal_cells(diags, range, |i, j, q, d| sink.visit(i, j, q, d));
 }
 
-/// [`compute_matrix_profile_ws`] plus a captured [`TailState`]: the same
-/// fused diagonal harvest, additionally recording the distance matrix's
-/// last-column QT values so the whole result — profile *and* partial
-/// profiles — can later be extended under appends (`SegmentState` in
-/// [`crate::valmod`]) instead of recomputed. Output is bit-identical to
-/// [`compute_matrix_profile_ws`]; the capture only reads QT values the
-/// traversal produces anyway.
-pub fn compute_matrix_profile_capture_ws(
-    ps: &ProfiledSeries,
-    l: usize,
-    p: usize,
-    policy: ExclusionPolicy,
-    ws: &mut Workspace,
-) -> Result<(MpWithProfiles, TailState)> {
-    capture_harvest(ps, l, p, policy, ws).map(|(out, tail, _)| (out, tail))
+/// One range of a capturing pass: every cell into the sink, plus the
+/// range's chain heads.
+fn capture_walk(diags: &Diagonals<'_>, range: (usize, usize), sink: &mut HarvestSink) -> Vec<f64> {
+    capture_cells(diags, range, |i, j, q, d| sink.visit(i, j, q, d))
 }
 
-fn capture_harvest(
-    ps: &ProfiledSeries,
-    l: usize,
-    p: usize,
-    policy: ExclusionPolicy,
-    ws: &mut Workspace,
-) -> Result<(MpWithProfiles, TailState, HarvestStats)> {
-    let ndp = ps.require_pairs(l)?;
-    let hint = take_hint(ws, l, p, ndp);
-    let (harvest, tail) = harvest_pass(ps, l, p, ndp, hint, |sink| {
-        capture_cells(ps, l, policy, ws, |i, j, q, d| sink.visit(i, j, q, d))
-    })?;
-    let (out, stats) = MpWithProfiles::from_harvest(harvest, l, policy);
-    Ok((out, tail, stats))
-}
-
-/// Multi-threaded [`compute_matrix_profile`]: rows are split into contiguous
-/// chunks, each worker runs the row-range STOMP kernel
-/// ([`valmod_mp::parallel::stomp_rows`]) over its chunk and harvests
-/// lower-bound entries into that chunk's partial profiles. Chunks own
-/// disjoint slices of `mp`/`ip`/`partials`, so the harvest is
-/// synchronisation-free. `threads = 0` uses all available cores; `1` runs
-/// the same kernel on one chunk.
-pub fn compute_matrix_profile_parallel(
+/// The one fused pass behind every entry point: takes the workspace's hint,
+/// prepares the seeds once, runs `walk` over the `threads`-way diagonal
+/// split ([`harvest_pass`]) and records the pass. Returns the result and
+/// each range's side output in range order.
+#[allow(clippy::too_many_arguments)] // the entry points' knobs plus the walk
+fn fused_harvest<T: Send>(
     ps: &ProfiledSeries,
     l: usize,
     p: usize,
     policy: ExclusionPolicy,
     threads: usize,
-) -> Result<MpWithProfiles> {
-    parallel_harvest(ps, l, p, policy, threads).map(|(out, _)| out)
-}
-
-fn parallel_harvest(
-    ps: &ProfiledSeries,
-    l: usize,
-    p: usize,
-    policy: ExclusionPolicy,
-    threads: usize,
-) -> Result<(MpWithProfiles, HarvestStats)> {
+    recorder: &SharedRecorder,
+    ws: &mut Workspace,
+    walk: impl Fn(&Diagonals<'_>, (usize, usize), &mut HarvestSink) -> T + Sync,
+) -> Result<(MpWithProfiles, Vec<T>)> {
+    let _span = valmod_obs::span!(recorder, "core.mp.full_profile_us");
+    let baseline = PassBaseline::take(ws);
     let ndp = ps.require_pairs(l)?;
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    let mut partials: Vec<PartialProfile> =
-        (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
-
-    let mut stats = HarvestStats::default();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut mp_rest: &mut [f64] = &mut mp;
-        let mut ip_rest: &mut [usize] = &mut ip;
-        let mut pr_rest: &mut [PartialProfile] = &mut partials;
-        for (chunk_start, len) in row_chunks(ndp, threads) {
-            let (mp_chunk, mp_tail) = mp_rest.split_at_mut(len);
-            let (ip_chunk, ip_tail) = ip_rest.split_at_mut(len);
-            let (pr_chunk, pr_tail) = pr_rest.split_at_mut(len);
-            mp_rest = mp_tail;
-            ip_rest = ip_tail;
-            pr_rest = pr_tail;
-            handles.push(scope.spawn(move || {
-                let mut chunk_stats = HarvestStats::default();
-                stomp_rows(ps, l, &policy, chunk_start, len, |i, dp, qt| {
-                    let k = i - chunk_start;
-                    if let Some((arg, d)) = profile_min(dp) {
-                        mp_chunk[k] = d;
-                        ip_chunk[k] = arg;
-                    }
-                    chunk_stats.merge(harvest_row(ps, &mut pr_chunk[k], dp, qt, i, l));
-                });
-                chunk_stats
-            }));
-        }
-        for h in handles {
-            stats.merge(h.join().expect("harvest worker panicked"));
-        }
-    });
-    Ok(MpWithProfiles::from_harvest(Harvested { mp, ip, partials, stats }, l, policy))
+    let hint = take_hint(ws, l, p, ndp);
+    let diags = Diagonals::prepare(ps, l, &policy, ws)?;
+    let (harvest, outs) =
+        harvest_pass(ps, l, p, ndp, hint, &diags.chunks(threads), |range, sink| {
+            walk(&diags, range, sink)
+        });
+    baseline.record(recorder, ndp, l, policy, ws);
+    harvest.stats.record(recorder);
+    let profile =
+        MatrixProfile { l, mp: harvest.mp, ip: harvest.ip, exclusion_radius: policy.radius(l) };
+    Ok((MpWithProfiles { profile, partials: harvest.partials }, outs))
 }
 
-/// Unified recorded entry point for the harvesting matrix-profile pass:
-/// `threads == 1` runs the fused diagonal harvest, anything else the
-/// chunked [`compute_matrix_profile_parallel`]. Uses a fresh [`Workspace`];
-/// see [`compute_matrix_profile_with_ws`] for plan/buffer reuse.
+/// Unified recorded entry point for the harvesting matrix-profile pass with
+/// `threads` workers (0 = all available cores). Uses a fresh
+/// [`Workspace`]; see [`compute_matrix_profile_with_ws`] for plan/buffer
+/// reuse.
 pub fn compute_matrix_profile_with(
     ps: &ProfiledSeries,
     l: usize,
@@ -211,16 +133,23 @@ pub fn compute_matrix_profile_with(
     compute_matrix_profile_with_ws(ps, l, p, policy, threads, recorder, &mut ws)
 }
 
-/// [`compute_matrix_profile_with`] over a caller-held [`Workspace`]. With an
-/// enabled recorder the pass is timed into `core.mp.full_profile_us` and
-/// accounted under `core.mp.full_profiles`, `mp.mass.calls` (one FFT seed
-/// per chunk), and `mp.stomp.rows`; the sequential diagonal path also
-/// records `mp.diag.blocks`, `mp.workspace.reuses`, and the FFT plan-cache
-/// traffic (`fft.plan_cache.hits`/`misses`). Both paths add the harvest
-/// counters `core.harvest.offers`, `.accepted`, `.seeded_rows` and
-/// `.seed_reruns` (see [`crate::harvest`]). A pass rerun unseeded counts
-/// once in `core.mp.full_profiles`, `mp.stomp.rows` and `mp.diag.blocks`;
-/// its plan-cache traffic and harvest offers cover both traversals.
+/// [`compute_matrix_profile_ws`] with `threads` workers, over a caller-held
+/// [`Workspace`]. The diagonals split into `threads` cell-balanced ranges
+/// ([`Diagonals::chunks`]); the result — `mp`, `ip` and every row's
+/// harvested entries — is bit-identical at every thread count, and one
+/// thread runs a single range on the calling thread with no spawn and no
+/// merge. Each extra worker holds its own `ndp × p` heaps during the pass.
+///
+/// With an enabled recorder the pass is timed into
+/// `core.mp.full_profile_us` and accounted under `core.mp.full_profiles`,
+/// `mp.mass.calls` (one seed row per pass), `mp.stomp.rows`,
+/// `mp.diag.blocks`, `mp.workspace.reuses` and the FFT plan-cache traffic
+/// (`fft.plan_cache.hits`/`misses`), plus the harvest counters
+/// `core.harvest.offers`, `.accepted`, `.seeded_rows` and `.seed_reruns`
+/// (see [`crate::harvest`]; with several ranges, `accepted` counts entries
+/// that entered a range's heap). A pass rerun unseeded counts once in
+/// `core.mp.full_profiles`, `mp.stomp.rows` and `mp.diag.blocks`; its
+/// harvest offers cover both traversals.
 #[allow(clippy::too_many_arguments)] // recorder + workspace ride along with the knobs
 pub fn compute_matrix_profile_with_ws(
     ps: &ProfiledSeries,
@@ -231,42 +160,31 @@ pub fn compute_matrix_profile_with_ws(
     recorder: &SharedRecorder,
     ws: &mut Workspace,
 ) -> Result<MpWithProfiles> {
-    let _span = valmod_obs::span!(recorder, "core.mp.full_profile_us");
-    let baseline = PassBaseline::take(ws);
-    let (out, stats) = if threads == 1 {
-        fused_harvest(ps, l, p, policy, ws)?
-    } else {
-        // Only the fused pass seeds its gates; drop the hint all the same.
-        ws.take_harvest_hint();
-        parallel_harvest(ps, l, p, policy, threads)?
-    };
-    baseline.record(recorder, out.profile.len(), l, policy, threads, ws);
-    stats.record(recorder);
+    let (out, _) = fused_harvest(ps, l, p, policy, threads, recorder, ws, plain_walk)?;
     Ok(out)
 }
 
-/// The instrumented capturing entry point (sequential only — the captured
-/// tail continues the fused diagonal kernel's exact chains, which the
-/// chunked parallel kernel does not produce). Accounting matches
-/// [`compute_matrix_profile_with_ws`] at `threads == 1`.
+/// [`compute_matrix_profile_with_ws`] plus a captured [`TailState`]: the
+/// same fused diagonal harvest, additionally recording the distance
+/// matrix's last-column QT values (each range its own) so the whole result
+/// — profile *and* partial profiles — can later be extended under appends
+/// (`SegmentState` in [`crate::valmod`]) instead of recomputed. Results and
+/// accounting equal [`compute_matrix_profile_with_ws`]'s at every thread
+/// count; the capture only reads QT values the traversal produces anyway.
 pub fn compute_matrix_profile_capture_with_ws(
     ps: &ProfiledSeries,
     l: usize,
     p: usize,
     policy: ExclusionPolicy,
+    threads: usize,
     recorder: &SharedRecorder,
     ws: &mut Workspace,
 ) -> Result<(MpWithProfiles, TailState)> {
-    let _span = valmod_obs::span!(recorder, "core.mp.full_profile_us");
-    let baseline = PassBaseline::take(ws);
-    let (out, tail, stats) = capture_harvest(ps, l, p, policy, ws)?;
-    baseline.record(recorder, out.profile.len(), l, policy, 1, ws);
-    stats.record(recorder);
-    Ok((out, tail))
+    let (out, heads) = fused_harvest(ps, l, p, policy, threads, recorder, ws, capture_walk)?;
+    Ok((out, TailState::from_heads(ps, l, policy, heads)))
 }
 
-/// Pre-pass workspace snapshot, turned into the per-pass accounting shared
-/// by the plain and capturing entry points.
+/// Pre-pass workspace snapshot, turned into the per-pass accounting.
 struct PassBaseline {
     hits0: u64,
     misses0: u64,
@@ -288,34 +206,32 @@ impl PassBaseline {
         ndp: usize,
         l: usize,
         policy: ExclusionPolicy,
-        threads: usize,
         ws: &Workspace,
     ) {
         if !recorder.enabled() {
             return;
         }
-        let chunks = if threads == 1 { 1 } else { row_chunks(ndp, threads).len() };
         recorder.add("core.mp.full_profiles", 1);
-        recorder.add("mp.mass.calls", chunks as u64);
+        recorder.add("mp.mass.calls", 1);
         recorder.add("mp.stomp.rows", ndp as u64);
-        if threads == 1 {
-            recorder.add(
-                "mp.diag.blocks",
-                valmod_mp::diagonal::block_count(ndp, policy.radius(l), ws.block()),
-            );
-            if self.reused {
-                recorder.add("mp.workspace.reuses", 1);
-            }
-            recorder.add("fft.plan_cache.hits", ws.plan_cache().hits() - self.hits0);
-            recorder.add("fft.plan_cache.misses", ws.plan_cache().misses() - self.misses0);
+        recorder.add(
+            "mp.diag.blocks",
+            valmod_mp::diagonal::block_count(ndp, policy.radius(l), ws.block()),
+        );
+        if self.reused {
+            recorder.add("mp.workspace.reuses", 1);
         }
+        recorder.add("fft.plan_cache.hits", ws.plan_cache().hits() - self.hits0);
+        recorder.add("fft.plan_cache.misses", ws.plan_cache().misses() - self.misses0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harvest::harvest_row;
     use valmod_data::generators::random_walk;
+    use valmod_mp::distance_profile::profile_min;
     use valmod_mp::stomp::stomp;
 
     #[test]
@@ -323,24 +239,11 @@ mod tests {
         let ps = ProfiledSeries::from_values(&random_walk(320, 37)).unwrap();
         let (l, p) = (20, 4);
         let seq = compute_matrix_profile(&ps, l, p, ExclusionPolicy::HALF).unwrap();
-        for threads in [1usize, 2, 3, 7, 16] {
-            let par =
-                compute_matrix_profile_parallel(&ps, l, p, ExclusionPolicy::HALF, threads).unwrap();
-            assert_eq!(par.profile.len(), seq.profile.len());
-            for i in 0..seq.profile.len() {
-                assert!(
-                    (par.profile.mp[i] - seq.profile.mp[i]).abs() < 1e-7,
-                    "threads={threads} row {i}"
-                );
-            }
-            for (ps_seq, ps_par) in seq.partials.iter().zip(&par.partials) {
-                assert_eq!(ps_seq.owner, ps_par.owner);
-                let mut a: Vec<usize> = ps_seq.entries().iter().map(|e| e.neighbor).collect();
-                let mut b: Vec<usize> = ps_par.entries().iter().map(|e| e.neighbor).collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "threads={threads} owner {}", ps_seq.owner);
-            }
+        let noop = SharedRecorder::noop();
+        for threads in [1usize, 2, 3, 7, 16, 0] {
+            let par = compute_matrix_profile_with(&ps, l, p, ExclusionPolicy::HALF, threads, &noop)
+                .unwrap();
+            assert_harvests_bit_identical(&par, &seq, &format!("threads={threads}"));
         }
     }
 
@@ -382,10 +285,10 @@ mod tests {
         for (pa, pb) in a.partials.iter().zip(&b.partials) {
             assert_eq!(pa.owner, pb.owner);
             let norm = |p: &PartialProfile| {
-                let mut v: Vec<(usize, u64, u64)> = p
+                let mut v: Vec<(usize, u64, u64, u64)> = p
                     .entries()
                     .iter()
-                    .map(|e| (e.neighbor, e.dist.to_bits(), e.lb_key.to_bits()))
+                    .map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
                     .collect();
                 v.sort_unstable();
                 v
@@ -451,21 +354,32 @@ mod tests {
     fn capturing_variant_is_bit_identical_and_extension_ready() {
         let series = random_walk(360, 73);
         let base = ProfiledSeries::from_values(&series[..300]).unwrap();
-        let mut ws = Workspace::new();
-        let (captured, mut tail) =
-            compute_matrix_profile_capture_ws(&base, 18, 4, ExclusionPolicy::HALF, &mut ws)
-                .unwrap();
-        let plain = compute_matrix_profile(&base, 18, 4, ExclusionPolicy::HALF).unwrap();
-        assert_harvests_bit_identical(&captured, &plain, "capture");
-        // The captured tail really is the extension entry point: growing the
-        // series through it reproduces a cold profile bit for bit.
         let grown = ProfiledSeries::with_offset(&series, base.offset()).unwrap();
-        let mut profile = captured.profile.clone();
-        valmod_mp::extend::extend_profile(&mut profile, &mut tail, &grown).unwrap();
+        let plain = compute_matrix_profile(&base, 18, 4, ExclusionPolicy::HALF).unwrap();
         let cold = stomp(&grown, 18, ExclusionPolicy::HALF).unwrap();
-        for i in 0..cold.len() {
-            assert_eq!(profile.mp[i].to_bits(), cold.mp[i].to_bits(), "mp[{i}]");
-            assert_eq!(profile.ip[i], cold.ip[i], "ip[{i}]");
+        let noop = SharedRecorder::noop();
+        // Each diagonal range captures its own chain heads.
+        for threads in [1usize, 2, 3, 7, 0] {
+            let what = format!("threads={threads}");
+            let (captured, mut tail) = compute_matrix_profile_capture_with_ws(
+                &base,
+                18,
+                4,
+                ExclusionPolicy::HALF,
+                threads,
+                &noop,
+                &mut Workspace::new(),
+            )
+            .unwrap();
+            assert_harvests_bit_identical(&captured, &plain, &what);
+            // The captured tail really is the extension entry point: growing
+            // the series through it reproduces a cold profile bit for bit.
+            let mut profile = captured.profile.clone();
+            valmod_mp::extend::extend_profile(&mut profile, &mut tail, &grown).unwrap();
+            for i in 0..cold.len() {
+                assert_eq!(profile.mp[i].to_bits(), cold.mp[i].to_bits(), "{what}: mp[{i}]");
+                assert_eq!(profile.ip[i], cold.ip[i], "{what}: ip[{i}]");
+            }
         }
     }
 

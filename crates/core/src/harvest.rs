@@ -27,9 +27,9 @@
 //! that is not full. So a pass whose seeded rows all end full is exact, and
 //! any other pass is rerun unseeded.
 
-use valmod_data::error::Result;
 use valmod_mp::diagonal::lex_update;
 use valmod_mp::distance::is_flat;
+use valmod_mp::parallel::map_chunks;
 use valmod_mp::workspace::Workspace;
 use valmod_mp::ProfiledSeries;
 use valmod_obs::{Recorder, SharedRecorder};
@@ -189,16 +189,16 @@ pub(crate) struct Harvested {
 }
 
 impl HarvestSink {
-    /// A fresh pass over the `ndp` rows of length `l`, each gate seeded from
-    /// `hint` (per-row distance bounds, see [`seed_gate`]) when given.
-    fn new(ps: &ProfiledSeries, l: usize, p: usize, ndp: usize, hint: Option<&[f64]>) -> Self {
+    /// A fresh pass over the `ndp` rows of length `l`, each gate starting at
+    /// its seed (`seeds` is empty when unseeded, else one gate per row).
+    fn new(ps: &ProfiledSeries, l: usize, p: usize, ndp: usize, seeds: &[f64]) -> Self {
         let partials = (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
         let mut sink =
             Self::resume(ps, l, vec![f64::INFINITY; ndp], vec![usize::MAX; ndp], partials);
-        if let Some(hint) = hint {
-            sink.seeds = hint.iter().map(|&d| seed_gate(d, l)).collect();
-            sink.gates.copy_from_slice(&sink.seeds);
-            sink.stats.seeded_rows = sink.seeds.iter().filter(|g| g.is_finite()).count() as u64;
+        if !seeds.is_empty() {
+            sink.seeds = seeds.to_vec();
+            sink.gates.copy_from_slice(seeds);
+            sink.stats.seeded_rows = seeds.iter().filter(|g| g.is_finite()).count() as u64;
         }
         sink
     }
@@ -256,6 +256,25 @@ impl HarvestSink {
         }
     }
 
+    /// Folds a sink that walked another diagonal range of the same pass into
+    /// this one: row minima by [`lex_update`], heap entries through this
+    /// sink's gates. Both folds are order-independent under the strict
+    /// orders, so the result is the sink that walked both ranges.
+    fn absorb(&mut self, other: HarvestSink) {
+        for (i, (&d, &j)) in other.mp.iter().zip(&other.ip).enumerate() {
+            lex_update(&mut self.mp[i], &mut self.ip[i], d, j);
+        }
+        for (row, prof) in other.partials.iter().enumerate() {
+            for &entry in prof.entries() {
+                if entry.lb_key <= self.gates[row] {
+                    admit(&mut self.partials[row], &mut self.gates[row], entry);
+                }
+            }
+        }
+        self.stats.offers += other.stats.offers;
+        self.stats.accepted += other.stats.accepted;
+    }
+
     /// Whether every seeded row ended with a full heap — the condition under
     /// which the pass retained exactly the unseeded top `p` of every row.
     fn seeds_held(&self) -> bool {
@@ -278,30 +297,55 @@ pub(crate) fn take_hint(ws: &mut Workspace, l: usize, p: usize, ndp: usize) -> O
         .map(|h| h.max_dist)
 }
 
-/// Runs one fresh fused pass over the `ndp` rows of length `l`:
-/// `traverse` streams every cell to the sink's [`HarvestSink::visit`].
+/// Runs one fresh fused pass over the `ndp` rows of length `l`, split into
+/// the diagonal ranges `chunks`: `walk(range, sink)` streams every cell of
+/// one range to the sink's [`HarvestSink::visit`] and returns what it
+/// captured on the side, collected in range order. The last range runs on
+/// the calling thread into the main sink; each other range runs on its own
+/// thread into its own sink from the same seeds, and is absorbed into the
+/// main sink afterwards.
+///
 /// With a `hint` (per-row distance bounds), the gates start at their
-/// [`seed_gate`]s; when a seeded row ends with a heap that is not full, its
-/// seed was too tight and the whole pass reruns unseeded, so for any hint
-/// the retained sets are exactly the unseeded ones.
-pub(crate) fn harvest_pass<T>(
+/// [`seed_gate`]s; when a seeded row of the merged sink ends with a heap
+/// that is not full, its seed was too tight and the whole pass reruns
+/// unseeded, so for any hint the retained sets are exactly the unseeded
+/// ones. Merging keeps that test exact: a range's sink drops a true top-`p`
+/// entry only behind `p` better entries of its own, or when the entry's key
+/// is above the seed, and a full merged heap holds `p` entries at or below
+/// the seed.
+pub(crate) fn harvest_pass<T: Send>(
     ps: &ProfiledSeries,
     l: usize,
     p: usize,
     ndp: usize,
     hint: Option<Vec<f64>>,
-    mut traverse: impl FnMut(&mut HarvestSink) -> Result<T>,
-) -> Result<(Harvested, T)> {
-    let mut sink = HarvestSink::new(ps, l, p, ndp, hint.as_deref());
-    let mut out = traverse(&mut sink)?;
+    chunks: &[(usize, usize)],
+    walk: impl Fn((usize, usize), &mut HarvestSink) -> T + Sync,
+) -> (Harvested, Vec<T>) {
+    let run = |seeds: &[f64]| {
+        let mut parts = map_chunks(chunks, |range| {
+            let mut sink = HarvestSink::new(ps, l, p, ndp, seeds);
+            let out = walk(range, &mut sink);
+            (sink, out)
+        });
+        let (mut sink, last) = parts.pop().expect("a pass has at least one range");
+        let mut outs = Vec::with_capacity(parts.len() + 1);
+        for (other, out) in parts {
+            sink.absorb(other);
+            outs.push(out);
+        }
+        outs.push(last);
+        (sink, outs)
+    };
+    let seeds: Vec<f64> = hint.iter().flatten().map(|&d| seed_gate(d, l)).collect();
+    let (mut sink, mut outs) = run(&seeds);
     if !sink.seeds_held() {
         let mut wasted = sink.stats;
         wasted.seed_reruns += 1;
-        sink = HarvestSink::new(ps, l, p, ndp, None);
-        out = traverse(&mut sink)?;
+        (sink, outs) = run(&[]);
         sink.stats.merge(wasted);
     }
-    Ok((sink.finish(), out))
+    (sink.finish(), outs)
 }
 
 #[cfg(test)]
@@ -336,17 +380,20 @@ mod tests {
         }
     }
 
-    /// A recorded full profile at `l` over `ws`, with its harvest counters.
+    /// A recorded full profile at `l` with `threads` workers over `ws`, with
+    /// its harvest counters.
     fn recorded_pass(
         ps: &ProfiledSeries,
         l: usize,
         p: usize,
+        threads: usize,
         ws: &mut Workspace,
     ) -> (MpWithProfiles, u64, u64) {
         let registry = Registry::new();
         let rec = SharedRecorder::from(registry.clone());
         let out =
-            compute_matrix_profile_with_ws(ps, l, p, ExclusionPolicy::HALF, 1, &rec, ws).unwrap();
+            compute_matrix_profile_with_ws(ps, l, p, ExclusionPolicy::HALF, threads, &rec, ws)
+                .unwrap();
         let snap = registry.snapshot();
         let count = |k: &str| snap.counter(k).unwrap_or(0);
         (out, count("core.harvest.seeded_rows"), count("core.harvest.seed_reruns"))
@@ -374,15 +421,18 @@ mod tests {
                 continue;
             }
             fallbacks += 1;
-            let (seeded, seeded_rows, reruns) = recorded_pass(&ps, l, p, &mut ws);
-            assert!(seeded_rows > 0, "l={l}: the hint must seed some rows");
-            assert_eq!(reruns, 0, "l={l}: a real hint must not need a rerun");
-            assert_same_harvest(
-                &seeded,
-                &compute_matrix_profile(&ps, l, p, policy).unwrap(),
-                "seeded",
-            );
-            state = seeded;
+            let hint = ws.take_harvest_hint().expect("a fallback leaves a hint");
+            let cold = compute_matrix_profile(&ps, l, p, policy).unwrap();
+            // Every range of a split pass starts from the same seeds.
+            for threads in [3, 1] {
+                ws.set_harvest_hint(hint.clone());
+                let (seeded, seeded_rows, reruns) = recorded_pass(&ps, l, p, threads, &mut ws);
+                let what = format!("l={l} threads={threads}");
+                assert!(seeded_rows > 0, "{what}: the hint must seed some rows");
+                assert_eq!(reruns, 0, "{what}: a real hint must not need a rerun");
+                assert_same_harvest(&seeded, &cold, &what);
+                state = seeded;
+            }
         }
         assert!(fallbacks >= 3, "EMG must fall back (got {fallbacks})");
         assert!(ws.take_harvest_hint().is_none(), "the pass consumes the hint");
@@ -395,10 +445,12 @@ mod tests {
         let cold = compute_matrix_profile(&ps, l, p, ExclusionPolicy::HALF).unwrap();
         let rows = cold.partials.len();
         let mut ws = Workspace::new();
-        ws.set_harvest_hint(HarvestHint { l, p, max_dist: vec![0.0; rows] });
-        let (zeroed, seeded_rows, reruns) = recorded_pass(&ps, l, p, &mut ws);
-        assert_eq!((seeded_rows, reruns), (rows as u64, 1));
-        assert_same_harvest(&zeroed, &cold, "all-zero hint");
+        for threads in [1, 3] {
+            ws.set_harvest_hint(HarvestHint { l, p, max_dist: vec![0.0; rows] });
+            let (zeroed, seeded_rows, reruns) = recorded_pass(&ps, l, p, threads, &mut ws);
+            assert_eq!((seeded_rows, reruns), (rows as u64, 1), "threads={threads}");
+            assert_same_harvest(&zeroed, &cold, &format!("all-zero hint, threads={threads}"));
+        }
         // A hint for another length, p or row count is dropped unused.
         for hint in [
             HarvestHint { l: l + 1, p, max_dist: vec![0.0; rows] },
@@ -406,7 +458,7 @@ mod tests {
             HarvestHint { l, p, max_dist: vec![0.0; rows - 1] },
         ] {
             ws.set_harvest_hint(hint);
-            let (out, seeded_rows, reruns) = recorded_pass(&ps, l, p, &mut ws);
+            let (out, seeded_rows, reruns) = recorded_pass(&ps, l, p, 1, &mut ws);
             assert_eq!((seeded_rows, reruns), (0, 0));
             assert_same_harvest(&out, &cold, "mismatched hint");
         }

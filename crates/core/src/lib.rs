@@ -90,10 +90,8 @@ pub mod valmp;
 
 pub use complete_profiles::{complete_profiles, CompletionStats};
 pub use compute_mp::{
-    compute_matrix_profile, compute_matrix_profile_capture_with_ws,
-    compute_matrix_profile_capture_ws, compute_matrix_profile_parallel,
-    compute_matrix_profile_with, compute_matrix_profile_with_ws, compute_matrix_profile_ws,
-    MpWithProfiles,
+    compute_matrix_profile, compute_matrix_profile_capture_with_ws, compute_matrix_profile_with,
+    compute_matrix_profile_with_ws, compute_matrix_profile_ws, MpWithProfiles,
 };
 pub use discords::{variable_length_discords, VariableLengthDiscord};
 pub use length_hint::{suggest_length_ranges, LengthHint};

@@ -40,8 +40,8 @@ pub struct ValmodConfig {
     /// Track the top-K pairs for motif-set discovery (0 = off).
     pub track_pairs: usize,
     /// Worker threads for the profile computations (1 = sequential,
-    /// 0 = all available cores). Any thread count produces the same output
-    /// up to floating-point rounding at chunk seams (≤ ~1e-12).
+    /// 0 = all available cores). Every thread count produces the same
+    /// output, bit for bit.
     pub threads: usize,
 }
 
@@ -87,9 +87,9 @@ impl ValmodConfig {
     /// equal canonical forms produce semantically identical output, so
     /// result caches must key on this form, never on the raw config.
     ///
-    /// Normalisations: `threads` is forced to 1 (any thread count yields
-    /// the same answer up to sub-1e-12 chunk-seam rounding) and the
-    /// exclusion fraction is reduced to lowest terms (`2/4` ≡ `1/2`).
+    /// Normalisations: `threads` is forced to 1 (every thread count yields
+    /// the same bits) and the exclusion fraction is reduced to lowest terms
+    /// (`2/4` ≡ `1/2`).
     pub fn canonical(&self) -> ValmodConfig {
         ValmodConfig {
             l_min: self.l_min,
@@ -383,11 +383,9 @@ impl Valmod {
     /// recomputed. The fragments are bit-identical to
     /// [`Valmod::run_lengths_on`]'s.
     ///
-    /// Capture requires the sequential fused kernel (`threads == 1`): the
-    /// chunked parallel kernel does not produce the diagonal chains the
-    /// tail continues. With any other thread count this falls back to the
-    /// plain walk and returns `None` for the state; so does a series whose
-    /// row indices do not fit the packed `u32` neighbours.
+    /// Capture works at every thread count: each diagonal range captures its
+    /// own chain heads. The state is `None` only for a series whose row
+    /// indices do not fit the packed `u32` neighbours.
     pub fn run_lengths_capturing(
         &self,
         ps: &ProfiledSeries,
@@ -401,14 +399,17 @@ impl Valmod {
         let recorder = &self.recorder;
         let _span = valmod_obs::span!(recorder, "core.valmod.segment_us");
         let mut out = Vec::with_capacity(l_hi - l_lo + 1);
-        if cfg.threads != 1 {
-            drive_lengths(ps, &cfg, recorder, |lp, _| out.push(lp))?;
-            return Ok((out, None));
-        }
         ps.require_pairs(cfg.l_max)?;
         let mut ws = Workspace::new();
-        let (mut walk, tail) =
-            compute_matrix_profile_capture_with_ws(ps, l_lo, cfg.p, cfg.policy, recorder, &mut ws)?;
+        let (mut walk, tail) = compute_matrix_profile_capture_with_ws(
+            ps,
+            l_lo,
+            cfg.p,
+            cfg.policy,
+            cfg.threads,
+            recorder,
+            &mut ws,
+        )?;
         // Pack before the walk advances the partials in place.
         let seg = PackedPartials::pack(&walk.partials, l_lo, cfg.p).map(|partials| SegmentState {
             config: cfg.clone(),
@@ -653,9 +654,8 @@ fn drive_lengths(
     // the entire length range.
     let mut ws = Workspace::new();
 
-    // ℓ_min: full profile + harvest (Algorithm 1, line 5). With one thread
-    // the fused diagonal-blocked kernel runs (bitwise-stable baseline);
-    // otherwise the chunked kernel computes disjoint row ranges in parallel.
+    // ℓ_min: full profile + harvest (Algorithm 1, line 5), the fused
+    // diagonal pass split over `threads` diagonal ranges.
     let mut state = compute_matrix_profile_with_ws(
         ps,
         config.l_min,
@@ -957,37 +957,34 @@ mod tests {
     #[test]
     fn threads_do_not_change_the_output() {
         // Random walk plus a flat stretch: the constant rows exercise the
-        // key-0 lower-bound path under chunking.
+        // key-0 lower-bound path and tied distances under the split.
         let mut values = random_walk(420, 109);
         for v in &mut values[150..210] {
             *v = 2.5;
         }
         let series = Series::new(values).unwrap();
-        let base = Valmod::new(16, 40).p(4).run(&series).unwrap();
+        let ps = ProfiledSeries::new(&series);
+        let runner = Valmod::new(16, 40).p(4);
+        let base = runner.run(&series).unwrap();
+        let base_frags = runner.run_lengths_on(&ps, 16, 40).unwrap();
         for threads in [2usize, 3, 7, 16, 0] {
-            let par = Valmod::new(16, 40).p(4).threads(threads).run(&series).unwrap();
+            let par = runner.clone().threads(threads).run(&series).unwrap();
             assert_eq!(par.per_length.len(), base.per_length.len());
             for (a, b) in base.per_length.iter().zip(&par.per_length) {
-                assert_eq!(a.l, b.l);
-                match (a.motif, b.motif) {
-                    (Some(x), Some(y)) => assert!(
-                        (x.dist - y.dist).abs() < 1e-7,
-                        "threads={threads} l={}: {} vs {}",
-                        a.l,
-                        x.dist,
-                        y.dist
-                    ),
-                    (None, None) => {}
-                    other => panic!("threads={threads} l={}: {:?}", a.l, other),
-                }
+                assert_eq!(a.method, b.method, "threads={threads} l={}", a.l);
+                assert_eq!(
+                    a.motif.map(|m| (m.a, m.b, m.dist.to_bits())),
+                    b.motif.map(|m| (m.a, m.b, m.dist.to_bits())),
+                    "threads={threads} l={}",
+                    a.l
+                );
             }
-            for (i, (&x, &y)) in
-                base.valmp.norm_distances.iter().zip(&par.valmp.norm_distances).enumerate()
-            {
-                if x.is_finite() || y.is_finite() {
-                    assert!((x - y).abs() < 1e-7, "threads={threads} slot {i}: {x} vs {y}");
-                }
-            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&base.valmp.norm_distances), bits(&par.valmp.norm_distances));
+            assert_eq!(base.valmp.indices, par.valmp.indices, "threads={threads}");
+            assert_eq!(base.valmp.lengths, par.valmp.lengths, "threads={threads}");
+            let frags = runner.clone().threads(threads).run_lengths_on(&ps, 16, 40).unwrap();
+            assert_fragments_bit_identical(&frags, &base_frags, &format!("threads={threads}"));
         }
     }
 
@@ -1158,7 +1155,7 @@ mod tests {
         let plain = runner.run_lengths_on(&ps, 16, 44).unwrap();
         let (captured, seg) = runner.run_lengths_capturing(&ps, 16, 44).unwrap();
         assert_fragments_bit_identical(&captured, &plain, "capture pass");
-        let seg = seg.expect("threads=1 must capture");
+        let seg = seg.expect("a u32-sized series must capture");
         assert_eq!(seg.anchor(), 16);
         assert_eq!(seg.n(), 700);
         assert!(seg.heap_bytes() > 0);
@@ -1187,12 +1184,13 @@ mod tests {
             l,
             p,
             ExclusionPolicy::HALF,
+            1,
             &SharedRecorder::noop(),
             &mut Workspace::new(),
         )
         .unwrap();
         let (_, seg) = Valmod::new(l, l).p(p).run_lengths_capturing(&ps, l, l).unwrap();
-        let seg = seg.expect("threads=1 must capture");
+        let seg = seg.expect("a u32-sized series must capture");
         let rebuilt = seg.unpack(&ps);
         assert_eq!(rebuilt.profile.mp, kernel.profile.mp, "{what}: anchor profile");
         assert_eq!(rebuilt.profile.ip, kernel.profile.ip, "{what}: anchor indices");
@@ -1244,13 +1242,34 @@ mod tests {
     }
 
     #[test]
-    fn multi_threaded_capture_degrades_to_none() {
-        let ps = ProfiledSeries::from_values(&random_walk(300, 131)).unwrap();
-        let runner = Valmod::new(16, 24).p(4).threads(2);
-        let (frags, seg) = runner.run_lengths_capturing(&ps, 16, 24).unwrap();
-        assert!(seg.is_none(), "parallel kernel has no replayable tail");
-        let fresh = runner.run_lengths_on(&ps, 16, 24).unwrap();
-        assert_fragments_bit_identical(&frags, &fresh, "parallel fallback");
+    fn multi_threaded_capture_matches_one_thread() {
+        // Capture at two threads, then replay and extend: every fragment must
+        // equal the one-thread segment's, bit for bit, including fallbacks.
+        let values = fallback_rich_series(760);
+        let base_n = 700;
+        let base = ProfiledSeries::from_values(&values[..base_n]).unwrap();
+        let grown = ProfiledSeries::with_offset(&values, base.offset()).unwrap();
+        let recorder = SharedRecorder::noop();
+        let capture = |threads: usize| {
+            let runner = Valmod::new(1, 2).p(3).threads(threads);
+            let (frags, seg) = runner.run_lengths_capturing(&base, 16, 44).unwrap();
+            (frags, seg.expect("a u32-sized series must capture"))
+        };
+        let (one_frags, mut one) = capture(1);
+        let (two_frags, mut two) = capture(2);
+        assert_fragments_bit_identical(&two_frags, &one_frags, "capture pass");
+        let (one_replay, two_replay) =
+            (one.replay(&base, 44, &recorder).unwrap(), two.replay(&base, 44, &recorder).unwrap());
+        assert_fragments_bit_identical(&two_replay, &one_replay, "replay");
+        one.extend(&grown, &recorder).unwrap();
+        two.extend(&grown, &recorder).unwrap();
+        let one_replay = one.replay(&grown, 44, &recorder).unwrap();
+        let two_replay = two.replay(&grown, 44, &recorder).unwrap();
+        assert_fragments_bit_identical(&two_replay, &one_replay, "extend + replay");
+        assert!(
+            two_replay.iter().any(|lp| lp.method == LengthMethod::Fallback),
+            "construction no longer reaches the fallback branch"
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::context::ProfiledSeries;
 use crate::distance::dist_from_qt;
 use crate::exclusion::ExclusionPolicy;
 use crate::matrix_profile::MatrixProfile;
-use crate::parallel::resolve_threads;
+use crate::parallel::{map_chunks, resolve_threads};
 use crate::workspace::Workspace;
 
 /// Lexicographic `(distance, index)` min-update: `profile_min` keeps the
@@ -54,10 +54,12 @@ pub fn lex_update(mp: &mut f64, ip: &mut usize, d: f64, j: usize) {
     }
 }
 
-/// Fills the workspace seeds for one kernel call: the direct-summation first
-/// row (`qt_first[k] = ⟨T_0, T_k⟩`, see
+/// The seeds of one diagonal traversal at length `l`: the direct-summation
+/// first row (`qt_first[k] = ⟨T_0, T_k⟩`, see
 /// [`seed_qt`](crate::distance_profile::seed_qt)) and the per-offset
-/// statistics. Returns `ndp`.
+/// statistics, prepared once per pass in a [`Workspace`] and shared
+/// read-only by every diagonal range of the pass — one range on the calling
+/// thread, or one per worker.
 ///
 /// The seeds are deliberately *not* FFT-computed: an FFT sliding dot product
 /// is bit-sensitive to the transform size and therefore to `n`, while the
@@ -66,46 +68,104 @@ pub fn lex_update(mp: &mut f64, ip: &mut usize, d: f64, j: usize) {
 /// the tail-extension path (`crate::extend`) continue the diagonal chains
 /// bit-identically. The `O(nℓ)` seed cost is negligible against the `O(n²)`
 /// traversal.
-fn prepare_seeds(ps: &ProfiledSeries, l: usize, ws: &mut Workspace) -> Result<usize> {
-    let ndp = ps.require_pairs(l)?;
-    let t = ps.centered();
-    let Workspace { qt_first, means, stds, .. } = ws;
-    crate::distance_profile::seed_qt_row_into(t, l, ndp, qt_first);
-    debug_assert_eq!(qt_first.len(), ndp);
-    means.clear();
-    means.extend((0..ndp).map(|i| ps.mean_c(i, l)));
-    stds.clear();
-    stds.extend((0..ndp).map(|i| ps.std(i, l)));
-    Ok(ndp)
+#[derive(Debug, Clone, Copy)]
+pub struct Diagonals<'a> {
+    t: &'a [f64],
+    l: usize,
+    ndp: usize,
+    radius: usize,
+    block: usize,
+    qt_first: &'a [f64],
+    means: &'a [f64],
+    stds: &'a [f64],
 }
 
-/// Streams every non-excluded cell of the upper triangle (`i < j`) to
-/// `visit(i, j, qt, dist)`, traversing diagonals `radius..ndp` in blocks of
-/// `ws.block()` and reusing the workspace buffers and FFT plans.
+impl<'a> Diagonals<'a> {
+    /// Fills `ws`'s seed buffers for a traversal of `ps` at length `l`.
+    pub fn prepare(
+        ps: &'a ProfiledSeries,
+        l: usize,
+        policy: &ExclusionPolicy,
+        ws: &'a mut Workspace,
+    ) -> Result<Self> {
+        let ndp = ps.require_pairs(l)?;
+        ws.note_use();
+        let t = ps.centered();
+        let block = ws.block();
+        let Workspace { qt_first, means, stds, .. } = ws;
+        crate::distance_profile::seed_qt_row_into(t, l, ndp, qt_first);
+        debug_assert_eq!(qt_first.len(), ndp);
+        means.clear();
+        means.extend((0..ndp).map(|i| ps.mean_c(i, l)));
+        stds.clear();
+        stds.extend((0..ndp).map(|i| ps.std(i, l)));
+        Ok(Diagonals { t, l, ndp, radius: policy.radius(l), block, qt_first, means, stds })
+    }
+
+    /// Number of subsequences (rows, and columns) of the distance matrix.
+    #[inline]
+    pub fn ndp(&self) -> usize {
+        self.ndp
+    }
+
+    /// The whole traversal, diagonals `[radius, ndp)` (empty when the
+    /// exclusion zone covers every pair).
+    #[inline]
+    pub fn full(&self) -> (usize, usize) {
+        (self.radius.min(self.ndp), self.ndp)
+    }
+
+    /// The traversal split for `threads` workers ([`diagonal_chunks`]):
+    /// contiguous ascending ranges covering [`Diagonals::full`], never none
+    /// (a fully excluded traversal is one empty range).
+    pub fn chunks(&self, threads: usize) -> Vec<(usize, usize)> {
+        let chunks = diagonal_chunks(self.ndp, self.radius, threads);
+        if chunks.is_empty() {
+            vec![self.full()]
+        } else {
+            chunks
+        }
+    }
+
+    /// A profile with every slot unset, `(∞, usize::MAX)`.
+    fn unset_profile(&self) -> MatrixProfile {
+        MatrixProfile {
+            l: self.l,
+            mp: vec![f64::INFINITY; self.ndp],
+            ip: vec![usize::MAX; self.ndp],
+            exclusion_radius: self.radius,
+        }
+    }
+
+    /// Min-folds both ends of every cell of diagonals `range` into `out`.
+    fn fold_into(&self, range: (usize, usize), out: &mut MatrixProfile) {
+        let (mp, ip) = (&mut out.mp, &mut out.ip);
+        diagonal_cells(self, range, |i, j, _q, d| {
+            lex_update(&mut mp[i], &mut ip[i], d, j);
+            lex_update(&mut mp[j], &mut ip[j], d, i);
+        });
+    }
+}
+
+/// Streams every cell `(i, i + k)` of diagonals `k ∈ [k_start, k_end)` to
+/// `visit(i, j, qt, dist)`, in blocks of the workspace's block width. The
+/// range must lie within [`Diagonals::full`]; each cell's QT chains from the
+/// shared seed of its diagonal, so any split of the diagonals into ranges
+/// visits every cell with the same bits.
 ///
 /// Within a fixed `i`, cells arrive in ascending `j`; for a fixed `j`, in
 /// ascending `i` — so a lexicographic min-fold over the visits reproduces
-/// the row kernel's profile exactly. Returns `ndp`.
-pub fn diagonal_cells<F>(
-    ps: &ProfiledSeries,
-    l: usize,
-    policy: &ExclusionPolicy,
-    ws: &mut Workspace,
-    mut visit: F,
-) -> Result<usize>
+/// the row kernel's profile exactly.
+pub fn diagonal_cells<F>(diags: &Diagonals<'_>, (k_start, k_end): (usize, usize), mut visit: F)
 where
     F: FnMut(usize, usize, f64, f64),
 {
-    let ndp = prepare_seeds(ps, l, ws)?;
-    ws.note_use();
-    let block = ws.block();
-    let t = ps.centered();
-    let Workspace { qt_first, diag, means, stds, .. } = ws;
-    let radius = policy.radius(l);
-
-    let mut kb = radius;
-    while kb < ndp {
-        let bw = block.min(ndp - kb);
+    let Diagonals { t, l, ndp, block, qt_first, means, stds, .. } = *diags;
+    debug_assert!(diags.radius.min(ndp) <= k_start && k_start <= k_end && k_end <= ndp);
+    let mut diag = Vec::with_capacity(block.min(k_end - k_start));
+    let mut kb = k_start;
+    while kb < k_end {
+        let bw = block.min(k_end - kb);
         diag.clear();
         diag.extend_from_slice(&qt_first[kb..kb + bw]);
         // The block is a trapezoid: diagonal kb+c holds rows 0..ndp-(kb+c).
@@ -130,7 +190,6 @@ where
         }
         kb += bw;
     }
-    Ok(ndp)
 }
 
 /// Number of diagonal blocks the blocked traversal of `ndp` subsequences
@@ -167,22 +226,16 @@ pub fn stomp_diagonal_with(
     let observe = recorder.enabled();
     let (hits0, misses0, reused) =
         (ws.plan_cache().hits(), ws.plan_cache().misses(), ws.uses() > 0);
-    let ndp = ps.require_pairs(l)?;
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    diagonal_cells(ps, l, &policy, ws, |i, j, _q, d| {
-        lex_update(&mut mp[i], &mut ip[i], d, j);
-        lex_update(&mut mp[j], &mut ip[j], d, i);
-    })?;
+    let out = stomp_diagonal_parallel_ws(ps, l, policy, 1, ws)?;
     if observe {
-        recorder.add("mp.diag.blocks", block_count(ndp, policy.radius(l), ws.block()));
+        recorder.add("mp.diag.blocks", block_count(out.len(), policy.radius(l), ws.block()));
         if reused {
             recorder.add("mp.workspace.reuses", 1);
         }
         recorder.add("fft.plan_cache.hits", ws.plan_cache().hits() - hits0);
         recorder.add("fft.plan_cache.misses", ws.plan_cache().misses() - misses0);
     }
-    Ok(MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) })
+    Ok(out)
 }
 
 /// Splits diagonals `[radius, ndp)` into at most `threads` contiguous
@@ -218,49 +271,6 @@ pub fn diagonal_chunks(ndp: usize, radius: usize, threads: usize) -> Vec<(usize,
     chunks
 }
 
-/// Runs the blocked traversal over diagonals `[k_start, k_end)` only, with
-/// caller-provided seed/statistics slices and a local QT buffer — the
-/// per-worker body of the parallel kernel.
-#[allow(clippy::too_many_arguments)]
-fn diagonal_range_minfold(
-    t: &[f64],
-    l: usize,
-    ndp: usize,
-    qt_first: &[f64],
-    means: &[f64],
-    stds: &[f64],
-    (k_start, k_end): (usize, usize),
-    block: usize,
-    mp: &mut [f64],
-    ip: &mut [usize],
-) {
-    let mut diag = Vec::with_capacity(block.min(k_end - k_start));
-    let mut kb = k_start;
-    while kb < k_end {
-        let bw = block.min(k_end - kb);
-        diag.clear();
-        diag.extend_from_slice(&qt_first[kb..kb + bw]);
-        for i in 0..ndp - kb {
-            let w = bw.min(ndp - kb - i);
-            if i > 0 {
-                let (a, b) = (t[i - 1], t[i + l - 1]);
-                for (c, q) in diag.iter_mut().enumerate().take(w) {
-                    let j = i + kb + c;
-                    *q = *q - a * t[j - 1] + b * t[j + l - 1];
-                }
-            }
-            let (mean_i, std_i) = (means[i], stds[i]);
-            for (c, &q) in diag.iter().enumerate().take(w) {
-                let j = i + kb + c;
-                let d = dist_from_qt(q, l, mean_i, std_i, means[j], stds[j]);
-                lex_update(&mut mp[i], &mut ip[i], d, j);
-                lex_update(&mut mp[j], &mut ip[j], d, i);
-            }
-        }
-        kb += bw;
-    }
-}
-
 /// Computes the *partial* matrix profile contributed by diagonals
 /// `[k_start, k_end)` alone: a full-length `(mp, ip)` pair where slots never
 /// touched by this range stay at `(∞, usize::MAX)`. The range must lie within
@@ -278,30 +288,12 @@ pub fn stomp_diagonal_range_ws(
     (k_start, k_end): (usize, usize),
     ws: &mut Workspace,
 ) -> Result<MatrixProfile> {
-    let ndp = prepare_seeds(ps, l, ws)?;
-    ws.note_use();
-    let block = ws.block();
-    let t = ps.centered();
-    let radius = policy.radius(l);
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    let (k_start, k_end) = (k_start.clamp(radius, ndp), k_end.clamp(radius, ndp));
-    if k_start < k_end {
-        let Workspace { qt_first, means, stds, .. } = ws;
-        diagonal_range_minfold(
-            t,
-            l,
-            ndp,
-            qt_first,
-            means,
-            stds,
-            (k_start, k_end),
-            block,
-            &mut mp,
-            &mut ip,
-        );
-    }
-    Ok(MatrixProfile { l, mp, ip, exclusion_radius: radius })
+    let diags = Diagonals::prepare(ps, l, &policy, ws)?;
+    let (lo, hi) = diags.full();
+    let (k_start, k_end) = (k_start.clamp(lo, hi), k_end.clamp(lo, hi));
+    let mut out = diags.unset_profile();
+    diags.fold_into((k_start, k_end.max(k_start)), &mut out);
+    Ok(out)
 }
 
 /// Lexicographically min-merges the partial profile `src` into `dst`
@@ -321,12 +313,14 @@ pub fn merge_partial(dst: &mut MatrixProfile, src: &MatrixProfile) {
 }
 
 /// The parallel diagonal-blocked matrix profile: diagonals are partitioned
-/// into cell-balanced contiguous ranges, each worker min-folds into its own
-/// full-length profile, and the per-worker profiles merge lexicographically.
+/// into cell-balanced contiguous ranges ([`Diagonals::chunks`]), each range
+/// min-folds into its own full-length profile ([`map_chunks`]: the last on
+/// the calling thread), and the profiles merge lexicographically.
 ///
 /// The lexicographic `(distance, index)` min is associative and commutative,
 /// so the result is bit-identical to the sequential kernel — and therefore
-/// to the row kernel — for *any* thread count.
+/// to the row kernel — for *any* thread count. One thread is one range on
+/// the calling thread: no spawn and no merge.
 pub fn stomp_diagonal_parallel_ws(
     ps: &ProfiledSeries,
     l: usize,
@@ -334,46 +328,17 @@ pub fn stomp_diagonal_parallel_ws(
     threads: usize,
     ws: &mut Workspace,
 ) -> Result<MatrixProfile> {
-    let ndp = prepare_seeds(ps, l, ws)?;
-    ws.note_use();
-    let block = ws.block();
-    let t = ps.centered();
-    let radius = policy.radius(l);
-    let chunks = diagonal_chunks(ndp, radius, threads);
-    let (qt_first, means, stds) = (&ws.qt_first, &ws.means, &ws.stds);
-
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    if let [only] = chunks[..] {
-        // One worker: fold straight into the output, no merge copy.
-        diagonal_range_minfold(t, l, ndp, qt_first, means, stds, only, block, &mut mp, &mut ip);
-    } else {
-        let locals = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&range| {
-                    scope.spawn(move || {
-                        let mut lmp = vec![f64::INFINITY; ndp];
-                        let mut lip = vec![usize::MAX; ndp];
-                        diagonal_range_minfold(
-                            t, l, ndp, qt_first, means, stds, range, block, &mut lmp, &mut lip,
-                        );
-                        (lmp, lip)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("diagonal worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (lmp, lip) in locals {
-            for i in 0..ndp {
-                lex_update(&mut mp[i], &mut ip[i], lmp[i], lip[i]);
-            }
-        }
+    let diags = Diagonals::prepare(ps, l, &policy, ws)?;
+    let mut parts = map_chunks(&diags.chunks(threads), |range| {
+        let mut part = diags.unset_profile();
+        diags.fold_into(range, &mut part);
+        part
+    });
+    let mut out = parts.pop().expect("a traversal has at least one range");
+    for part in &parts {
+        merge_partial(&mut out, part);
     }
-    Ok(MatrixProfile { l, mp, ip, exclusion_radius: radius })
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 use valmod_data::error::{DataError, Result};
 
 use crate::context::ProfiledSeries;
-use crate::diagonal::{diagonal_cells, lex_update};
+use crate::diagonal::{diagonal_cells, lex_update, Diagonals};
 use crate::distance::dist_from_qt;
 use crate::distance_profile::seed_qt;
 use crate::exclusion::ExclusionPolicy;
@@ -121,43 +121,60 @@ pub fn stomp_with_tail_ws(
     policy: ExclusionPolicy,
     ws: &mut Workspace,
 ) -> Result<(MatrixProfile, TailState)> {
-    let ndp = ps.require_pairs(l)?;
+    let diags = Diagonals::prepare(ps, l, &policy, ws)?;
+    let ndp = diags.ndp();
     let mut mp = vec![f64::INFINITY; ndp];
     let mut ip = vec![usize::MAX; ndp];
-    let state = capture_cells(ps, l, policy, ws, |i, j, _q, d| {
+    let heads = capture_cells(&diags, diags.full(), |i, j, _q, d| {
         lex_update(&mut mp[i], &mut ip[i], d, j);
         lex_update(&mut mp[j], &mut ip[j], d, i);
-    })?;
+    });
+    let state = TailState::from_heads(ps, l, policy, vec![heads]);
     Ok((MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) }, state))
 }
 
-/// Runs the cold diagonal traversal, streaming every cell `(i, j, qt, dist)`
-/// to `visit` exactly as [`diagonal_cells`] does, while capturing the
-/// [`TailState`] — the QT values of the matrix's last column. This lets
-/// callers with richer per-cell folds (e.g. `valmod-core`'s fused
-/// lower-bound harvest) become extension-ready without a second pass.
-pub fn capture_cells<F>(
-    ps: &ProfiledSeries,
-    l: usize,
-    policy: ExclusionPolicy,
-    ws: &mut Workspace,
-    mut visit: F,
-) -> Result<TailState>
+/// Streams every cell of diagonals `range` to `visit` exactly as
+/// [`diagonal_cells`] does, and returns the range's chain heads: the QT
+/// value of each diagonal's final cell, in the matrix's last column.
+/// Diagonal `k` ends at row `ndp − 1 − k`, so the heads of `[k_start,
+/// k_end)` are rows `ndp − k_end .. ndp − k_start`, in row order. This
+/// lets callers with richer per-cell folds (e.g. `valmod-core`'s fused
+/// lower-bound harvest) become extension-ready without a second pass, one
+/// range per worker; [`TailState::from_heads`] assembles the state.
+pub fn capture_cells<F>(diags: &Diagonals<'_>, range: (usize, usize), mut visit: F) -> Vec<f64>
 where
     F: FnMut(usize, usize, f64, f64),
 {
-    let ndp = ps.require_pairs(l)?;
-    let radius = policy.radius(l);
-    let mut last = vec![0.0f64; ndp.saturating_sub(radius)];
-    diagonal_cells(ps, l, &policy, ws, |i, j, q, d| {
+    let (ndp, (k_start, k_end)) = (diags.ndp(), range);
+    let first_row = ndp - k_end;
+    let mut heads = vec![0.0f64; k_end - k_start];
+    diagonal_cells(diags, range, |i, j, q, d| {
         visit(i, j, q, d);
         if j == ndp - 1 {
             // The final cell of diagonal ndp−1−i: the chain head a future
             // extension continues from.
-            last[i] = q;
+            heads[i - first_row] = q;
         }
-    })?;
-    Ok(TailState { l, radius, n: ps.len(), offset_bits: ps.offset().to_bits(), qt: last })
+    });
+    heads
+}
+
+impl TailState {
+    /// The tail of a traversal of `ps` at length `l`, from the chain heads
+    /// [`capture_cells`] returned for each range of a split of
+    /// [`Diagonals::full`], listed in ascending range order.
+    pub fn from_heads(
+        ps: &ProfiledSeries,
+        l: usize,
+        policy: ExclusionPolicy,
+        heads: Vec<Vec<f64>>,
+    ) -> TailState {
+        // Later ranges end on earlier rows.
+        let qt: Vec<f64> = heads.into_iter().rev().flatten().collect();
+        let radius = policy.radius(l);
+        debug_assert_eq!(qt.len(), (ps.len() + 1).saturating_sub(l).saturating_sub(radius));
+        TailState { l, radius, n: ps.len(), offset_bits: ps.offset().to_bits(), qt }
+    }
 }
 
 /// Streams every cell the series growth added — `(i, j, qt, dist)` with

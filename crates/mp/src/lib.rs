@@ -7,10 +7,10 @@
 //!
 //! The hot path is the cache-friendly [`diagonal`]-blocked STOMP kernel,
 //! backed by a reusable [`workspace::Workspace`] (scratch buffers + FFT plan
-//! cache); the [`stomp::StompDriver`] row streamer remains as its
-//! differential oracle and as the shared kernel for VALMOD's row-harvesting
-//! `ComputeMatrixProfile` (in `valmod-core`). The two kernels are
-//! bit-identical — `valmod-check` enforces it.
+//! cache), split over threads by diagonal ranges; the
+//! [`stomp::StompDriver`] row streamer remains as its differential oracle.
+//! The two kernels are bit-identical at every thread count — `valmod-check`
+//! enforces it.
 //!
 //! ## Quick example
 //!
@@ -51,7 +51,7 @@ pub mod workspace;
 pub use context::ProfiledSeries;
 pub use diagonal::{
     diagonal_cells, diagonal_chunks, lex_update, merge_partial, stomp_diagonal_parallel_ws,
-    stomp_diagonal_range_ws, stomp_diagonal_ws,
+    stomp_diagonal_range_ws, stomp_diagonal_ws, Diagonals,
 };
 pub use discord::{top_discords, Discord};
 pub use distance::{dist_from_qt, length_normalize, zdist_naive};
@@ -63,7 +63,7 @@ pub use extend::{
 pub use join::{ab_join, closest_cross_pair};
 pub use matrix_profile::MatrixProfile;
 pub use motif::{top_motifs, MotifPair};
-pub use parallel::{resolve_threads, stomp_parallel, stomp_parallel_with, stomp_rows};
+pub use parallel::{map_chunks, resolve_threads, stomp_parallel, stomp_parallel_with};
 pub use stamp::stamp;
 pub use stomp::{stomp, stomp_row, StompDriver};
 pub use streaming::StreamingProfile;

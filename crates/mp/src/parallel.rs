@@ -4,21 +4,19 @@
 //! trivially ("GPUs, cloud computing, and other HPC environments").
 //! [`stomp_parallel`] partitions the *diagonals* of the distance matrix into
 //! cell-balanced contiguous ranges (see [`crate::diagonal`]), one blocked
-//! traversal per worker, and merges the per-worker profiles with the
+//! traversal per range, and merges the per-range profiles with the
 //! lexicographic min — which is associative, so the result is bit-identical
-//! to the sequential kernel for any thread count.
+//! to the sequential kernel for any thread count. `valmod-core`'s harvest
+//! splits its pass the same way.
 //!
-//! The older row-chunked machinery stays: [`stomp_rows`] is a visitor-based
-//! kernel that hands each row's distance profile *and* dot-product vector to
-//! a closure, and [`row_chunks`] splits rows across workers. `valmod-core`'s
-//! chunked lower-bound harvest still builds on them (harvesting needs full
-//! rows), as do the differential oracles.
+//! [`map_chunks`] is the one fan-out every chunked kernel shares: the last
+//! chunk runs on the calling thread, the others on scoped threads.
+//! [`row_chunks`] splits rows for `ComputeSubMP`'s per-row advance.
 
 use valmod_data::error::Result;
 use valmod_obs::{Recorder, SharedRecorder};
 
 use crate::context::ProfiledSeries;
-use crate::distance_profile::{dp_from_qt_into, self_qt};
 use crate::exclusion::ExclusionPolicy;
 use crate::matrix_profile::MatrixProfile;
 
@@ -52,53 +50,33 @@ pub fn row_chunks(ndp: usize, threads: usize) -> Vec<(usize, usize)> {
     chunks
 }
 
-/// Streams rows `[row_start, row_start + row_len)` of the self-join distance
-/// matrix to `visit`, which receives `(row, distance_profile, qt)` where
-/// `qt[j] = ⟨T_row, T_j⟩` on the centered series.
+/// Runs `work` once per chunk and returns the results in chunk order:
+/// every chunk but the last on a scoped thread, the last on the calling
+/// thread — so a single chunk spawns nothing.
 ///
-/// The first row of the range is seeded with one FFT pass
-/// ([`self_qt`]); subsequent rows use the `O(1)`-per-cell STOMP update, with
-/// column 0 recovered by symmetry (`⟨T_i, T_0⟩ = ⟨T_0, T_i⟩`, a direct
-/// `O(ℓ)` dot product) so chunks never need each other's state. The caller
-/// must have validated `l` (e.g. via [`ProfiledSeries::require_pairs`]) and
-/// `row_start + row_len <= ndp`.
-pub fn stomp_rows<F>(
-    ps: &ProfiledSeries,
-    l: usize,
-    policy: &ExclusionPolicy,
-    row_start: usize,
-    row_len: usize,
-    mut visit: F,
-) where
-    F: FnMut(usize, &[f64], &[f64]),
+/// # Panics
+/// If a worker panics.
+pub fn map_chunks<C, S, W>(chunks: &[C], work: W) -> Vec<S>
+where
+    C: Copy + Send,
+    S: Send,
+    W: Fn(C) -> S + Sync,
 {
-    if row_len == 0 {
-        return;
-    }
-    let ndp = ps.num_subsequences(l);
-    debug_assert!(row_start + row_len <= ndp);
-    let t = ps.centered();
-    // Seed: the full dot-product vector of the range's first row (FFT).
-    let mut qt = self_qt(ps, row_start, l);
-    let mut dp = Vec::with_capacity(ndp);
-    for i in row_start..row_start + row_len {
-        if i > row_start {
-            // STOMP update, descending j (paper Alg. 3 lines 10–12).
-            for j in (1..ndp).rev() {
-                qt[j] = qt[j - 1] - t[i - 1] * t[j - 1] + t[i + l - 1] * t[j + l - 1];
-            }
-            // First column by symmetry: ⟨T_0, T_i⟩ = ⟨T_i, T_0⟩, computed
-            // directly (cheap O(ℓ); avoids sharing the seed row across
-            // chunks).
-            qt[0] = t[0..l].iter().zip(&t[i..i + l]).map(|(a, b)| a * b).sum();
-        }
-        dp_from_qt_into(ps, &qt, i, l, policy, &mut dp);
-        visit(i, &dp, &qt);
-    }
+    let Some((&last, rest)) = chunks.split_last() else { return Vec::new() };
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = rest.iter().map(|&c| scope.spawn(move || work(c))).collect();
+        let own = work(last);
+        let mut out: Vec<S> =
+            handles.into_iter().map(|h| h.join().expect("chunk worker panicked")).collect();
+        out.push(own);
+        out
+    })
 }
 
-/// Computes the matrix profile with `threads` workers (1 = sequential
-/// fallback identical to [`crate::stomp::stomp`]; 0 = all available cores).
+/// Computes the matrix profile with `threads` workers (0 = all available
+/// cores). Bit-identical to [`crate::stomp::stomp`] at every thread count;
+/// one thread runs the single traversal on the calling thread.
 pub fn stomp_parallel(
     ps: &ProfiledSeries,
     l: usize,
@@ -109,9 +87,9 @@ pub fn stomp_parallel(
 }
 
 /// [`stomp_parallel`] with instrumentation: the whole parallel traversal is
-/// timed into `mp.diag.parallel_us`, the single FFT seed into
-/// `mp.mass.calls`, the row total into `mp.stomp.rows`, and the block count
-/// into `mp.diag.blocks`. With a disabled recorder the only cost is one
+/// timed into `mp.diag.parallel_us`, the one seed row into `mp.mass.calls`,
+/// the row total into `mp.stomp.rows`, and the block count into
+/// `mp.diag.blocks`. With a disabled recorder the only cost is one
 /// `enabled()` branch per call.
 pub fn stomp_parallel_with(
     ps: &ProfiledSeries,
@@ -126,7 +104,7 @@ pub fn stomp_parallel_with(
         crate::diagonal::stomp_diagonal_parallel_ws(ps, l, policy, threads, &mut ws)?
     };
     if recorder.enabled() {
-        // One FFT-seeded first row; every other cell uses the O(1) update.
+        // One seed row; every other cell uses the O(1) update.
         recorder.add("mp.mass.calls", 1);
         recorder.add("mp.stomp.rows", profile.len() as u64);
         recorder.add(
@@ -149,16 +127,8 @@ mod tests {
         let par = stomp_parallel(&ps, l, ExclusionPolicy::HALF, threads).unwrap();
         assert_eq!(seq.len(), par.len());
         for i in 0..seq.len() {
-            if seq.mp[i].is_infinite() || par.mp[i].is_infinite() {
-                assert_eq!(seq.mp[i].is_infinite(), par.mp[i].is_infinite(), "row {i}");
-            } else {
-                assert!(
-                    (seq.mp[i] - par.mp[i]).abs() < 1e-7,
-                    "row {i}: {} vs {}",
-                    seq.mp[i],
-                    par.mp[i]
-                );
-            }
+            assert_eq!(seq.mp[i].to_bits(), par.mp[i].to_bits(), "mp[{i}] at threads={threads}");
+            assert_eq!(seq.ip[i], par.ip[i], "ip[{i}] at threads={threads}");
         }
     }
 
@@ -201,20 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn visitor_sees_each_row_once_with_qt() {
-        let ps = ProfiledSeries::from_values(&random_walk(80, 2)).unwrap();
-        let l = 8;
-        let t = ps.centered();
-        let mut rows = Vec::new();
-        stomp_rows(&ps, l, &ExclusionPolicy::HALF, 3, 5, |i, dp, qt| {
-            rows.push(i);
-            assert_eq!(dp.len(), qt.len());
-            // qt really is the dot-product row of the centered series.
-            for (j, &q) in qt.iter().enumerate().step_by(17) {
-                let direct: f64 = t[i..i + l].iter().zip(&t[j..j + l]).map(|(a, b)| a * b).sum();
-                assert!((q - direct).abs() < 1e-6, "qt[{j}] at row {i}");
-            }
-        });
-        assert_eq!(rows, vec![3, 4, 5, 6, 7]);
+    fn map_chunks_keeps_chunk_order() {
+        assert_eq!(map_chunks(&[3usize, 1, 2], |c| c * 10), vec![30, 10, 20]);
+        assert_eq!(map_chunks(&[7usize], |c| c + 1), vec![8]);
+        assert!(map_chunks(&[] as &[usize], |c| c).is_empty());
     }
 }

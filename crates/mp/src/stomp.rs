@@ -7,8 +7,8 @@
 //! bit-identical to the row traversal here but cache-friendly. The
 //! row-by-row machinery stays as [`StompDriver`] / [`stomp_row`]: it is the
 //! differential oracle for the diagonal kernel (`valmod-check`'s
-//! `diagonal-vs-row`) and the row streamer the chunked parallel harvest in
-//! `valmod-core` builds on.
+//! `diagonal-vs-row`) and the row streamer `valmod-core`'s instrumentation
+//! probe builds on.
 
 use valmod_data::error::Result;
 

@@ -1,9 +1,8 @@
 //! A reusable arena of kernel scratch buffers.
 //!
 //! Every matrix-profile computation needs the same transient state: the
-//! FFT-seeded first dot-product row, per-offset rolling statistics, the
-//! in-flight diagonal QT values, and (during lower-bound refinement) a
-//! recomputed dot-product row. [`Workspace`] owns all of it, plus a
+//! direct-sum first dot-product row, per-offset rolling statistics, and
+//! (during lower-bound refinement) a recomputed dot-product row. [`Workspace`] owns all of it, plus a
 //! [`PlanCache`] of FFT plans, so a VALMOD sweep over ℓmin..ℓmax — dozens of
 //! `ComputeMatrixProfile`/`ComputeSubMP` calls — allocates each buffer once
 //! and reuses every FFT plan instead of rebuilding per length.
@@ -12,8 +11,9 @@
 //! fresh plans by construction, buffers are fully overwritten before use,
 //! and the [`HarvestHint`] it may carry between passes is verified by the
 //! harvest that reads it. It is deliberately not thread-safe; parallel
-//! kernels give each worker its own thread-local scratch and share only the
-//! read-only seeds.
+//! kernels share only the read-only seeds
+//! ([`Diagonals`](crate::diagonal::Diagonals)) and keep their in-flight
+//! diagonal values per range.
 
 use valmod_fft::PlanCache;
 
@@ -52,8 +52,6 @@ pub struct Workspace {
     pub(crate) plans: PlanCache,
     /// `⟨T_0, T_j⟩` seeds for every diagonal (filled per kernel call).
     pub(crate) qt_first: Vec<f64>,
-    /// In-flight QT values of the current diagonal block.
-    pub(crate) diag: Vec<f64>,
     /// Per-offset subsequence means on the centred series.
     pub(crate) means: Vec<f64>,
     /// Per-offset subsequence standard deviations.
@@ -84,7 +82,6 @@ impl Workspace {
         Workspace {
             plans: PlanCache::new(),
             qt_first: Vec::new(),
-            diag: Vec::new(),
             means: Vec::new(),
             stds: Vec::new(),
             qt: Vec::new(),

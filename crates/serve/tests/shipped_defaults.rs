@@ -3,6 +3,7 @@
 //! state must fit a default stripe's fragment-cache share, so every
 //! post-append query extends it instead of recomputing its anchor — and
 //! answers byte-identically to a cold engine replaying the same history.
+//! Both hold at one and at two kernel threads; the cold engine runs one.
 //!
 //! Run with `--release` for speed; the debug build takes about a minute.
 
@@ -57,29 +58,36 @@ fn cold_body(history: &[&[f64]]) -> String {
 #[test]
 fn appends_extend_the_parked_state_at_shipped_defaults() {
     let values = ecg_like(BASE + BATCHES * BATCH, 7).into_values();
-    let engine = QueryEngine::new(EngineConfig::builder().build().unwrap());
-    engine.load("ecg", values[..BASE].to_vec(), &[], ExclusionPolicy::HALF, false).unwrap();
-    let mut history: Vec<&[f64]> = vec![&values[..BASE]];
-    assert_eq!(body(&engine), cold_body(&history), "cold LOAD answer");
-    assert_eq!(planner(&engine, "parked_states"), 1, "the fresh state fits the free share");
-    assert_eq!(planner(&engine, "parked_proven"), 0, "a fresh capture is speculative");
+    let batch = |k: usize| &values[BASE + k * BATCH..BASE + (k + 1) * BATCH];
+    let history = |appends: usize| -> Vec<&[f64]> {
+        std::iter::once(&values[..BASE]).chain((0..appends).map(batch)).collect()
+    };
+    let colds: Vec<String> = (0..=BATCHES).map(|k| cold_body(&history(k))).collect();
+    for kernel_threads in [1usize, 2] {
+        let what = format!("kernel_threads={kernel_threads}");
+        let engine = QueryEngine::new(
+            EngineConfig::builder().kernel_threads(kernel_threads).build().unwrap(),
+        );
+        engine.load("ecg", values[..BASE].to_vec(), &[], ExclusionPolicy::HALF, false).unwrap();
+        assert_eq!(body(&engine), colds[0], "{what}: cold LOAD answer");
+        assert_eq!(planner(&engine, "parked_states"), 1, "{what}: the fresh state fits");
+        assert_eq!(planner(&engine, "parked_proven"), 0, "{what}: a fresh capture is speculative");
 
-    for k in 0..BATCHES {
-        let batch = &values[BASE + k * BATCH..BASE + (k + 1) * BATCH];
-        engine.append("ecg", batch).unwrap();
-        history.push(batch);
-        assert_eq!(body(&engine), cold_body(&history), "after append {}", k + 1);
-        assert_eq!(planner(&engine, "fragments_extended"), k + 1, "append {} extended", k + 1);
+        for k in 0..BATCHES {
+            engine.append("ecg", batch(k)).unwrap();
+            assert_eq!(body(&engine), colds[k + 1], "{what}: after append {}", k + 1);
+            assert_eq!(planner(&engine, "fragments_extended"), k + 1, "{what}: append {}", k + 1);
+        }
+        assert_eq!(planner(&engine, "fragments_extended"), BATCHES, "{what}");
+        assert_eq!(planner(&engine, "parked_states"), 1, "{what}");
+        assert_eq!(planner(&engine, "parked_proven"), 1, "{what}: an extended state is proven");
+        assert_eq!(planner(&engine, "states_refused"), 0, "{what}");
+        let parked = planner(&engine, "parked_bytes");
+        let stripes =
+            engine.stats().get("engine").and_then(|e| e.get("stripes")).and_then(Value::as_usize);
+        let share = planner(&engine, "fragment_budget_bytes") / stripes.unwrap();
+        assert!(parked < share, "{what}: {parked} parked bytes must fit a {share}-byte share");
+        engine.shutdown();
+        engine.join();
     }
-    assert_eq!(planner(&engine, "fragments_extended"), BATCHES);
-    assert_eq!(planner(&engine, "parked_states"), 1);
-    assert_eq!(planner(&engine, "parked_proven"), 1, "an extended state is proven");
-    assert_eq!(planner(&engine, "states_refused"), 0);
-    let parked = planner(&engine, "parked_bytes");
-    let stripes =
-        engine.stats().get("engine").and_then(|e| e.get("stripes")).and_then(Value::as_usize);
-    let share = planner(&engine, "fragment_budget_bytes") / stripes.unwrap();
-    assert!(parked < share, "{parked} parked bytes must fit a {share}-byte stripe share");
-    engine.shutdown();
-    engine.join();
 }

@@ -124,8 +124,13 @@ fn thread_counts_never_change_results_only_wall_clock() {
             let cfg = ValmodConfig::new(L_MIN, L_MAX).with_p(p).with_threads(threads);
             let out = Valmod::from_config(cfg).run_on(&ps).unwrap();
             for (a, b) in base.per_length.iter().zip(&out.per_length) {
-                let (x, y) = (a.motif.unwrap().dist, b.motif.unwrap().dist);
-                assert!((x - y).abs() < 1e-7, "p={p} threads={threads} l={}: {x} vs {y}", a.l);
+                let (x, y) = (a.motif.unwrap(), b.motif.unwrap());
+                assert_eq!(
+                    (x.a, x.b, x.dist.to_bits()),
+                    (y.a, y.b, y.dist.to_bits()),
+                    "p={p} threads={threads} l={}",
+                    a.l
+                );
             }
         }
     }

@@ -104,10 +104,10 @@ proptest! {
         }
     }
 
-    /// The chunked parallel STOMP kernel agrees with the sequential row
-    /// streamer for arbitrary series (including flat stretches, which
-    /// exercise the zero-σ distance convention) and arbitrary thread counts
-    /// — in particular counts that do not divide the row count.
+    /// The parallel STOMP kernel equals the sequential one bit for bit for
+    /// arbitrary series (including flat stretches, which exercise the zero-σ
+    /// distance convention) and arbitrary thread counts — in particular
+    /// counts that do not divide the diagonal count.
     #[test]
     fn stomp_parallel_matches_sequential(kind in 0u8..4, seed in 0u64..500,
                                          threads in 1usize..17) {
@@ -118,23 +118,15 @@ proptest! {
         let par = stomp_parallel(&ps, l, ExclusionPolicy::HALF, threads).unwrap();
         prop_assert_eq!(seq.len(), par.len());
         for i in 0..seq.len() {
-            if seq.mp[i].is_infinite() || par.mp[i].is_infinite() {
-                prop_assert_eq!(seq.mp[i].is_infinite(), par.mp[i].is_infinite(),
-                    "row {} (threads={})", i, threads);
-            } else {
-                // d = sqrt(2l(1-q)): near d = 0 the square root turns an
-                // O(1e-15) dot-product rounding difference into O(1e-7), so
-                // compare squared distances there instead.
-                let close = (seq.mp[i] - par.mp[i]).abs() < 1e-7
-                    || (seq.mp[i] * seq.mp[i] - par.mp[i] * par.mp[i]).abs() < 1e-10;
-                prop_assert!(close,
-                    "row {i} (threads={threads}): {} vs {}", seq.mp[i], par.mp[i]);
-            }
+            prop_assert_eq!(seq.mp[i].to_bits(), par.mp[i].to_bits(),
+                "mp[{}] (threads={})", i, threads);
+            prop_assert_eq!(seq.ip[i], par.ip[i], "ip[{}] (threads={})", i, threads);
         }
     }
 
-    /// Parallel VALMOD (chunked harvest + threaded sub-MP advance) agrees
-    /// with the sequential driver on random walks and flat-stretch series.
+    /// Parallel VALMOD (diagonal-split harvest + threaded sub-MP advance)
+    /// equals the sequential driver bit for bit on random walks and
+    /// flat-stretch series.
     #[test]
     fn parallel_valmod_matches_sequential(kind in 0u8..4, seed in 0u64..500,
                                           threads in 2usize..17) {
@@ -144,24 +136,15 @@ proptest! {
         let par = Valmod::from_config(ValmodConfig::new(14, 20).with_p(3).with_threads(threads)).run_on(&ps)
             .unwrap();
         prop_assert_eq!(seq.per_length.len(), par.per_length.len());
-        // Near-zero distances amplify dot-product rounding through the
-        // square root; fall back to squared-distance comparison there.
-        let close = |x: f64, y: f64| (x - y).abs() < 1e-7 || (x * x - y * y).abs() < 1e-10;
         for (a, b) in seq.per_length.iter().zip(&par.per_length) {
-            match (a.motif, b.motif) {
-                (Some(x), Some(y)) => prop_assert!(close(x.dist, y.dist),
-                    "threads={} l={}: {} vs {}", threads, a.l, x.dist, y.dist),
-                (None, None) => {}
-                other => prop_assert!(false, "threads={} l={}: {:?}", threads, a.l, other.0),
-            }
+            prop_assert_eq!(a.method, b.method, "threads={} l={}", threads, a.l);
+            prop_assert_eq!(a.motif.map(|m| (m.a, m.b, m.dist.to_bits())),
+                b.motif.map(|m| (m.a, m.b, m.dist.to_bits())), "threads={} l={}", threads, a.l);
         }
-        for (i, (&x, &y)) in
-            seq.valmp.norm_distances.iter().zip(&par.valmp.norm_distances).enumerate()
-        {
-            if x.is_finite() || y.is_finite() {
-                prop_assert!(close(x, y), "threads={threads} slot {i}: {x} vs {y}");
-            }
-        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&seq.valmp.norm_distances), bits(&par.valmp.norm_distances),
+            "threads={}", threads);
+        prop_assert_eq!(&seq.valmp.indices, &par.valmp.indices, "threads={}", threads);
     }
 
     /// The matrix profile is invariant to affine transforms of the series
