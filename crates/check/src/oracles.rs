@@ -133,9 +133,10 @@ pub fn check_diagonal_vs_row(case: &Case, ps: &ProfiledSeries) -> Option<Diverge
         }
         None
     };
-    // Block width 1 (pure diagonal walk), a small width that splits the
-    // trapezoids mid-series, and one wider than any case (single block).
-    for block in [1usize, 7, 1 << 20] {
+    // Block width 1 (pure diagonal walk), small widths that split the
+    // trapezoids mid-series (9 also leaves a partial trailing lane chunk),
+    // and one wider than any case (single block).
+    for block in [1usize, 7, 9, 1 << 20] {
         let mut ws = Workspace::with_block(block);
         let diag = match stomp_diagonal_ws(ps, l, policy, &mut ws) {
             Ok(p) => p,

@@ -627,7 +627,14 @@ fn check_subcommand_runs_a_tiny_clean_sweep() {
     // A scaled-down `valmod check`: a handful of cases, fault matrix on —
     // enough to prove the wiring end to end without repeating the CI smoke.
     let out = run(&["check", "--seed", "42", "--cases", "10", "--probes", "8"]);
-    assert!(out.status.success(), "{}", stderr(&out));
+    // `valmod check` reports divergences on stdout, so a failure shows all.
+    assert!(
+        out.status.success(),
+        "{}\n--- stdout ---\n{}\n--- stderr ---\n{}",
+        out.status,
+        stdout(&out),
+        stderr(&out)
+    );
     let text = stdout(&out);
     assert!(text.contains("differential: 10 cases"), "{text}");
     assert!(text.contains("verdict: CLEAN"), "{text}");

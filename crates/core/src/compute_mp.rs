@@ -2,10 +2,11 @@
 //! harvesting.
 //!
 //! The harvest is fused into the diagonal-blocked kernel
-//! ([`valmod_mp::diagonal::diagonal_cells`]): every visited cell `(i, j)`
-//! folds into both rows' minima *and* both rows' [`PartialProfile`]s
-//! (`listDP` in the paper) in one cache-resident pass, reusing a
-//! [`Workspace`]'s buffers and FFT plans across calls. Total cost
+//! ([`valmod_mp::diagonal::diagonal_rows`]): every visited cell `(i, j)`,
+//! handed over one block row of lanes at a time, folds into both rows'
+//! minima *and* both rows' [`PartialProfile`]s (`listDP` in the paper) in
+//! one cache-resident pass, reusing a [`Workspace`]'s buffers and FFT
+//! plans across calls. Total cost
 //! `O(n² log p)` at worst; the per-row gates of [`crate::harvest`] keep
 //! most cells out of the heaps. With several threads the pass splits its
 //! diagonals into ranges ([`Diagonals::chunks`]), one sink per range,
@@ -16,7 +17,7 @@
 //! refinement step of `ComputeSubMP` — at every thread count.
 
 use valmod_data::error::Result;
-use valmod_mp::diagonal::{diagonal_cells, Diagonals};
+use valmod_mp::diagonal::{diagonal_rows, Diagonals};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::extend::{capture_cells, TailState};
 use valmod_mp::matrix_profile::MatrixProfile;
@@ -77,13 +78,13 @@ pub fn compute_matrix_profile_ws(
 
 /// One range of a plain pass: every cell into the sink.
 fn plain_walk(diags: &Diagonals<'_>, range: (usize, usize), sink: &mut HarvestSink) {
-    diagonal_cells(diags, range, |i, j, q, d| sink.visit(i, j, q, d));
+    diagonal_rows(diags, range, |i, j0, qt, dist| sink.visit_row(i, j0, qt, dist));
 }
 
 /// One range of a capturing pass: every cell into the sink, plus the
 /// range's chain heads.
 fn capture_walk(diags: &Diagonals<'_>, range: (usize, usize), sink: &mut HarvestSink) -> Vec<f64> {
-    capture_cells(diags, range, |i, j, q, d| sink.visit(i, j, q, d))
+    capture_cells(diags, range, |i, j0, qt, dist| sink.visit_row(i, j0, qt, dist))
 }
 
 /// The one fused pass behind every entry point: takes the workspace's hint,
@@ -319,7 +320,8 @@ mod tests {
         let reference = row_streamed_reference(&ps, 16, 3, ExclusionPolicy::HALF);
         // Narrow blocks offer a flat row its far neighbours first, so a gate
         // that turned away ties at the root key would keep the wrong ones.
-        for block in [1usize, 4, 256] {
+        // Widths 7, 8 and 9 sit at the edges of an 8-lane gate chunk.
+        for block in [1usize, 4, 7, 8, 9, 256] {
             let mut ws = Workspace::with_block(block);
             let fused =
                 compute_matrix_profile_ws(&ps, 16, 3, ExclusionPolicy::HALF, &mut ws).unwrap();

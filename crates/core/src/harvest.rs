@@ -27,7 +27,7 @@
 //! that is not full. So a pass whose seeded rows all end full is exact, and
 //! any other pass is rerun unseeded.
 
-use valmod_mp::diagonal::lex_update;
+use valmod_mp::diagonal::{fold_row, lex_update};
 use valmod_mp::distance::is_flat;
 use valmod_mp::parallel::map_chunks;
 use valmod_mp::workspace::Workspace;
@@ -44,6 +44,11 @@ const SEED_REL_MARGIN: f64 = 1e-9;
 /// Absolute slack per unit of length on a seeded gate, for keys so small
 /// that the relative slack vanishes (near-duplicate pairs).
 const SEED_ABS_MARGIN: f64 = 1e-12;
+
+/// Lanes per gate-scan chunk of [`HarvestSink::visit_row`]. Once the
+/// gates tighten, most chunks have no passing lane and cost a few vector
+/// compares.
+const GATE_LANES: usize = 8;
 
 /// The Eq. 2 anchor key of a pair from its distance: `q = 1 − d²/(2ℓ)`,
 /// key `ℓ(1 − q²)` for `q > 0` and `ℓ` otherwise. Pairs involving a flat
@@ -174,6 +179,8 @@ pub(crate) struct HarvestSink {
     /// The seeded starting gates, one per row (empty when unseeded).
     seeds: Vec<f64>,
     stats: HarvestStats,
+    /// Lane buffer: the keys of the block row being visited.
+    keys: Vec<f64>,
 }
 
 /// What a finished pass hands back.
@@ -224,31 +231,72 @@ impl HarvestSink {
             gates,
             seeds: Vec::new(),
             stats: HarvestStats::default(),
+            keys: Vec::new(),
         }
     }
 
-    /// Folds cell `(i, j)` — dot product `q`, distance `d` — into both rows'
-    /// minima and offers it to both rows' heaps through their gates. The
-    /// key is symmetric in the pair's flat flags, so both ends share it.
-    #[inline(always)]
-    pub(crate) fn visit(&mut self, i: usize, j: usize, q: f64, d: f64) {
-        lex_update(&mut self.mp[i], &mut self.ip[i], d, j);
-        lex_update(&mut self.mp[j], &mut self.ip[j], d, i);
-        if !d.is_finite() {
-            return;
+    /// Folds the block row `(i, j0..j0 + w)` — lane `c` holds cell
+    /// `(i, j0 + c)`'s dot product `qt[c]` and distance `dist[c]` — into
+    /// both ends' minima ([`fold_row`]) and offers every cell to both ends'
+    /// heaps through their gates.
+    ///
+    /// The keys go into the sink's lane buffer in one branch-free loop (the
+    /// key is symmetric in the pair's flat flags, so both ends share it),
+    /// and the gates are scanned [`GATE_LANES`] lanes at a time. Only a
+    /// chunk with a passing lane takes the scalar path
+    /// ([`HarvestSink::offer_lanes`]), which offers its cells one by one in
+    /// the order a per-cell walk would: ascending `c`, row end first. So
+    /// every heap sees the same offers in the same order as it would cell
+    /// by cell, and keeps the same entries in the same heap layout.
+    pub(crate) fn visit_row(&mut self, i: usize, j0: usize, qt: &[f64], dist: &[f64]) {
+        let w = dist.len();
+        fold_row(&mut self.mp, &mut self.ip, i, j0, dist);
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.resize(w, 0.0);
+        debug_assert!(dist.iter().all(|d| d.is_finite()), "the traversal's distances are finite");
+        let (l, row_flat) = (self.l, self.flats[i]);
+        for ((key, &d), &col_flat) in keys.iter_mut().zip(dist).zip(&self.flats[j0..j0 + w]) {
+            *key = key_for_pair(d, l, row_flat, col_flat);
         }
-        self.stats.offers += 2;
-        let key = key_for_pair(d, self.l, self.flats[i], self.flats[j]);
-        if key <= self.gates[i] {
-            self.offer(i, DpEntry { neighbor: j, qt: q, dist: d, lb_key: key });
+        self.stats.offers += 2 * w as u64;
+        for c0 in (0..w).step_by(GATE_LANES) {
+            let c1 = (c0 + GATE_LANES).min(w);
+            let gate_i = self.gates[i];
+            let pass = keys[c0..c1]
+                .iter()
+                .zip(&self.gates[j0 + c0..j0 + c1])
+                .fold(false, |any, (&k, &gate_j)| any | (k <= gate_i) | (k <= gate_j));
+            if pass {
+                self.offer_lanes(i, j0, c0..c1, (qt, dist, &keys));
+            }
         }
-        if key <= self.gates[j] {
-            self.offer(j, DpEntry { neighbor: i, qt: q, dist: d, lb_key: key });
+        self.keys = keys;
+    }
+
+    /// The scalar path of [`HarvestSink::visit_row`] for the lanes `cs` of
+    /// one gate chunk: each lane re-checked against the live gates, and
+    /// offered to row `i` first, then to its column. Kept out of line so
+    /// the lane loops stay small.
+    #[inline(never)]
+    fn offer_lanes(
+        &mut self,
+        i: usize,
+        j0: usize,
+        cs: std::ops::Range<usize>,
+        (qt, dist, keys): (&[f64], &[f64], &[f64]),
+    ) {
+        for c in cs {
+            let (j, lb_key) = (j0 + c, keys[c]);
+            if lb_key <= self.gates[i] {
+                self.offer(i, DpEntry { neighbor: j, qt: qt[c], dist: dist[c], lb_key });
+            }
+            if lb_key <= self.gates[j] {
+                self.offer(j, DpEntry { neighbor: i, qt: qt[c], dist: dist[c], lb_key });
+            }
         }
     }
 
-    /// The gated-through branch of [`HarvestSink::visit`], kept out of line
-    /// so the per-cell loop stays small.
+    /// Offers `entry` to `row`'s heap and counts it when kept.
     #[inline(never)]
     fn offer(&mut self, row: usize, entry: DpEntry) {
         if admit(&mut self.partials[row], &mut self.gates[row], entry) {
@@ -298,9 +346,9 @@ pub(crate) fn take_hint(ws: &mut Workspace, l: usize, p: usize, ndp: usize) -> O
 }
 
 /// Runs one fresh fused pass over the `ndp` rows of length `l`, split into
-/// the diagonal ranges `chunks`: `walk(range, sink)` streams every cell of
-/// one range to the sink's [`HarvestSink::visit`] and returns what it
-/// captured on the side, collected in range order. The last range runs on
+/// the diagonal ranges `chunks`: `walk(range, sink)` streams every block
+/// row of one range to the sink's [`HarvestSink::visit_row`] and returns
+/// what it captured on the side, collected in range order. The last range runs on
 /// the calling thread into the main sink; each other range runs on its own
 /// thread into its own sink from the same seeds, and is absorbed into the
 /// main sink afterwards.
@@ -357,8 +405,9 @@ mod tests {
     use crate::lb::lb_key;
     use crate::sub_mp::compute_sub_mp_threaded_with_ws;
     use valmod_data::datasets::emg_like;
+    use valmod_mp::diagonal::{diagonal_rows, Diagonals};
     use valmod_mp::exclusion::ExclusionPolicy;
-    use valmod_mp::workspace::HarvestHint;
+    use valmod_mp::workspace::{HarvestHint, DEFAULT_BLOCK};
     use valmod_obs::Registry;
 
     fn assert_same_harvest(a: &MpWithProfiles, b: &MpWithProfiles, what: &str) {
@@ -461,6 +510,88 @@ mod tests {
             let (out, seeded_rows, reruns) = recorded_pass(&ps, l, p, 1, &mut ws);
             assert_eq!((seeded_rows, reruns), (0, 0));
             assert_same_harvest(&out, &cold, "mismatched hint");
+        }
+    }
+
+    /// The per-cell reference for [`HarvestSink::visit_row`]: cell `(i, j)`
+    /// folded into both minima and offered to row `i`'s heap, then to row
+    /// `j`'s, each through its live gate.
+    fn visit_cell(sink: &mut HarvestSink, i: usize, j: usize, qt: f64, dist: f64) {
+        lex_update(&mut sink.mp[i], &mut sink.ip[i], dist, j);
+        lex_update(&mut sink.mp[j], &mut sink.ip[j], dist, i);
+        if !dist.is_finite() {
+            return;
+        }
+        sink.stats.offers += 2;
+        let lb_key = key_for_pair(dist, sink.l, sink.flats[i], sink.flats[j]);
+        if lb_key <= sink.gates[i] {
+            sink.offer(i, DpEntry { neighbor: j, qt, dist, lb_key });
+        }
+        if lb_key <= sink.gates[j] {
+            sink.offer(j, DpEntry { neighbor: i, qt, dist, lb_key });
+        }
+    }
+
+    /// One fused pass at `l` over `threads` ranges of `block`-wide blocks,
+    /// each block row handed to [`HarvestSink::visit_row`] or, with
+    /// `per_cell`, walked cell by cell in ascending lane order.
+    fn walked_pass(
+        ps: &ProfiledSeries,
+        (l, p, block, threads): (usize, usize, usize, usize),
+        hint: Option<Vec<f64>>,
+        per_cell: bool,
+    ) -> Harvested {
+        let mut ws = Workspace::with_block(block);
+        let ndp = ps.require_pairs(l).unwrap();
+        let diags = Diagonals::prepare(ps, l, &ExclusionPolicy::HALF, &mut ws).unwrap();
+        let walk = |range, sink: &mut HarvestSink| {
+            diagonal_rows(&diags, range, |i, j0, qt, dist| {
+                if per_cell {
+                    for (c, (&q, &d)) in qt.iter().zip(dist).enumerate() {
+                        visit_cell(sink, i, j0 + c, q, d);
+                    }
+                } else {
+                    sink.visit_row(i, j0, qt, dist);
+                }
+            })
+        };
+        harvest_pass(ps, l, p, ndp, hint, &diags.chunks(threads), walk).0
+    }
+
+    #[test]
+    fn block_rows_offer_every_heap_what_a_per_cell_walk_offers_in_the_same_order() {
+        let mut series = emg_like(520, 11).into_values();
+        series[200..260].fill(0.25); // flat rows: key-0 ties at every gate
+        let ps = ProfiledSeries::from_values(&series).unwrap();
+        let (l, p) = (24, 5);
+        let cold = walked_pass(&ps, (l, p, DEFAULT_BLOCK, 1), None, true);
+        // Per-row bounds that hold: the largest retained distance.
+        let bounds: Vec<f64> = (cold.partials.iter())
+            .map(|prof| prof.entries().iter().map(|e| e.dist).fold(0.0, f64::max))
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (block, threads, seeded) in [(DEFAULT_BLOCK, 1, false), (9, 3, false)]
+            .into_iter()
+            .chain([(DEFAULT_BLOCK, 1, true), (DEFAULT_BLOCK, 3, true), (8, 1, true)])
+        {
+            let what = format!("block={block} threads={threads} seeded={seeded}");
+            let hint = || seeded.then(|| bounds.clone());
+            let cells = walked_pass(&ps, (l, p, block, threads), hint(), true);
+            let rows = walked_pass(&ps, (l, p, block, threads), hint(), false);
+            assert_eq!(bits(&rows.mp), bits(&cells.mp), "{what}: mp");
+            assert_eq!(rows.ip, cells.ip, "{what}: ip");
+            for (a, b) in rows.partials.iter().zip(&cells.partials) {
+                // Heap order, not sorted: the same offers in the same order.
+                let heap = |prof: &PartialProfile| {
+                    let e = prof.entries().iter();
+                    e.map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(heap(a), heap(b), "{what}: row {}", a.owner);
+            }
+            assert_eq!(rows.stats, cells.stats, "{what}: offers and accepted");
+            assert_eq!(rows.stats.seed_reruns, 0, "{what}: the bounds hold");
+            assert_eq!(rows.stats.seeded_rows > 0, seeded, "{what}: seeded rows");
         }
     }
 

@@ -531,7 +531,7 @@ impl SegmentState {
         mp.resize(new_ndp, f64::INFINITY);
         ip.resize(new_ndp, usize::MAX);
         let mut sink = HarvestSink::resume(ps, l, mp, ip, partials);
-        let grown = extend_cells(&mut self.tail, ps, |i, j, q, d| sink.visit(i, j, q, d));
+        let grown = extend_cells(&mut self.tail, ps, |r, j0, qt, d| sink.visit_row(r, j0, qt, d));
         let harvest = sink.finish();
         (self.profile.mp, self.profile.ip) = (harvest.mp, harvest.ip);
         grown?;

@@ -16,7 +16,9 @@
 //!   symmetric), halving the arithmetic of the row kernel, and the
 //!   symmetric min-update writes both `mp[i]` and `mp[j]`.
 //! * The per-row QT update loop is branch-free over the block width and
-//!   reads `t[j]` contiguously, so it auto-vectorises.
+//!   reads `t[j]` contiguously, so it auto-vectorises. So is the distance
+//!   loop that follows it (`row_distances`): a visitor gets each block
+//!   row as lane slices ([`diagonal_rows`]), never one call per cell.
 //!
 //! ## Bit-identity with the row kernel
 //!
@@ -35,7 +37,7 @@ use valmod_data::error::Result;
 use valmod_obs::{Recorder, SharedRecorder};
 
 use crate::context::ProfiledSeries;
-use crate::distance::dist_from_qt;
+use crate::distance::is_flat;
 use crate::exclusion::ExclusionPolicy;
 use crate::matrix_profile::MatrixProfile;
 use crate::parallel::{map_chunks, resolve_threads};
@@ -140,29 +142,100 @@ impl<'a> Diagonals<'a> {
     /// Min-folds both ends of every cell of diagonals `range` into `out`.
     fn fold_into(&self, range: (usize, usize), out: &mut MatrixProfile) {
         let (mp, ip) = (&mut out.mp, &mut out.ip);
-        diagonal_cells(self, range, |i, j, _q, d| {
-            lex_update(&mut mp[i], &mut ip[i], d, j);
-            lex_update(&mut mp[j], &mut ip[j], d, i);
-        });
+        diagonal_rows(self, range, |i, j0, _qt, dist| fold_row(mp, ip, i, j0, dist));
     }
 }
 
-/// Streams every cell `(i, i + k)` of diagonals `k ∈ [k_start, k_end)` to
-/// `visit(i, j, qt, dist)`, in blocks of the workspace's block width. The
-/// range must lie within [`Diagonals::full`]; each cell's QT chains from the
-/// shared seed of its diagonal, so any split of the diagonals into ranges
-/// visits every cell with the same bits.
+/// Z-normalised distances of one block row: `dist[c]` gets the bits of
+/// `dist_from_qt(qt[c], l, mean_i, std_i, means[c], stds[c])`.
 ///
-/// Within a fixed `i`, cells arrive in ascending `j`; for a fixed `j`, in
-/// ascending `i` — so a lexicographic min-fold over the visits reproduces
-/// the row kernel's profile exactly.
-pub fn diagonal_cells<F>(diags: &Diagonals<'_>, (k_start, k_end): (usize, usize), mut visit: F)
+/// One branch-free lane loop: row `i`'s flat flag is hoisted, every lane
+/// evaluates the general expression with exactly `dist_from_qt`'s IEEE
+/// operations and association (Rust never contracts to FMA), and the flat
+/// cases are blended in by select — so the loop vectorises and each lane
+/// carries the scalar call's bits. Every distance is finite: the
+/// correlation is clamped, and a NaN one yields `max(NaN, 0) = 0`.
+#[inline(always)]
+pub(crate) fn row_distances(
+    l: usize,
+    (mean_i, std_i): (f64, f64),
+    qt: &[f64],
+    means: &[f64],
+    stds: &[f64],
+    dist: &mut [f64],
+) {
+    let lf = l as f64;
+    let (two_l, sqrt_l) = (2.0 * lf, lf.sqrt());
+    if is_flat(std_i, mean_i) {
+        for (d, (&mean_j, &std_j)) in dist.iter_mut().zip(means.iter().zip(stds)) {
+            *d = if is_flat(std_j, mean_j) { 0.0 } else { sqrt_l };
+        }
+        return;
+    }
+    for ((d, &q), (&mean_j, &std_j)) in dist.iter_mut().zip(qt).zip(means.iter().zip(stds)) {
+        let corr = ((q / lf - mean_i * mean_j) / (std_i * std_j)).clamp(-1.0, 1.0);
+        let general = (two_l * (1.0 - corr)).max(0.0).sqrt();
+        *d = if is_flat(std_j, mean_j) { sqrt_l } else { general };
+    }
+}
+
+/// Lanes per chunk of [`fold_row`]'s pre-test.
+const FOLD_LANES: usize = 8;
+
+/// Min-folds the block row `(i, j0..j0 + dist.len())` into `(mp, ip)`:
+/// row `i` by [`lex_update`] over ascending `j`, then each column `j` with
+/// neighbour `i`. Every slot ends with the bits a per-cell [`lex_update`]
+/// of both ends would leave, because that fold is order-independent.
+///
+/// A lane can only move a slot whose minimum it does not exceed, and once
+/// the first blocks have passed almost none does. So each chunk of
+/// `FOLD_LANES` lanes is first tested with branch-free compares (`d ≤`
+/// the slot's minimum; NaN fails), and only a passing chunk runs
+/// [`lex_update`]. The row's test reads its minimum at the chunk's start,
+/// which only falls, so no lane that would update is skipped.
+#[inline(always)]
+pub fn fold_row(mp: &mut [f64], ip: &mut [usize], i: usize, j0: usize, dist: &[f64]) {
+    let (mut best, mut arg) = (mp[i], ip[i]);
+    for (c0, ds) in (0..dist.len()).step_by(FOLD_LANES).zip(dist.chunks(FOLD_LANES)) {
+        if ds.iter().fold(false, |any, &d| any | (d <= best)) {
+            for (c, &d) in ds.iter().enumerate() {
+                lex_update(&mut best, &mut arg, d, j0 + c0 + c);
+            }
+        }
+    }
+    (mp[i], ip[i]) = (best, arg);
+    let cols = j0..j0 + dist.len();
+    let slots = mp[cols.clone()].chunks_mut(FOLD_LANES).zip(ip[cols].chunks_mut(FOLD_LANES));
+    for (ds, (ms, ps)) in dist.chunks(FOLD_LANES).zip(slots) {
+        if ds.iter().zip(&*ms).fold(false, |any, (&d, &m)| any | (d <= m)) {
+            for ((m, p), &d) in ms.iter_mut().zip(ps).zip(ds) {
+                lex_update(m, p, d, i);
+            }
+        }
+    }
+}
+
+/// Streams diagonals `k ∈ [k_start, k_end)` one block row at a time: for
+/// each block of the workspace's block width and each row `i` it holds,
+/// `visit(i, j0, qt, dist)` gets the row's cells `(i, j0 + c)` as lanes —
+/// their dot products and distances (`row_distances`). The range must lie
+/// within [`Diagonals::full`]; each cell's QT chains from the shared seed
+/// of its diagonal, so any split of the diagonals into ranges visits every
+/// cell with the same bits.
+///
+/// Rows arrive in ascending order within a block, so for a fixed `i` cells
+/// arrive in ascending `j`, and for a fixed `j` in ascending `i` — a
+/// lexicographic min-fold over the visits reproduces the row kernel's
+/// profile exactly.
+pub fn diagonal_rows<F>(diags: &Diagonals<'_>, (k_start, k_end): (usize, usize), mut visit: F)
 where
-    F: FnMut(usize, usize, f64, f64),
+    F: FnMut(usize, usize, &[f64], &[f64]),
 {
     let Diagonals { t, l, ndp, block, qt_first, means, stds, .. } = *diags;
     debug_assert!(diags.radius.min(ndp) <= k_start && k_start <= k_end && k_end <= ndp);
-    let mut diag = Vec::with_capacity(block.min(k_end - k_start));
+    let width = block.min(k_end - k_start);
+    let mut diag = Vec::with_capacity(width);
+    let mut dist = vec![0.0; width];
     let mut kb = k_start;
     while kb < k_end {
         let bw = block.min(k_end - kb);
@@ -170,23 +243,21 @@ where
         diag.extend_from_slice(&qt_first[kb..kb + bw]);
         // The block is a trapezoid: diagonal kb+c holds rows 0..ndp-(kb+c).
         for i in 0..ndp - kb {
-            let w = bw.min(ndp - kb - i);
+            let (j0, w) = (i + kb, bw.min(ndp - kb - i));
+            let (qt, dist) = (&mut diag[..w], &mut dist[..w]);
             if i > 0 {
                 // The STOMP recurrence along each diagonal (paper Alg. 3
                 // lines 10–12, same expression and association as the row
                 // kernel), contiguous in both t reads — vectorises.
                 let (a, b) = (t[i - 1], t[i + l - 1]);
-                for (c, q) in diag.iter_mut().enumerate().take(w) {
-                    let j = i + kb + c;
-                    *q = *q - a * t[j - 1] + b * t[j + l - 1];
+                let lanes = t[j0 - 1..j0 - 1 + w].iter().zip(&t[j0 + l - 1..j0 + l - 1 + w]);
+                for (q, (&x, &y)) in qt.iter_mut().zip(lanes) {
+                    *q = *q - a * x + b * y;
                 }
             }
-            let (mean_i, std_i) = (means[i], stds[i]);
-            for (c, &q) in diag.iter().enumerate().take(w) {
-                let j = i + kb + c;
-                let d = dist_from_qt(q, l, mean_i, std_i, means[j], stds[j]);
-                visit(i, j, q, d);
-            }
+            let cols = j0..j0 + w;
+            row_distances(l, (means[i], stds[i]), qt, &means[cols.clone()], &stds[cols], dist);
+            visit(i, j0, qt, dist);
         }
         kb += bw;
     }
@@ -371,7 +442,9 @@ mod tests {
         let (series, _) = plant_motif(400, 30, 3, 0.01, 23);
         let ps = ProfiledSeries::from_values(&series).unwrap();
         let row = stomp_row(&ps, 30, ExclusionPolicy::HALF).unwrap();
-        for block in [1usize, 3, 64, 10_000] {
+        // 7, 8 and 9 sit around a multiple of every vector width, so the
+        // lane loops run with and without a scalar remainder.
+        for block in [1usize, 3, 7, 8, 9, 64, 10_000] {
             let mut ws = Workspace::with_block(block);
             let diag = stomp_diagonal_ws(&ps, 30, ExclusionPolicy::HALF, &mut ws).unwrap();
             assert_profiles_bit_identical(&diag, &row, &format!("block={block}"));

@@ -11,9 +11,9 @@
 //!   [`TailState`] — the in-flight QT values of the matrix's last column,
 //!   which every still-growing diagonal chains through.
 //! * [`extend_profile`] walks the new columns with the *same* recurrence,
-//!   seed expression, and distance call as the diagonal kernel
+//!   seed expression, and distance lanes as the diagonal kernel
 //!   ([`crate::diagonal`]), min-folding new cells into the old profile with
-//!   [`lex_update`].
+//!   [`fold_row`].
 //!
 //! ## Why the result is bit-identical to a cold recompute
 //!
@@ -31,8 +31,7 @@
 use valmod_data::error::{DataError, Result};
 
 use crate::context::ProfiledSeries;
-use crate::diagonal::{diagonal_cells, lex_update, Diagonals};
-use crate::distance::dist_from_qt;
+use crate::diagonal::{diagonal_rows, fold_row, row_distances, Diagonals};
 use crate::distance_profile::seed_qt;
 use crate::exclusion::ExclusionPolicy;
 use crate::matrix_profile::MatrixProfile;
@@ -125,16 +124,15 @@ pub fn stomp_with_tail_ws(
     let ndp = diags.ndp();
     let mut mp = vec![f64::INFINITY; ndp];
     let mut ip = vec![usize::MAX; ndp];
-    let heads = capture_cells(&diags, diags.full(), |i, j, _q, d| {
-        lex_update(&mut mp[i], &mut ip[i], d, j);
-        lex_update(&mut mp[j], &mut ip[j], d, i);
+    let heads = capture_cells(&diags, diags.full(), |i, j0, _qt, dist| {
+        fold_row(&mut mp, &mut ip, i, j0, dist)
     });
     let state = TailState::from_heads(ps, l, policy, vec![heads]);
     Ok((MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) }, state))
 }
 
-/// Streams every cell of diagonals `range` to `visit` exactly as
-/// [`diagonal_cells`] does, and returns the range's chain heads: the QT
+/// Streams every block row of diagonals `range` to `visit` exactly as
+/// [`diagonal_rows`] does, and returns the range's chain heads: the QT
 /// value of each diagonal's final cell, in the matrix's last column.
 /// Diagonal `k` ends at row `ndp − 1 − k`, so the heads of `[k_start,
 /// k_end)` are rows `ndp − k_end .. ndp − k_start`, in row order. This
@@ -143,17 +141,17 @@ pub fn stomp_with_tail_ws(
 /// range per worker; [`TailState::from_heads`] assembles the state.
 pub fn capture_cells<F>(diags: &Diagonals<'_>, range: (usize, usize), mut visit: F) -> Vec<f64>
 where
-    F: FnMut(usize, usize, f64, f64),
+    F: FnMut(usize, usize, &[f64], &[f64]),
 {
     let (ndp, (k_start, k_end)) = (diags.ndp(), range);
     let first_row = ndp - k_end;
     let mut heads = vec![0.0f64; k_end - k_start];
-    diagonal_cells(diags, range, |i, j, q, d| {
-        visit(i, j, q, d);
-        if j == ndp - 1 {
-            // The final cell of diagonal ndp−1−i: the chain head a future
-            // extension continues from.
-            heads[i - first_row] = q;
+    diagonal_rows(diags, range, |i, j0, qt, dist| {
+        visit(i, j0, qt, dist);
+        if j0 + qt.len() == ndp {
+            // The lane with j == ndp−1 is the final cell of diagonal
+            // ndp−1−i: the chain head a future extension continues from.
+            heads[i - first_row] = qt[qt.len() - 1];
         }
     });
     heads
@@ -177,10 +175,14 @@ impl TailState {
     }
 }
 
-/// Streams every cell the series growth added — `(i, j, qt, dist)` with
+/// Streams every cell the series growth added — `(i, j)` with
 /// `j ≥ old_ndp`, `j − i ≥ radius` — to `visit`, advancing the state to
-/// `ps.len()` samples. Cells arrive column by column (ascending `j`, then
-/// ascending `i`), each exactly once. Returns `(old_ndp, new_ndp)`.
+/// `ps.len()` samples. Each new column `r` arrives once, in ascending `r`,
+/// as the block row `visit(r, 0, qt, dist)`: lanes `i ∈ [0, r − radius]`
+/// hold cell `(i, r)`. The cell is bitwise symmetric, so this is the
+/// visitor shape [`diagonal_rows`] uses, and a heap fed by it sees its
+/// offers in the order a column-major per-cell walk would give them.
+/// Returns `(old_ndp, new_ndp)`.
 ///
 /// `ps` must be the grown series profiled with the *same pinned offset* the
 /// state was captured under; anything else is rejected. This is the shared
@@ -193,11 +195,15 @@ pub fn extend_cells<F>(
     mut visit: F,
 ) -> Result<(usize, usize)>
 where
-    F: FnMut(usize, usize, f64, f64),
+    F: FnMut(usize, usize, &[f64], &[f64]),
 {
     let (old_ndp, new_ndp) = state.check(ps)?;
     let (l, radius) = (state.l, state.radius);
     let t = ps.centered();
+    let rows = new_ndp.saturating_sub(radius);
+    let means: Vec<f64> = (0..rows).map(|i| ps.mean_c(i, l)).collect();
+    let stds: Vec<f64> = (0..rows).map(|i| ps.std(i, l)).collect();
+    let mut dist = vec![0.0; rows];
     for r in old_ndp..new_ndp {
         let Some(imax) = r.checked_sub(radius) else { continue };
         // Column r chains cell (i, r) from cell (i−1, r−1) of the previous
@@ -209,11 +215,9 @@ where
             state.qt[i] = state.qt[i - 1] - t[i - 1] * t[r - 1] + t[i + l - 1] * t[r + l - 1];
         }
         state.qt[0] = seed_qt(t, r, l);
-        let (mean_r, std_r) = (ps.mean_c(r, l), ps.std(r, l));
-        for (i, &q) in state.qt.iter().enumerate() {
-            let d = dist_from_qt(q, l, ps.mean_c(i, l), ps.std(i, l), mean_r, std_r);
-            visit(i, r, q, d);
-        }
+        let (w, row) = (imax + 1, (ps.mean_c(r, l), ps.std(r, l)));
+        row_distances(l, row, &state.qt, &means[..w], &stds[..w], &mut dist[..w]);
+        visit(r, 0, &state.qt, &dist[..w]);
     }
     state.n = ps.len();
     Ok((old_ndp, new_ndp))
@@ -243,16 +247,14 @@ pub fn extend_profile(
     profile.mp.resize(new_ndp, f64::INFINITY);
     profile.ip.resize(new_ndp, usize::MAX);
     let (mp, ip) = (&mut profile.mp, &mut profile.ip);
-    extend_cells(state, ps, |i, j, _q, d| {
-        lex_update(&mut mp[i], &mut ip[i], d, j);
-        lex_update(&mut mp[j], &mut ip[j], d, i);
-    })?;
+    extend_cells(state, ps, |r, j0, _qt, dist| fold_row(mp, ip, r, j0, dist))?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::is_flat;
     use crate::stomp::stomp;
     use valmod_data::generators::{plant_motif, random_walk};
 
@@ -278,21 +280,36 @@ mod tests {
 
     #[test]
     fn extension_is_bit_identical_to_cold_stomp_across_schedules() {
-        let series = random_walk(420, 23);
+        let walk = random_walk(420, 23);
         for schedule in [vec![1usize, 1, 1], vec![7, 40, 1, 52], vec![120]] {
             let base_n = 420 - schedule.iter().sum::<usize>();
-            let base = ProfiledSeries::from_values(&series[..base_n]).unwrap();
-            let offset = base.offset();
-            let (mut profile, mut state) =
-                stomp_with_tail(&base, 16, ExclusionPolicy::HALF).unwrap();
-            let mut n = base_n;
-            for &k in &schedule {
-                n += k;
-                let grown = ProfiledSeries::with_offset(&series[..n], offset).unwrap();
-                extend_profile(&mut profile, &mut state, &grown).unwrap();
-                let cold = stomp(&grown, 16, ExclusionPolicy::HALF).unwrap();
-                assert_bits(&profile, &cold, &format!("schedule {schedule:?} at n={n}"));
+            // The plain walk, and the walk with a flat stretch that crosses
+            // the append boundary: flat rows and columns on both sides of it.
+            let mut flat = walk.clone();
+            flat[base_n - 20..(base_n + 25).min(420)].fill(1.5);
+            let ps = ProfiledSeries::from_values(&flat).unwrap();
+            let flat_row = |i: usize| is_flat(ps.std(i, 16), ps.mean_c(i, 16));
+            assert!(flat_row(base_n - 20) && flat_row(base_n - 17), "flat rows at n={base_n}");
+            for (series, what) in [(&walk, "walk"), (&flat, "flat stretch")] {
+                extend_along(series, &schedule, what);
             }
+        }
+    }
+
+    /// Extends a profile of `series`'s prefix by each batch of `schedule`
+    /// in turn, checking it against a cold profile after every batch.
+    fn extend_along(series: &[f64], schedule: &[usize], what: &str) {
+        let base_n = series.len() - schedule.iter().sum::<usize>();
+        let base = ProfiledSeries::from_values(&series[..base_n]).unwrap();
+        let offset = base.offset();
+        let (mut profile, mut state) = stomp_with_tail(&base, 16, ExclusionPolicy::HALF).unwrap();
+        let mut n = base_n;
+        for &k in schedule {
+            n += k;
+            let grown = ProfiledSeries::with_offset(&series[..n], offset).unwrap();
+            extend_profile(&mut profile, &mut state, &grown).unwrap();
+            let cold = stomp(&grown, 16, ExclusionPolicy::HALF).unwrap();
+            assert_bits(&profile, &cold, &format!("{what}: schedule {schedule:?} at n={n}"));
         }
     }
 

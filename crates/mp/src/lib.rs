@@ -50,7 +50,7 @@ pub mod workspace;
 
 pub use context::ProfiledSeries;
 pub use diagonal::{
-    diagonal_cells, diagonal_chunks, lex_update, merge_partial, stomp_diagonal_parallel_ws,
+    diagonal_chunks, diagonal_rows, lex_update, merge_partial, stomp_diagonal_parallel_ws,
     stomp_diagonal_range_ws, stomp_diagonal_ws, Diagonals,
 };
 pub use discord::{top_discords, Discord};
