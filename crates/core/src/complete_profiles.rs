@@ -20,7 +20,7 @@ use valmod_mp::ProfiledSeries;
 
 use crate::compute_mp::{compute_matrix_profile, MpWithProfiles};
 use crate::harvest::harvest_row;
-use crate::profile::{update_dist_and_lb, EntryState};
+use crate::sub_mp::LengthTable;
 
 /// Per-length cost accounting for [`complete_profiles`].
 #[derive(Debug, Clone, Copy)]
@@ -67,45 +67,28 @@ fn complete_from(
     });
     profiles.push(state.profile.clone());
 
-    let mut dp = Vec::new();
+    let (mut dp, mut means, mut stds) = (Vec::new(), Vec::new(), Vec::new());
     for l in (l_min + 1)..=l_max {
         let ndp = ps.num_subsequences(l);
+        ps.fill_stats(l, ndp, &mut means, &mut stds);
+        let table = LengthTable::new(ps, l, &policy, &means, &stds);
         let mut mp = vec![f64::INFINITY; ndp];
         let mut ip = vec![usize::MAX; ndp];
         let mut certified = 0usize;
         let mut recomputed = 0usize;
         for j in 0..ndp {
             let prof = &mut state.partials[j];
-            let sigma_new = ps.std(j, l);
-            let from_l = prof.current_l;
-            let max_lb = prof.max_lb_at(sigma_new);
-            let mut min_dist = f64::INFINITY;
-            let mut ind = usize::MAX;
-            for e in prof.entries_mut() {
-                if e.dist.is_infinite() {
-                    continue;
-                }
-                if let EntryState::Valid { dist } = update_dist_and_lb(ps, e, j, from_l, l, &policy)
-                {
-                    // Ties resolve to the smaller neighbour, independent of
-                    // the heap's internal layout (as in `ComputeSubMP`).
-                    if dist < min_dist || (dist == min_dist && e.neighbor < ind) {
-                        min_dist = dist;
-                        ind = e.neighbor;
-                    }
-                }
-            }
-            prof.current_l = l;
-            if min_dist <= max_lb {
+            let row = table.advance_row(j, prof, |_| {});
+            if row.min_dist <= row.max_lb {
                 // Certified: the stored minimum is the row's true minimum.
-                mp[j] = min_dist;
-                ip[j] = ind;
+                mp[j] = row.min_dist;
+                ip[j] = row.ind;
                 certified += 1;
             } else {
                 // Recompute this row and re-anchor its partial profile.
                 let qt = self_qt(ps, j, l);
                 dp_from_qt_into(ps, &qt, j, l, &policy, &mut dp);
-                prof.reanchor(l, sigma_new);
+                prof.reanchor(l, table.sigma(j));
                 harvest_row(ps, prof, &dp, &qt, j, l);
                 if let Some((arg, d)) = profile_min(&dp) {
                     mp[j] = d;

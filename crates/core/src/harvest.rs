@@ -220,7 +220,9 @@ impl HarvestSink {
         partials: Vec<PartialProfile>,
     ) -> Self {
         debug_assert!(mp.len() == partials.len() && ip.len() == partials.len());
-        let flats = (0..partials.len()).map(|i| is_flat(ps.std(i, l), ps.mean_c(i, l))).collect();
+        let (mut means, mut stds) = (Vec::new(), Vec::new());
+        ps.fill_stats(l, partials.len(), &mut means, &mut stds);
+        let flats = means.iter().zip(&stds).map(|(&mean, &std)| is_flat(std, mean)).collect();
         let gates = partials.iter().map(row_gate).collect();
         HarvestSink {
             l,

@@ -18,10 +18,10 @@
 //! | Module | Paper |
 //! |---|---|
 //! | [`lb`] | §4.1, Eq. 2 + TLB (§6.2) |
-//! | [`profile`] | `listDP` heaps, `updateDistAndLB` |
+//! | [`profile`] | `listDP` heaps |
 //! | [`compute_mp`] | Algorithm 3 (`ComputeMatrixProfile`) |
 //! | [`harvest`] | Algorithm 3 lines 18–24 (`listDP` harvest, gated) |
-//! | [`sub_mp`] | Algorithm 4 (`ComputeSubMP`) |
+//! | [`sub_mp`] | Algorithm 4 (`ComputeSubMP`), `updateDistAndLB` |
 //! | [`valmp`] | Algorithm 2 (`updateVALMP`) |
 //! | [`mod@valmod`] | Algorithm 1 (driver) |
 //! | [`pairs`] | Algorithm 5 (`updateVALMPForMotifSets`) |

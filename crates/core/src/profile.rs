@@ -13,7 +13,6 @@
 //! offered in — row-order and diagonal-order harvests retain the same set.
 
 use valmod_mp::distance::{dist_from_qt, is_flat};
-use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::ProfiledSeries;
 
 use crate::harvest::key_for_pair;
@@ -268,23 +267,22 @@ impl PackedPartials {
     /// they were harvested in.
     pub(crate) fn unpack(&self, ps: &ProfiledSeries) -> Vec<PartialProfile> {
         let l = self.l;
-        let stats: Vec<(f64, f64, bool)> = (0..self.fill.len())
-            .map(|i| {
-                let (mean, std) = (ps.mean_c(i, l), ps.std(i, l));
-                (mean, std, is_flat(std, mean))
-            })
-            .collect();
+        let (mut means, mut stds) = (Vec::new(), Vec::new());
+        ps.fill_stats(l, self.fill.len(), &mut means, &mut stds);
+        let flats: Vec<bool> =
+            means.iter().zip(&stds).map(|(&mean, &std)| is_flat(std, mean)).collect();
         let mut at = 0;
         self.fill
             .iter()
             .enumerate()
             .map(|(r, &fill)| {
-                let (mean_r, std_r, flat_r) = stats[r];
+                let (mean_r, std_r, flat_r) = (means[r], stds[r], flats[r]);
                 let end = at + fill as usize;
                 let mut entries = Vec::with_capacity(self.capacity);
                 for (&nb, &qt) in self.neighbor[at..end].iter().zip(&self.qt[at..end]) {
                     let neighbor = nb as usize;
-                    let (mean_n, std_n, flat_n) = stats[neighbor];
+                    let (mean_n, std_n, flat_n) =
+                        (means[neighbor], stds[neighbor], flats[neighbor]);
                     let dist = dist_from_qt(qt, l, mean_r, std_r, mean_n, std_n);
                     let lb_key = key_for_pair(dist, l, flat_r, flat_n);
                     entries.push(DpEntry { neighbor, qt, dist, lb_key });
@@ -303,63 +301,9 @@ impl PackedPartials {
     }
 }
 
-/// Outcome of advancing one entry to a new length.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EntryState {
-    /// The pair is still valid; distance and LB were updated.
-    Valid {
-        /// True z-normalised distance at the new length.
-        dist: f64,
-    },
-    /// The pair no longer exists at this length (neighbour slid off the end
-    /// of the series, or the grown exclusion zone swallowed it).
-    Invalid,
-}
-
-/// Advances one entry from `profile.current_l` to `new_l` in O(1) per unit
-/// length step (paper's `updateDistAndLB`): extend the dot product with the
-/// newly covered samples, then recompute distance (Eq. 3) and LB (Eq. 2
-/// σ-ratio) from the O(1) rolling statistics.
-pub fn update_dist_and_lb(
-    ps: &ProfiledSeries,
-    entry: &mut DpEntry,
-    owner: usize,
-    from_l: usize,
-    new_l: usize,
-    policy: &ExclusionPolicy,
-) -> EntryState {
-    debug_assert!(new_l >= from_l);
-    let n = ps.len();
-    let i = entry.neighbor;
-    if i + new_l > n || owner + new_l > n || policy.is_trivial(owner, i, new_l) {
-        // Invalidity is permanent (the exclusion radius only grows and the
-        // series end only gets closer), so the stale dot product is never
-        // read again. The infinite distance marks the entry dead for
-        // snapshots and minima.
-        entry.dist = f64::INFINITY;
-        return EntryState::Invalid;
-    }
-    let t = ps.centered();
-    for step in from_l..new_l {
-        entry.qt += t[owner + step] * t[i + step];
-    }
-    let dist = dist_from_qt(
-        entry.qt,
-        new_l,
-        ps.mean_c(i, new_l),
-        ps.std(i, new_l),
-        ps.mean_c(owner, new_l),
-        ps.std(owner, new_l),
-    );
-    entry.dist = dist;
-    EntryState::Valid { dist }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use valmod_data::generators::random_walk;
-    use valmod_mp::distance::zdist_naive;
 
     fn entry(neighbor: usize, lb_key: f64) -> DpEntry {
         DpEntry { neighbor, qt: 0.0, dist: 0.0, lb_key }
@@ -432,60 +376,6 @@ mod tests {
         assert_eq!(p.anchor_l, 12);
         assert_eq!(p.current_l, 12);
         assert_eq!(p.anchor_sigma, 3.0);
-    }
-
-    #[test]
-    fn update_advances_distance_exactly() {
-        let series = random_walk(300, 5);
-        let ps = ProfiledSeries::from_values(&series).unwrap();
-        let policy = ExclusionPolicy::HALF;
-        let (owner, neighbor, l0) = (20usize, 150usize, 16usize);
-        let t = ps.centered();
-        let qt0: f64 =
-            t[owner..owner + l0].iter().zip(&t[neighbor..neighbor + l0]).map(|(a, b)| a * b).sum();
-        let mut e = DpEntry { neighbor, qt: qt0, dist: 0.0, lb_key: 0.0 };
-        for new_l in (l0 + 1)..(l0 + 40) {
-            match update_dist_and_lb(&ps, &mut e, owner, new_l - 1, new_l, &policy) {
-                EntryState::Valid { dist } => {
-                    let oracle = zdist_naive(
-                        &series[owner..owner + new_l],
-                        &series[neighbor..neighbor + new_l],
-                    );
-                    assert!((dist - oracle).abs() < 1e-7, "l={new_l}: {dist} vs {oracle}");
-                }
-                EntryState::Invalid => panic!("pair should stay valid at l={new_l}"),
-            }
-        }
-    }
-
-    #[test]
-    fn update_detects_slide_off_the_end() {
-        let series = random_walk(100, 1);
-        let ps = ProfiledSeries::from_values(&series).unwrap();
-        let mut e = DpEntry { neighbor: 80, qt: 0.0, dist: 0.0, lb_key: 0.0 };
-        // neighbor 80 + length 21 > 100 ⇒ invalid.
-        let state = update_dist_and_lb(&ps, &mut e, 0, 20, 21, &ExclusionPolicy::HALF);
-        assert_eq!(state, EntryState::Invalid);
-    }
-
-    #[test]
-    fn update_detects_growing_exclusion_zone() {
-        let series = random_walk(200, 2);
-        let ps = ProfiledSeries::from_values(&series).unwrap();
-        // |owner − neighbor| = 12: valid at ℓ = 20 (radius 10), trivial at
-        // ℓ = 25 (radius 13).
-        let t = ps.centered();
-        let qt0: f64 = t[0..20].iter().zip(&t[12..32]).map(|(a, b)| a * b).sum();
-        let mut e = DpEntry { neighbor: 12, qt: qt0, dist: 0.0, lb_key: 0.0 };
-        assert!(matches!(
-            update_dist_and_lb(&ps, &mut e, 0, 20, 21, &ExclusionPolicy::HALF),
-            EntryState::Valid { .. }
-        ));
-        let mut e2 = e;
-        assert_eq!(
-            update_dist_and_lb(&ps, &mut e2, 0, 21, 25, &ExclusionPolicy::HALF),
-            EntryState::Invalid
-        );
     }
 
     #[test]

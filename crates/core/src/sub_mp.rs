@@ -20,6 +20,7 @@
 //! *shrink* the set of real pairs, so discarding them keeps every statement
 //! above conservative.
 
+use valmod_mp::distance::dist_from_qt;
 use valmod_mp::distance_profile::{dp_from_qt_into, profile_min};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::parallel::row_chunks;
@@ -29,7 +30,7 @@ use valmod_obs::{Recorder, SharedRecorder};
 
 use crate::harvest::{harvest_row, HarvestStats};
 use crate::lb::{lb_scale, tightness};
-use crate::profile::{update_dist_and_lb, EntryState, PartialProfile};
+use crate::profile::{DpEntry, PartialProfile};
 
 /// Result of one `ComputeSubMP` invocation.
 #[derive(Debug, Clone)]
@@ -71,6 +72,102 @@ impl SubMpResult {
     }
 }
 
+/// What advancing every row to one length reads, hoisted out of the
+/// per-entry loop: the centred series, the length's statistics table (one
+/// `O(n)` fill per length) and its exclusion radius.
+pub(crate) struct LengthTable<'a> {
+    t: &'a [f64],
+    l: usize,
+    radius: usize,
+    means: &'a [f64],
+    stds: &'a [f64],
+}
+
+/// One row advanced by [`LengthTable::advance_row`].
+pub(crate) struct RowAdvance {
+    /// The smallest valid distance (`+∞` when none); ties go to the smaller
+    /// neighbour.
+    pub(crate) min_dist: f64,
+    /// The neighbour of `min_dist` (`usize::MAX` when none).
+    pub(crate) ind: usize,
+    /// `maxLB` at the new length ([`PartialProfile::max_lb_at`]).
+    pub(crate) max_lb: f64,
+    /// The largest distance over the row's entries, `+∞` once any entry is
+    /// invalid or the heap is not full: the row's [`HarvestHint`] bound.
+    pub(crate) max_dist: f64,
+}
+
+impl<'a> LengthTable<'a> {
+    /// The table of length `l`; `means`/`stds` hold one entry per
+    /// subsequence of that length ([`ProfiledSeries::fill_stats`]).
+    pub(crate) fn new(
+        ps: &'a ProfiledSeries,
+        l: usize,
+        policy: &ExclusionPolicy,
+        means: &'a [f64],
+        stds: &'a [f64],
+    ) -> Self {
+        debug_assert!(means.len() == ps.num_subsequences(l) && stds.len() == means.len());
+        LengthTable { t: ps.centered(), l, radius: policy.radius(l), means, stds }
+    }
+
+    /// `σ(T_{j,ℓ})` from the table.
+    #[inline]
+    pub(crate) fn sigma(&self, j: usize) -> f64 {
+        self.stds[j]
+    }
+
+    /// Advances row `j`'s entries from `prof.current_l` to the table's
+    /// length (paper's `updateDistAndLB`), `O(1)` per entry and unit length
+    /// step: extend the dot product by the newly covered samples, then take
+    /// the distance (Eq. 3) from the table. An entry whose neighbour slid
+    /// off the end (`i ≥ ndp`) or entered the grown exclusion zone is
+    /// marked dead (`dist = +∞`) for good: the radius only grows and the
+    /// end only gets closer, so its stale dot product is never read again.
+    /// `on_valid` sees every entry that is valid at the new length.
+    #[inline]
+    pub(crate) fn advance_row(
+        &self,
+        j: usize,
+        prof: &mut PartialProfile,
+        mut on_valid: impl FnMut(&DpEntry),
+    ) -> RowAdvance {
+        let (t, l, ndp) = (self.t, self.l, self.means.len());
+        let (mean_j, std_j) = (self.means[j], self.stds[j]);
+        let from_l = prof.current_l;
+        let mut row = RowAdvance {
+            min_dist: f64::INFINITY,
+            ind: usize::MAX,
+            max_lb: prof.max_lb_at(std_j),
+            max_dist: if prof.is_full() { 0.0 } else { f64::INFINITY },
+        };
+        for e in prof.entries_mut() {
+            let i = e.neighbor;
+            if e.dist.is_infinite() || i >= ndp || i.abs_diff(j) < self.radius {
+                e.dist = f64::INFINITY;
+                row.max_dist = f64::INFINITY;
+                continue;
+            }
+            for step in from_l..l {
+                e.qt += t[j + step] * t[i + step];
+            }
+            let dist = dist_from_qt(e.qt, l, self.means[i], self.stds[i], mean_j, std_j);
+            e.dist = dist;
+            row.max_dist = row.max_dist.max(dist);
+            // Ties resolve to the smaller neighbour, so the row's answer
+            // does not depend on the heap's internal layout (which varies
+            // with harvest order).
+            if dist < row.min_dist || (dist == row.min_dist && i < row.ind) {
+                row.min_dist = dist;
+                row.ind = i;
+            }
+            on_valid(e);
+        }
+        prof.current_l = l;
+        row
+    }
+}
+
 /// Per-chunk accumulator of the first pass; chunks are merged in row order,
 /// so the result is identical to the sequential scan.
 struct AdvanceOut {
@@ -80,20 +177,19 @@ struct AdvanceOut {
 }
 
 /// First pass of Algorithm 4 over rows `[chunk_start, chunk_start + len)`:
-/// advances each profile's stored entries to `new_l` (an `O(1)` update per
-/// entry) and classifies the row as valid (exact minimum written to
-/// `sub_mp`/`ip`) or non-valid. Rows are mutually independent, so the pass
-/// chunks freely; the per-row arithmetic is identical regardless of the
-/// chunking, keeping threaded runs bitwise equal to sequential ones.
-#[allow(clippy::too_many_arguments)] // internal; the recorder rides along with the row-chunk state
+/// advances each profile's stored entries to the table's length and
+/// classifies the row as valid (exact minimum written to `sub_mp`/`ip`) or
+/// non-valid; `hint` gets each row's [`RowAdvance::max_dist`]. Rows are
+/// mutually independent, so the pass chunks freely; the per-row arithmetic
+/// is identical regardless of the chunking, keeping threaded runs bitwise
+/// equal to sequential ones.
 fn advance_rows(
-    ps: &ProfiledSeries,
+    table: &LengthTable<'_>,
     chunk: &mut [PartialProfile],
     chunk_start: usize,
-    new_l: usize,
-    policy: &ExclusionPolicy,
     sub_mp: &mut [f64],
     ip: &mut [usize],
+    hint: &mut [f64],
     recorder: &SharedRecorder,
 ) -> AdvanceOut {
     let mut out = AdvanceOut {
@@ -103,40 +199,21 @@ fn advance_rows(
     };
     let recording = recorder.enabled();
     // Normaliser for the Fig. 9 margin: distances live in [0, 2√ℓ].
-    let margin_norm = 2.0 * (new_l as f64).sqrt();
+    let margin_norm = 2.0 * (table.l as f64).sqrt();
     for (k, prof) in chunk.iter_mut().enumerate() {
         let j = chunk_start + k;
-        let sigma_new = ps.std(j, new_l);
-        let from_l = prof.current_l;
-        let anchor_sigma = prof.anchor_sigma;
-        let max_lb = prof.max_lb_at(sigma_new);
-        let mut min_dist = f64::INFINITY;
-        let mut ind = usize::MAX;
+        let (anchor_sigma, sigma_new) = (prof.anchor_sigma, table.sigma(j));
         let (mut tlb_sum, mut tlb_n) = (0.0f64, 0usize);
-        for e in prof.entries_mut() {
-            if e.dist.is_infinite() {
-                continue; // invalidated at an earlier length — permanent
+        let row = table.advance_row(j, prof, |e| {
+            if recording {
+                // Fig. 10 tightness of the Eq. 2 bound for this pair.
+                let lb = lb_scale(e.lb_base(), anchor_sigma, sigma_new);
+                tlb_sum += tightness(lb, e.dist);
+                tlb_n += 1;
             }
-            match update_dist_and_lb(ps, e, j, from_l, new_l, policy) {
-                EntryState::Valid { dist } => {
-                    // Ties resolve to the smaller neighbour, so the row's
-                    // answer does not depend on the heap's internal layout
-                    // (which varies with harvest order).
-                    if dist < min_dist || (dist == min_dist && e.neighbor < ind) {
-                        min_dist = dist;
-                        ind = e.neighbor;
-                    }
-                    if recording {
-                        // Fig. 10 tightness of the Eq. 2 bound for this pair.
-                        let lb = lb_scale(e.lb_base(), anchor_sigma, sigma_new);
-                        tlb_sum += tightness(lb, dist);
-                        tlb_n += 1;
-                    }
-                }
-                EntryState::Invalid => {}
-            }
-        }
-        prof.current_l = new_l;
+        });
+        let (min_dist, max_lb) = (row.min_dist, row.max_lb);
+        hint[k] = row.max_dist;
         if recording {
             // Fig. 9 margin, normalised by the distance range; an unfilled
             // heap (maxLB = +∞, profile complete) overflows the histogram's
@@ -152,7 +229,7 @@ fn advance_rows(
         if min_dist <= max_lb {
             // Paper line 16: minDist is the true row minimum.
             sub_mp[k] = min_dist;
-            ip[k] = ind;
+            ip[k] = row.ind;
             if min_dist < out.min_dist_abs {
                 out.min_dist_abs = min_dist;
             }
@@ -239,7 +316,7 @@ pub fn compute_sub_mp_threaded_with_ws(
     recorder: &SharedRecorder,
     ws: &mut Workspace,
 ) -> SubMpResult {
-    // Recycle an earlier hint's buffer; a stale hint must not survive.
+    // A stale hint must not survive; an unconsumed one lends its buffer.
     let mut hint = ws.take_harvest_hint().map(|h| h.max_dist).unwrap_or_default();
     let ndp = ps.num_subsequences(new_l);
     if ndp == 0 {
@@ -273,32 +350,41 @@ pub fn compute_sub_mp_threaded_with_ws(
     // inflate the budget or divide by zero.
     let p = partials[..ndp].iter().map(|pr| pr.capacity()).max().unwrap_or(1);
 
+    // Every row's hint bound is written by the advance; the hint is
+    // published only when the length is not certified.
+    hint.clear();
+    hint.resize(ndp, 0.0);
+    let (mut means, mut stds) = (Vec::new(), Vec::new());
     let chunk_outs: Vec<AdvanceOut> = {
         let _span = valmod_obs::span!(recorder, "core.submp.advance_us");
+        ps.fill_stats(new_l, ndp, &mut means, &mut stds);
+        let table = &LengthTable::new(ps, new_l, &policy, &means, &stds);
         let chunks = row_chunks(ndp, threads);
         let last = chunks.len() - 1;
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             let mut mp_rest: &mut [f64] = &mut sub_mp;
             let mut ip_rest: &mut [usize] = &mut ip;
+            let mut hint_rest: &mut [f64] = &mut hint;
             let mut pr_rest: &mut [PartialProfile] = &mut partials[..ndp];
             let mut own = None;
             for (i, (chunk_start, len)) in chunks.into_iter().enumerate() {
                 let (mp_chunk, mp_tail) = mp_rest.split_at_mut(len);
                 let (ip_chunk, ip_tail) = ip_rest.split_at_mut(len);
+                let (hint_chunk, hint_tail) = hint_rest.split_at_mut(len);
                 let (pr_chunk, pr_tail) = pr_rest.split_at_mut(len);
                 mp_rest = mp_tail;
                 ip_rest = ip_tail;
+                hint_rest = hint_tail;
                 pr_rest = pr_tail;
                 let mut work = move || {
                     advance_rows(
-                        ps,
+                        table,
                         pr_chunk,
                         chunk_start,
-                        new_l,
-                        &policy,
                         mp_chunk,
                         ip_chunk,
+                        hint_chunk,
                         recorder,
                     )
                 };
@@ -373,17 +459,10 @@ pub fn compute_sub_mp_threaded_with_ws(
     }
 
     if !found {
-        // The seed hint for the fallback harvest: a full heap whose entries
-        // all stayed valid holds p distinct real pairs at most this far
-        // apart (an invalid entry's distance is +∞).
-        hint.clear();
-        hint.extend(partials[..ndp].iter().map(|prof| {
-            if prof.is_full() {
-                prof.entries().iter().map(|e| e.dist).fold(0.0, f64::max)
-            } else {
-                f64::INFINITY
-            }
-        }));
+        // The seed hint for the fallback harvest, filled by the advance: a
+        // full heap whose entries all stayed valid holds p distinct real
+        // pairs at most this far apart. No row was refined (that would
+        // have certified the length), so every bound is still current.
         ws.set_harvest_hint(HarvestHint { l: new_l, p, max_dist: hint });
     }
 
@@ -623,6 +702,280 @@ mod tests {
                 assert!((d - oracle.mp[j]).abs() < 1e-6, "row {j}");
             }
         }
+    }
+
+    /// A profile of `owner` at length `l` holding one entry per neighbour,
+    /// each with its direct-sum dot product.
+    fn profile_with(
+        ps: &ProfiledSeries,
+        owner: usize,
+        l: usize,
+        neighbors: &[usize],
+    ) -> PartialProfile {
+        let t = ps.centered();
+        let mut prof = PartialProfile::new(owner, l, ps.std(owner, l), neighbors.len());
+        for (k, &neighbor) in neighbors.iter().enumerate() {
+            let qt = (0..l).map(|s| t[owner + s] * t[neighbor + s]).sum();
+            prof.offer(DpEntry { neighbor, qt, dist: 0.0, lb_key: k as f64 });
+        }
+        prof
+    }
+
+    /// Advances `prof` to `l` through a freshly filled table.
+    fn advance_to(ps: &ProfiledSeries, prof: &mut PartialProfile, l: usize) -> RowAdvance {
+        let (mut means, mut stds) = (Vec::new(), Vec::new());
+        ps.fill_stats(l, ps.num_subsequences(l), &mut means, &mut stds);
+        LengthTable::new(ps, l, &ExclusionPolicy::HALF, &means, &stds).advance_row(
+            prof.owner,
+            prof,
+            |_| {},
+        )
+    }
+
+    #[test]
+    fn advance_row_tracks_the_distance_exactly() {
+        use valmod_mp::distance::zdist_naive;
+        let series = random_walk(300, 5);
+        let ps = ProfiledSeries::from_values(&series).unwrap();
+        let (owner, neighbor, l0) = (20usize, 150usize, 16usize);
+        let mut prof = profile_with(&ps, owner, l0, &[neighbor]);
+        for l in (l0 + 1)..(l0 + 40) {
+            let row = advance_to(&ps, &mut prof, l);
+            let oracle = zdist_naive(&series[owner..owner + l], &series[neighbor..neighbor + l]);
+            assert!((row.min_dist - oracle).abs() < 1e-7, "l={l}: {} vs {oracle}", row.min_dist);
+            assert_eq!((row.ind, prof.current_l), (neighbor, l));
+        }
+    }
+
+    #[test]
+    fn advance_row_drops_a_neighbour_that_slides_off_the_end() {
+        let ps = ProfiledSeries::from_values(&random_walk(100, 1)).unwrap();
+        // Neighbour 80 + length 21 > 100: invalid at ℓ = 21, for good.
+        let mut prof = profile_with(&ps, 0, 20, &[80, 40]);
+        let row = advance_to(&ps, &mut prof, 21);
+        let dead: Vec<usize> =
+            prof.entries().iter().filter(|e| e.dist.is_infinite()).map(|e| e.neighbor).collect();
+        assert_eq!(dead, vec![80]);
+        assert_eq!(row.ind, 40);
+        assert!(row.max_dist.is_infinite(), "a dead entry voids the row's hint");
+    }
+
+    #[test]
+    fn advance_row_drops_a_pair_the_grown_exclusion_zone_swallows() {
+        let ps = ProfiledSeries::from_values(&random_walk(200, 2)).unwrap();
+        // |owner − neighbour| = 12: valid at ℓ = 21 (radius 11), trivial at
+        // ℓ = 25 (radius 13).
+        let mut prof = profile_with(&ps, 0, 20, &[12]);
+        let row = advance_to(&ps, &mut prof, 21);
+        assert!(row.min_dist.is_finite() && row.max_dist.is_finite());
+        let row = advance_to(&ps, &mut prof, 25);
+        assert!(row.min_dist.is_infinite() && prof.entries()[0].dist.is_infinite());
+    }
+
+    /// The advance as it was before the length table, kept as the reference:
+    /// every statistic re-derived per entry from the prefix sums, validity
+    /// from the series end and the policy. Returns the new distance, or
+    /// `None` when the pair is gone.
+    fn reference_entry(
+        ps: &ProfiledSeries,
+        entry: &mut DpEntry,
+        owner: usize,
+        from_l: usize,
+        new_l: usize,
+        policy: &ExclusionPolicy,
+    ) -> Option<f64> {
+        let n = ps.len();
+        let i = entry.neighbor;
+        if i + new_l > n || owner + new_l > n || policy.is_trivial(owner, i, new_l) {
+            entry.dist = f64::INFINITY;
+            return None;
+        }
+        let t = ps.centered();
+        for step in from_l..new_l {
+            entry.qt += t[owner + step] * t[i + step];
+        }
+        entry.dist = dist_from_qt(
+            entry.qt,
+            new_l,
+            ps.mean_c(i, new_l),
+            ps.std(i, new_l),
+            ps.mean_c(owner, new_l),
+            ps.std(owner, new_l),
+        );
+        Some(entry.dist)
+    }
+
+    /// The reference first pass: rows advanced with [`reference_entry`],
+    /// classified, and the hint taken by a second walk over the heaps.
+    struct ReferencePass {
+        partials: Vec<PartialProfile>,
+        sub_mp: Vec<f64>,
+        ip: Vec<usize>,
+        valid: Vec<bool>,
+        hint: Vec<f64>,
+        /// Entries lost to the series end, to the grown exclusion zone.
+        slid_off: usize,
+        excluded: usize,
+    }
+
+    fn reference_pass(
+        ps: &ProfiledSeries,
+        partials: &[PartialProfile],
+        new_l: usize,
+        policy: &ExclusionPolicy,
+    ) -> ReferencePass {
+        let ndp = ps.num_subsequences(new_l);
+        let mut pass = ReferencePass {
+            partials: partials[..ndp].to_vec(),
+            sub_mp: vec![f64::NAN; ndp],
+            ip: vec![usize::MAX; ndp],
+            valid: vec![false; ndp],
+            hint: Vec::new(),
+            slid_off: 0,
+            excluded: 0,
+        };
+        for (j, prof) in pass.partials.iter_mut().enumerate() {
+            let sigma_new = ps.std(j, new_l);
+            let from_l = prof.current_l;
+            let max_lb = prof.max_lb_at(sigma_new);
+            let (mut min_dist, mut ind) = (f64::INFINITY, usize::MAX);
+            for e in prof.entries_mut() {
+                if e.dist.is_infinite() {
+                    continue;
+                }
+                match reference_entry(ps, e, j, from_l, new_l, policy) {
+                    Some(dist) => {
+                        if dist < min_dist || (dist == min_dist && e.neighbor < ind) {
+                            min_dist = dist;
+                            ind = e.neighbor;
+                        }
+                    }
+                    None if e.neighbor >= ndp => pass.slid_off += 1,
+                    None => pass.excluded += 1,
+                }
+            }
+            prof.current_l = new_l;
+            if min_dist <= max_lb {
+                (pass.sub_mp[j], pass.ip[j], pass.valid[j]) = (min_dist, ind, true);
+            }
+        }
+        pass.hint = pass
+            .partials
+            .iter()
+            .map(|prof| {
+                if prof.is_full() {
+                    prof.entries().iter().map(|e| e.dist).fold(0.0, f64::max)
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        pass
+    }
+
+    /// Advances `partials` to `new_l` with ComputeSubMP and checks it
+    /// against [`reference_pass`] bit for bit: `sub_mp`/`ip`, the row
+    /// split, every entry's `qt`/`dist` in heap order, and the hint. Rows
+    /// the last-chance pass refined are re-anchored, so only their count is
+    /// checked. Returns whether the length was certified and the reference
+    /// pass's invalidation counts.
+    fn assert_advance_matches_reference(
+        ps: &ProfiledSeries,
+        partials: &mut [PartialProfile],
+        new_l: usize,
+        threads: usize,
+        what: &str,
+    ) -> (bool, usize, usize) {
+        let policy = ExclusionPolicy::HALF;
+        let reference = reference_pass(ps, partials, new_l, &policy);
+        let mut ws = Workspace::new();
+        let noop = SharedRecorder::noop();
+        let res =
+            compute_sub_mp_threaded_with_ws(ps, partials, new_l, policy, threads, &noop, &mut ws);
+        let what = format!("{what} l={new_l} threads={threads}");
+        let valid = reference.valid.iter().filter(|&&v| v).count();
+        assert_eq!((res.valid_rows, res.nonvalid_rows), (valid, reference.valid.len() - valid));
+        let mut refined = 0;
+        for (j, want) in reference.partials.iter().enumerate() {
+            if !reference.valid[j] && !res.sub_mp[j].is_nan() {
+                refined += 1;
+                continue;
+            }
+            let (got_d, want_d) = (res.sub_mp[j], reference.sub_mp[j]);
+            assert_eq!(got_d.to_bits(), want_d.to_bits(), "{what} row {j}: {got_d} vs {want_d}");
+            assert_eq!(res.ip[j], reference.ip[j], "{what} row {j}: ip");
+            let got = &partials[j];
+            assert_eq!(got.current_l, want.current_l, "{what} row {j}: current_l");
+            let bits = |prof: &PartialProfile| {
+                prof.entries()
+                    .iter()
+                    .map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(got), bits(want), "{what} row {j}: entries");
+        }
+        assert_eq!(refined, res.recomputed_rows, "{what}: refined rows");
+        match ws.take_harvest_hint() {
+            Some(hint) => {
+                assert!(!res.found_motif, "{what}: a certified length leaves no hint");
+                assert_eq!(hint.l, new_l, "{what}: hint length");
+                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&hint.max_dist), bits(&reference.hint), "{what}: hint");
+            }
+            None => assert!(res.found_motif, "{what}: an uncertified length leaves a hint"),
+        }
+        (res.found_motif, reference.slid_off, reference.excluded)
+    }
+
+    #[test]
+    fn table_driven_advance_is_bit_identical_to_the_per_entry_formula() {
+        // A random walk with two flat stretches (flat owners and flat
+        // neighbours both reach the heaps, at key 0, and defeat the bound)
+        // and a periodic series the bound certifies.
+        let mut flat = random_walk(480, 61);
+        for i in (120..170).chain(300..330) {
+            flat[i] = if i < 200 { 1.25 } else { -0.5 };
+        }
+        let periodic = sine_mixture(480, &[(0.02, 1.0), (0.05, 0.4)], 0.05, 13);
+        let policy = ExclusionPolicy::HALF;
+        let (mut slid_off, mut excluded, mut multi_steps) = (0, 0, 0);
+        let (mut certified, mut fallbacks) = (0, 0);
+        for (name, series) in [("flat", &flat), ("periodic", &periodic)] {
+            let ps = ProfiledSeries::from_values(series).unwrap();
+            for p in [1usize, 50] {
+                for threads in [1usize, 3] {
+                    let what = format!("{name} p={p}");
+                    let mut state = compute_matrix_profile(&ps, 16, p, policy).unwrap();
+                    let mut l = 16;
+                    while l < 40 {
+                        // Every fourth advance skips lengths, so `current_l`
+                        // trails the new length by several steps.
+                        let step = if l % 4 == 0 { 3 } else { 1 };
+                        multi_steps += usize::from(step > 1);
+                        l += step;
+                        let (found, s, e) = assert_advance_matches_reference(
+                            &ps,
+                            &mut state.partials,
+                            l,
+                            threads,
+                            &what,
+                        );
+                        slid_off += s;
+                        excluded += e;
+                        if found {
+                            certified += 1;
+                        } else {
+                            fallbacks += 1;
+                            state = compute_matrix_profile(&ps, l, p, policy).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+        // The construction reaches every invalidation path, and both the
+        // certified and the hinted outcome.
+        assert!(slid_off > 0 && excluded > 0 && multi_steps > 0, "{slid_off} {excluded}");
+        assert!(certified > 0 && fallbacks > 0, "{certified} {fallbacks}");
     }
 
     #[test]

@@ -730,6 +730,10 @@ fn advance_walk(
             if recorder.enabled() {
                 recorder.add("core.lb.fallback", 1);
             }
+            // Free the old `listDP` before the pass harvests the new one, so
+            // the two never peak together: the pass reads only the hint
+            // ComputeSubMP left in the workspace.
+            drop(std::mem::take(&mut state.partials));
             *state = compute_matrix_profile_with_ws(
                 ps,
                 l,

@@ -91,6 +91,18 @@ impl ProfiledSeries {
         self.stats.std_dev(i, l)
     }
 
+    /// Fills the statistics table of length `l` over the first `rows`
+    /// offsets: `means[i] = mean_c(i, l)` and `stds[i] = std(i, l)`,
+    /// replacing both buffers' contents. One `O(rows)` pass that every
+    /// kernel and advance then reads instead of re-deriving the statistics
+    /// per pair.
+    pub fn fill_stats(&self, l: usize, rows: usize, means: &mut Vec<f64>, stds: &mut Vec<f64>) {
+        means.clear();
+        means.extend((0..rows).map(|i| self.mean_c(i, l)));
+        stds.clear();
+        stds.extend((0..rows).map(|i| self.std(i, l)));
+    }
+
     /// Number of subsequences of length `l`.
     #[inline]
     pub fn num_subsequences(&self, l: usize) -> usize {
@@ -155,6 +167,23 @@ mod tests {
         for &(i, l) in &[(0usize, 8usize), (30, 16), (60, 20)] {
             assert_eq!(base.mean_c(i, l).to_bits(), grown.mean_c(i, l).to_bits());
             assert_eq!(base.std(i, l).to_bits(), grown.std(i, l).to_bits());
+        }
+    }
+
+    #[test]
+    fn fill_stats_matches_the_accessors_bit_for_bit() {
+        let values: Vec<f64> =
+            (0..200).map(|i| (i as f64 * 0.17).sin() * 2.0 + i as f64 * 0.01).collect();
+        let ps = ProfiledSeries::from_values(&values).unwrap();
+        let (mut means, mut stds) = (vec![7.0; 3], Vec::new());
+        for l in [8usize, 33, 200] {
+            let rows = ps.num_subsequences(l);
+            ps.fill_stats(l, rows, &mut means, &mut stds);
+            assert_eq!((means.len(), stds.len()), (rows, rows));
+            for (i, (m, s)) in means.iter().zip(&stds).enumerate() {
+                assert_eq!(m.to_bits(), ps.mean_c(i, l).to_bits(), "l={l} i={i}");
+                assert_eq!(s.to_bits(), ps.std(i, l).to_bits(), "l={l} i={i}");
+            }
         }
     }
 }

@@ -97,10 +97,7 @@ impl<'a> Diagonals<'a> {
         let Workspace { qt_first, means, stds, .. } = ws;
         crate::distance_profile::seed_qt_row_into(t, l, ndp, qt_first);
         debug_assert_eq!(qt_first.len(), ndp);
-        means.clear();
-        means.extend((0..ndp).map(|i| ps.mean_c(i, l)));
-        stds.clear();
-        stds.extend((0..ndp).map(|i| ps.std(i, l)));
+        ps.fill_stats(l, ndp, means, stds);
         Ok(Diagonals { t, l, ndp, radius: policy.radius(l), block, qt_first, means, stds })
     }
 

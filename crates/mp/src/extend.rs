@@ -201,8 +201,8 @@ where
     let (l, radius) = (state.l, state.radius);
     let t = ps.centered();
     let rows = new_ndp.saturating_sub(radius);
-    let means: Vec<f64> = (0..rows).map(|i| ps.mean_c(i, l)).collect();
-    let stds: Vec<f64> = (0..rows).map(|i| ps.std(i, l)).collect();
+    let (mut means, mut stds) = (Vec::new(), Vec::new());
+    ps.fill_stats(l, rows, &mut means, &mut stds);
     let mut dist = vec![0.0; rows];
     for r in old_ndp..new_ndp {
         let Some(imax) = r.checked_sub(radius) else { continue };
