@@ -55,7 +55,7 @@ fn bench_profile_heap(c: &mut Criterion) {
                 let mut prof = PartialProfile::new(0, 64, 1.0, p);
                 for i in 0..2000usize {
                     let key = ((i * 2654435761) % 1000) as f64;
-                    prof.offer(DpEntry { neighbor: i, qt: 0.0, dist: key, lb_key: key });
+                    prof.offer(DpEntry::new(i, 0.0, key));
                 }
                 black_box(prof.max_lb_key())
             })

@@ -11,9 +11,10 @@
 //! Where the two sides share their arithmetic, the oracle compares bits:
 //! [`check_diagonal_vs_row`] (the diagonal-blocked kernel against the row
 //! streamer, across block widths and a parallel run),
-//! [`check_parallel_vs_sequential`] (3 threads against 1) and
+//! [`check_parallel_vs_sequential`] (3 threads against 1),
 //! [`check_harvest_seeded_vs_cold`] (a seeded harvest against an unseeded
-//! one).
+//! one) and [`check_lazy_advance`] (ComputeSubMP's lazy advance against the
+//! recorded one, which computes every distance).
 
 use valmod_baselines::stomp_range;
 use valmod_core::harvest::seed_gate;
@@ -67,7 +68,7 @@ fn diverge(case: &Case, oracle: &'static str, detail: String) -> Divergence {
     Divergence { case_id: case.id, oracle, detail: format!("{}: {detail}", case.label()) }
 }
 
-/// Runs the six differential oracles plus the LB-admissibility invariant.
+/// Runs the seven differential oracles plus the LB-admissibility invariant.
 pub fn run_case(case: &Case, lb_probe_budget: usize) -> CaseOutcome {
     let mut out = CaseOutcome::default();
     let ps = match ProfiledSeries::from_values(&case.values) {
@@ -93,6 +94,9 @@ pub fn run_case(case: &Case, lb_probe_budget: usize) -> CaseOutcome {
         out.divergences.push(d);
     }
     if let Some(d) = check_harvest_seeded_vs_cold(case, &ps) {
+        out.divergences.push(d);
+    }
+    if let Some(d) = check_lazy_advance(case, &ps) {
         out.divergences.push(d);
     }
     let (probes, lb_div) = check_lb_admissibility(case, &ps, lb_probe_budget);
@@ -403,7 +407,7 @@ pub fn check_serve_cached_vs_cold(case: &Case) -> Option<Divergence> {
 /// workspace. On every fallback length (ComputeSubMP could not certify the
 /// motif) the workspace holds a [`HarvestHint`]; a full profile seeded from
 /// it must retain exactly the entries of an unseeded one — per row, the
-/// neighbours and the bits of qt, dist and lb_key as sorted sets — with the
+/// neighbours and the bits of qt and lb_key as sorted sets — with the
 /// same `mp`/`ip` bits. Two adversarial hints follow on the same length:
 /// every bound 0, and a random half of the rows at half their true bound.
 /// A seeded pass must rerun unseeded exactly when some seeded row's gate
@@ -469,7 +473,7 @@ fn seeded_matches_cold(
     let mut half = hint.clone();
     for (d, prof) in half.max_dist.iter_mut().zip(&cold.partials) {
         if rng.next_u64() & 1 == 1 {
-            let root = prof.entries().first().map_or(0.0, |e| e.dist);
+            let root = prof.entries().first().map_or(0.0, |e| prof.entry_dist(ps, e));
             *d = if d.is_finite() { *d * 0.5 } else { root * 0.5 };
         }
     }
@@ -507,7 +511,8 @@ fn seeded_matches_cold(
 }
 
 /// Bit-for-bit equality of two harvests: `mp`/`ip`, and each row's retained
-/// entries as a sorted set of (neighbour, qt, dist, lb_key) bits.
+/// entries as a sorted set of (neighbour, qt, lb_key) bits (an entry's
+/// distance is a function of its `qt`).
 fn same_harvest(a: &MpWithProfiles, b: &MpWithProfiles) -> Option<String> {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     if bits(&a.profile.mp) != bits(&b.profile.mp) || a.profile.ip != b.profile.ip {
@@ -518,7 +523,7 @@ fn same_harvest(a: &MpWithProfiles, b: &MpWithProfiles) -> Option<String> {
             let mut v: Vec<_> = prof
                 .entries()
                 .iter()
-                .map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
+                .map(|e| (e.neighbor(), e.qt().to_bits(), e.lb_key().to_bits()))
                 .collect();
             v.sort_unstable();
             v
@@ -528,6 +533,69 @@ fn same_harvest(a: &MpWithProfiles, b: &MpWithProfiles) -> Option<String> {
         }
     }
     (a.partials.len() != b.partials.len()).then(|| "row counts differ".into())
+}
+
+/// ComputeSubMP's lazy advance against the eager one, bit for bit. The
+/// length walk runs twice from the same anchor: with a noop recorder (the
+/// advance skips every distance whose Eq. 2 bound cannot reach its row's
+/// minimum) and with an enabled recorder (the skip rule off, every
+/// distance computed). Per length, `found`, the valid/non-valid/refined
+/// counts, the `mp`/`ip` bits and the fallback hint's bits must agree;
+/// a fallback length re-anchors both walks on one cold pass.
+pub fn check_lazy_advance(case: &Case, ps: &ProfiledSeries) -> Option<Divergence> {
+    const ORACLE: &str = "lazy-advance";
+    let (p, policy) = (case.p, ExclusionPolicy::HALF);
+    let (noop, recorder) = (SharedRecorder::noop(), SharedRecorder::from(Registry::new()));
+    let (mut lazy_ws, mut eager_ws) = (Workspace::new(), Workspace::new());
+    let mut lazy = match compute_matrix_profile_ws(ps, case.l_min, p, policy, &mut lazy_ws) {
+        Ok(s) => s,
+        Err(e) => return Some(diverge(case, ORACLE, format!("anchor: {e}"))),
+    };
+    let mut eager = lazy.clone();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for l in (case.l_min + 1)..=case.l_max {
+        let a = compute_sub_mp_threaded_with_ws(
+            ps,
+            &mut lazy.partials,
+            l,
+            policy,
+            1,
+            &noop,
+            &mut lazy_ws,
+        );
+        let b = compute_sub_mp_threaded_with_ws(
+            ps,
+            &mut eager.partials,
+            l,
+            policy,
+            1,
+            &recorder,
+            &mut eager_ws,
+        );
+        let counts = |r: &valmod_core::SubMpResult| {
+            (r.found_motif, r.valid_rows, r.nonvalid_rows, r.recomputed_rows)
+        };
+        if counts(&a) != counts(&b) {
+            let detail = format!("l={l}: lazy {:?} vs eager {:?}", counts(&a), counts(&b));
+            return Some(diverge(case, ORACLE, detail));
+        }
+        if bits(&a.sub_mp) != bits(&b.sub_mp) || a.ip != b.ip {
+            return Some(diverge(case, ORACLE, format!("l={l}: mp/ip differ")));
+        }
+        let hint_bits = |ws: &mut Workspace| ws.take_harvest_hint().map(|h| bits(&h.max_dist));
+        let lazy_hint = hint_bits(&mut lazy_ws);
+        if lazy_hint != hint_bits(&mut eager_ws) {
+            return Some(diverge(case, ORACLE, format!("l={l}: fallback hints differ")));
+        }
+        if !a.found_motif {
+            lazy = match compute_matrix_profile_ws(ps, l, p, policy, &mut lazy_ws) {
+                Ok(s) => s,
+                Err(e) => return Some(diverge(case, ORACLE, format!("l={l}: fallback: {e}"))),
+            };
+            eager = lazy.clone();
+        }
+    }
+    None
 }
 
 /// The Eq. 2 invariant: every harvested lower bound, scaled to any longer
@@ -570,7 +638,7 @@ pub fn check_lb_admissibility(
         let pp = &harvested.partials[pi];
         let entry = pp.entries()[ei];
         let new_l = pp.anchor_l + k;
-        let (a, b) = (pp.owner, entry.neighbor);
+        let (a, b) = (pp.owner, entry.neighbor());
         if a + new_l > n || b + new_l > n {
             continue; // the pair does not exist at this length
         }
@@ -620,6 +688,18 @@ mod tests {
             let case = generate_case(7, id);
             let ps = ProfiledSeries::from_values(&case.values).unwrap();
             assert!(check_diagonal_vs_row(&case, &ps).is_none(), "family id {id}");
+        }
+    }
+
+    #[test]
+    fn lazy_advance_oracle_passes_every_family() {
+        for seed in [7, 42] {
+            for id in 0..16 {
+                let case = generate_case(seed, id);
+                let ps = ProfiledSeries::from_values(&case.values).unwrap();
+                let div = check_lazy_advance(&case, &ps);
+                assert!(div.is_none(), "seed {seed} id {id}: {div:?}");
+            }
         }
     }
 

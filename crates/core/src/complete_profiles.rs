@@ -13,9 +13,10 @@
 //! (per-length shapelet and discord analysis).
 
 use valmod_data::error::Result;
-use valmod_mp::distance_profile::{dp_from_qt_into, profile_min, self_qt};
+use valmod_mp::distance_profile::{dp_from_qt_into, profile_min};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::matrix_profile::MatrixProfile;
+use valmod_mp::workspace::Workspace;
 use valmod_mp::ProfiledSeries;
 
 use crate::compute_mp::{compute_matrix_profile, MpWithProfiles};
@@ -50,7 +51,9 @@ pub fn complete_profiles(
 }
 
 /// The length walk of [`complete_profiles`] from an already harvested
-/// anchor `state` up to `l_max`.
+/// anchor `state` up to `l_max`. Each row needs only its minimum and
+/// `maxLB`, so it advances lazily; every recomputed row re-seeds its dot
+/// products through one [`Workspace`]'s FFT plan cache.
 fn complete_from(
     ps: &ProfiledSeries,
     mut state: MpWithProfiles,
@@ -68,6 +71,7 @@ fn complete_from(
     profiles.push(state.profile.clone());
 
     let (mut dp, mut means, mut stds) = (Vec::new(), Vec::new(), Vec::new());
+    let mut ws = Workspace::new();
     for l in (l_min + 1)..=l_max {
         let ndp = ps.num_subsequences(l);
         ps.fill_stats(l, ndp, &mut means, &mut stds);
@@ -78,7 +82,7 @@ fn complete_from(
         let mut recomputed = 0usize;
         for j in 0..ndp {
             let prof = &mut state.partials[j];
-            let row = table.advance_row(j, prof, |_| {});
+            let row = table.advance_row(j, prof, true, |_, _| {});
             if row.min_dist <= row.max_lb {
                 // Certified: the stored minimum is the row's true minimum.
                 mp[j] = row.min_dist;
@@ -86,10 +90,10 @@ fn complete_from(
                 certified += 1;
             } else {
                 // Recompute this row and re-anchor its partial profile.
-                let qt = self_qt(ps, j, l);
-                dp_from_qt_into(ps, &qt, j, l, &policy, &mut dp);
+                let qt = ws.self_qt(ps, j, l);
+                dp_from_qt_into(ps, qt, j, l, &policy, &mut dp);
                 prof.reanchor(l, table.sigma(j));
-                harvest_row(ps, prof, &dp, &qt, j, l);
+                harvest_row(ps, prof, &dp, qt, j, l);
                 if let Some((arg, d)) = profile_min(&dp) {
                     mp[j] = d;
                     ip[j] = arg;

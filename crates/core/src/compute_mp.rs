@@ -16,7 +16,7 @@
 //! [`valmod_mp::stomp::StompDriver`] rows) — which survives as the
 //! refinement step of `ComputeSubMP` — at every thread count.
 
-use valmod_data::error::Result;
+use valmod_data::error::{Result, ValmodError};
 use valmod_mp::diagonal::{diagonal_rows, Diagonals};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::extend::{capture_cells, TailState};
@@ -105,6 +105,11 @@ fn fused_harvest<T: Send>(
     let _span = valmod_obs::span!(recorder, "core.mp.full_profile_us");
     let baseline = PassBaseline::take(ws);
     let ndp = ps.require_pairs(l)?;
+    if u32::try_from(ndp).is_err() {
+        return Err(ValmodError::InvalidParameter(format!(
+            "harvest: {ndp} rows exceed the u32 neighbour range of listDP"
+        )));
+    }
     let hint = take_hint(ws, l, p, ndp);
     let diags = Diagonals::prepare(ps, l, &policy, ws)?;
     let (harvest, outs) =
@@ -286,10 +291,10 @@ mod tests {
         for (pa, pb) in a.partials.iter().zip(&b.partials) {
             assert_eq!(pa.owner, pb.owner);
             let norm = |p: &PartialProfile| {
-                let mut v: Vec<(usize, u64, u64, u64)> = p
+                let mut v: Vec<(usize, u64, u64)> = p
                     .entries()
                     .iter()
-                    .map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
+                    .map(|e| (e.neighbor(), e.qt().to_bits(), e.lb_key().to_bits()))
                     .collect();
                 v.sort_unstable();
                 v
@@ -414,7 +419,7 @@ mod tests {
             })
             .collect();
         keys.sort_by(f64::total_cmp);
-        let mut got: Vec<f64> = with.partials[row].entries().iter().map(|e| e.lb_key).collect();
+        let mut got: Vec<f64> = with.partials[row].entries().iter().map(|e| e.lb_key()).collect();
         got.sort_by(f64::total_cmp);
         assert_eq!(got.len(), p);
         for (a, b) in got.iter().zip(&keys[..p]) {
@@ -423,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn partial_entries_store_true_distances_and_dot_products() {
+    fn partial_entries_store_dot_products_of_true_distances() {
         let ps = ProfiledSeries::from_values(&random_walk(250, 29)).unwrap();
         let l = 20;
         let with = compute_matrix_profile(&ps, l, 6, ExclusionPolicy::HALF).unwrap();
@@ -431,11 +436,12 @@ mod tests {
         for prof in with.partials.iter().step_by(31) {
             let j = prof.owner;
             for e in prof.entries() {
-                let i = e.neighbor;
+                let i = e.neighbor();
                 let qt: f64 = t[j..j + l].iter().zip(&t[i..i + l]).map(|(a, b)| a * b).sum();
-                assert!((e.qt - qt).abs() < 1e-6, "qt mismatch for ({j},{i})");
+                assert!((e.qt() - qt).abs() < 1e-6, "qt mismatch for ({j},{i})");
                 let d = valmod_mp::distance::zdist_naive(&t[j..j + l], &t[i..i + l]);
-                assert!((e.dist - d).abs() < 1e-6, "dist mismatch for ({j},{i})");
+                let dist = prof.entry_dist(&ps, e);
+                assert!((dist - d).abs() < 1e-6, "dist mismatch for ({j},{i})");
             }
         }
     }
@@ -451,7 +457,7 @@ mod tests {
         let with = compute_matrix_profile(&ps, 16, 3, ExclusionPolicy::HALF).unwrap();
         // Row 60 (fully inside the flat stretch) should have key-0 entries.
         for e in with.partials[60].entries() {
-            assert_eq!(e.lb_key, 0.0);
+            assert_eq!(e.lb_key(), 0.0);
         }
     }
 }

@@ -41,7 +41,7 @@ pub fn variable_length_discords(
         if out.len() >= k {
             break;
         }
-        let l = valmp.lengths[i];
+        let l = valmp.length(i);
         let radius = policy.radius(l);
         if out.iter().any(|d| d.offset.abs_diff(i) < radius.max(policy.radius(d.l))) {
             continue;
@@ -49,7 +49,7 @@ pub fn variable_length_discords(
         out.push(VariableLengthDiscord {
             offset: i,
             l,
-            nn: valmp.indices[i],
+            nn: valmp.neighbor(i),
             score: valmp.norm_distances[i],
         });
     }

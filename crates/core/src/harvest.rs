@@ -159,8 +159,7 @@ pub(crate) fn harvest_row(
         stats.offers += 1;
         let neighbor_flat = is_flat(ps.std(i, l), ps.mean_c(i, l));
         let key = key_for_pair(dist, l, owner_flat, neighbor_flat);
-        if key <= gate && admit(prof, &mut gate, DpEntry { neighbor: i, qt: q, dist, lb_key: key })
-        {
+        if key <= gate && admit(prof, &mut gate, DpEntry::new(i, q, key)) {
             stats.accepted += 1;
         }
     }
@@ -269,7 +268,7 @@ impl HarvestSink {
                 .zip(&self.gates[j0 + c0..j0 + c1])
                 .fold(false, |any, (&k, &gate_j)| any | (k <= gate_i) | (k <= gate_j));
             if pass {
-                self.offer_lanes(i, j0, c0..c1, (qt, dist, &keys));
+                self.offer_lanes(i, j0, c0..c1, (qt, &keys));
             }
         }
         self.keys = keys;
@@ -285,15 +284,15 @@ impl HarvestSink {
         i: usize,
         j0: usize,
         cs: std::ops::Range<usize>,
-        (qt, dist, keys): (&[f64], &[f64], &[f64]),
+        (qt, keys): (&[f64], &[f64]),
     ) {
         for c in cs {
             let (j, lb_key) = (j0 + c, keys[c]);
             if lb_key <= self.gates[i] {
-                self.offer(i, DpEntry { neighbor: j, qt: qt[c], dist: dist[c], lb_key });
+                self.offer(i, DpEntry::new(j, qt[c], lb_key));
             }
             if lb_key <= self.gates[j] {
-                self.offer(j, DpEntry { neighbor: i, qt: qt[c], dist: dist[c], lb_key });
+                self.offer(j, DpEntry::new(i, qt[c], lb_key));
             }
         }
     }
@@ -316,7 +315,7 @@ impl HarvestSink {
         }
         for (row, prof) in other.partials.iter().enumerate() {
             for &entry in prof.entries() {
-                if entry.lb_key <= self.gates[row] {
+                if entry.lb_key() <= self.gates[row] {
                     admit(&mut self.partials[row], &mut self.gates[row], entry);
                 }
             }
@@ -422,7 +421,7 @@ mod tests {
                 let mut v: Vec<_> = prof
                     .entries()
                     .iter()
-                    .map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
+                    .map(|e| (e.neighbor(), e.qt().to_bits(), e.lb_key().to_bits()))
                     .collect();
                 v.sort_unstable();
                 v
@@ -527,10 +526,10 @@ mod tests {
         sink.stats.offers += 2;
         let lb_key = key_for_pair(dist, sink.l, sink.flats[i], sink.flats[j]);
         if lb_key <= sink.gates[i] {
-            sink.offer(i, DpEntry { neighbor: j, qt, dist, lb_key });
+            sink.offer(i, DpEntry::new(j, qt, lb_key));
         }
         if lb_key <= sink.gates[j] {
-            sink.offer(j, DpEntry { neighbor: i, qt, dist, lb_key });
+            sink.offer(j, DpEntry::new(i, qt, lb_key));
         }
     }
 
@@ -569,7 +568,7 @@ mod tests {
         let cold = walked_pass(&ps, (l, p, DEFAULT_BLOCK, 1), None, true);
         // Per-row bounds that hold: the largest retained distance.
         let bounds: Vec<f64> = (cold.partials.iter())
-            .map(|prof| prof.entries().iter().map(|e| e.dist).fold(0.0, f64::max))
+            .map(|prof| prof.entries().iter().map(|e| prof.entry_dist(&ps, e)).fold(0.0, f64::max))
             .collect();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (block, threads, seeded) in [(DEFAULT_BLOCK, 1, false), (9, 3, false)]
@@ -586,7 +585,7 @@ mod tests {
                 // Heap order, not sorted: the same offers in the same order.
                 let heap = |prof: &PartialProfile| {
                     let e = prof.entries().iter();
-                    e.map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
+                    e.map(|e| (e.neighbor(), e.qt().to_bits(), e.lb_key().to_bits()))
                         .collect::<Vec<_>>()
                 };
                 assert_eq!(heap(a), heap(b), "{what}: row {}", a.owner);

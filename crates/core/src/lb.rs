@@ -50,6 +50,19 @@ pub fn lb_scale(lb_base: f64, sigma_anchor: f64, sigma_new: f64) -> f64 {
     }
 }
 
+/// The σ-ratio `σ_anchor/σ_new` that [`lb_scale`] applies, shared by every
+/// entry of one profile, so a row hoists it: for a finite `lb_base`,
+/// `lb_base * sigma_ratio(a, n)` has the bits of `lb_scale(lb_base, a, n)`
+/// (0 when either σ is not positive).
+#[inline]
+pub fn sigma_ratio(sigma_anchor: f64, sigma_new: f64) -> f64 {
+    if sigma_new <= 0.0 || sigma_anchor <= 0.0 {
+        0.0
+    } else {
+        sigma_anchor / sigma_new
+    }
+}
+
 /// Tightness of the lower bound, `TLB = LB/dist ∈ [0, 1]` (paper §6.2,
 /// Fig. 10; 1 = perfectly tight). Zero distance yields TLB 1 by convention
 /// (the bound cannot be beaten there).
@@ -138,6 +151,12 @@ mod tests {
 
     #[test]
     fn scale_handles_flat_sigmas() {
+        for (a, n) in [(1.0, 0.0), (0.0, 1.0), (2.0, 4.0), (2.0, 1.0), (1.7, 2.3)] {
+            for base in [0.0, 0.3, 5.0] {
+                let hoisted = base * sigma_ratio(a, n);
+                assert_eq!(hoisted.to_bits(), lb_scale(base, a, n).to_bits(), "{base} {a} {n}");
+            }
+        }
         assert_eq!(lb_scale(5.0, 1.0, 0.0), 0.0);
         assert_eq!(lb_scale(5.0, 0.0, 1.0), 0.0);
         assert!((lb_scale(5.0, 2.0, 4.0) - 2.5).abs() < 1e-12);

@@ -22,7 +22,10 @@ pub struct PartialSnapshot {
     /// The `maxLB` threshold at that length: every subsequence *not* listed
     /// in `neighbors` is at distance ≥ this from the owner.
     pub max_lb: f64,
-    /// `(neighbour offset, true distance)` for each retained valid entry.
+    /// `(neighbour offset, true distance)` for each retained valid entry,
+    /// ascending by neighbour offset: the snapshot does not depend on the
+    /// profile's heap layout, which varies with the thread count and with
+    /// how the profile was advanced.
     pub neighbors: Vec<(usize, f64)>,
 }
 
@@ -30,12 +33,11 @@ impl PartialSnapshot {
     /// Takes a snapshot of `prof`, which must currently be advanced to `l`.
     pub fn capture(ps: &ProfiledSeries, prof: &PartialProfile, l: usize) -> Self {
         debug_assert_eq!(prof.current_l, l);
-        let neighbors = prof
-            .entries()
-            .iter()
-            .filter(|e| e.dist.is_finite())
-            .map(|e| (e.neighbor, e.dist))
+        let mut neighbors: Vec<(usize, f64)> = (prof.entries().iter())
+            .filter(|e| e.is_live())
+            .map(|e| (e.neighbor(), prof.entry_dist(ps, e)))
             .collect();
+        neighbors.sort_unstable_by_key(|&(neighbor, _)| neighbor);
         PartialSnapshot {
             owner: prof.owner,
             l,
@@ -198,6 +200,7 @@ mod tests {
         let snap = PartialSnapshot::capture(&ps, &partials[50], 16);
         assert_eq!(snap.owner, 50);
         assert!(!snap.neighbors.is_empty());
+        assert!(snap.neighbors.windows(2).all(|w| w[0].0 < w[1].0), "sorted by neighbour");
         for &(n, d) in &snap.neighbors {
             assert!(n < ps.num_subsequences(16));
             assert!(d.is_finite() && d >= 0.0);

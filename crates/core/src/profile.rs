@@ -19,38 +19,86 @@ use crate::harvest::key_for_pair;
 use crate::lb::lb_scale;
 
 /// One retained entry of a partial distance profile: the pair
-/// (profile owner `j`, neighbour), with enough state to advance both its
-/// true distance and its lower bound to the next length in O(1).
+/// (profile owner `j`, neighbour), with enough state to advance its dot
+/// product and to scale its lower bound to the next length in O(1).
+///
+/// The true distance is not stored: it is a pure function of `qt` and the
+/// two subsequences' statistics at the entry's length
+/// ([`PartialProfile::entry_dist`]), and the advance computes it only for
+/// the entries a row's answer needs. Packed to 20 bytes (8-byte fields at a
+/// 4-byte alignment), so `listDP` holds `p` entries per row in `20p` bytes.
+/// The fields are read by value only.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 pub struct DpEntry {
-    /// Neighbour offset (`i` in the paper's `d_{i,j}`).
-    pub neighbor: usize,
     /// Dot product `⟨T_{neighbor,L}, T_{j,L}⟩` in the centred domain, for the
-    /// length `L` the entry was last advanced to.
-    pub qt: f64,
-    /// True z-normalised distance at that length.
-    pub dist: f64,
+    /// length `L` the entry was last advanced to; `NaN` once the pair is
+    /// gone (its neighbour slid off the end or entered the exclusion zone).
+    pub(crate) qt: f64,
     /// Squared anchor LB component (`ℓ` or `ℓ(1 − q²)` at the anchor length);
     /// the heap key.
-    pub lb_key: f64,
+    pub(crate) lb_key: f64,
+    /// Neighbour offset (`i` in the paper's `d_{i,j}`); a harvest refuses
+    /// series with `2³²` or more rows.
+    pub(crate) neighbor: u32,
 }
 
 impl DpEntry {
+    /// An entry for `neighbor` with dot product `qt` and heap key `lb_key`.
+    ///
+    /// # Panics
+    /// If `neighbor` does not fit in `u32`.
+    #[inline]
+    pub fn new(neighbor: usize, qt: f64, lb_key: f64) -> Self {
+        let neighbor = u32::try_from(neighbor).expect("neighbour offsets fit in u32");
+        DpEntry { qt, lb_key, neighbor }
+    }
+
+    /// Neighbour offset.
+    #[inline]
+    pub fn neighbor(&self) -> usize {
+        self.neighbor as usize
+    }
+
+    /// Dot product at the entry's current length (`NaN` once dead).
+    #[inline]
+    pub fn qt(&self) -> f64 {
+        self.qt
+    }
+
+    /// The heap key: the squared anchor LB component.
+    #[inline]
+    pub fn lb_key(&self) -> f64 {
+        self.lb_key
+    }
+
     /// The anchor LB value `sqrt(lb_key)`.
     #[inline]
     pub fn lb_base(&self) -> f64 {
         self.lb_key.sqrt()
     }
+
+    /// Whether the pair still exists at the entry's current length.
+    #[inline]
+    pub fn is_live(&self) -> bool {
+        !self.qt.is_nan()
+    }
 }
 
 /// Strict total heap order: `lb_key` (via `total_cmp`), ties broken by the
-/// neighbour index. Returns whether `a` ranks strictly *worse* (greater)
-/// than `b`. With this order, eviction from a full heap is deterministic
-/// regardless of offer order.
+/// neighbour index. With this order, eviction from a full heap is
+/// deterministic regardless of offer order.
+#[inline]
+fn heap_cmp(a: &DpEntry, b: &DpEntry) -> std::cmp::Ordering {
+    let (ka, kb, na, nb) = (a.lb_key, b.lb_key, a.neighbor, b.neighbor);
+    ka.total_cmp(&kb).then(na.cmp(&nb))
+}
+
+/// Whether `a` ranks strictly *worse* (greater) than `b` under
+/// [`heap_cmp`].
 #[inline]
 fn heap_gt(a: &DpEntry, b: &DpEntry) -> bool {
-    a.lb_key.total_cmp(&b.lb_key).then_with(|| a.neighbor.cmp(&b.neighbor))
-        == std::cmp::Ordering::Greater
+    heap_cmp(a, b) == std::cmp::Ordering::Greater
 }
 
 /// The partial distance profile of one subsequence: its `p` smallest-LB
@@ -68,6 +116,10 @@ pub struct PartialProfile {
     /// Max-heap by `lb_key`; at most `capacity` entries.
     entries: Vec<DpEntry>,
     capacity: usize,
+    /// Whether `entries` is sorted descending under the heap order (still
+    /// a max-heap), so a scan from the end meets the bounds in ascending
+    /// order. Cleared by every change to the entry set.
+    sorted: bool,
 }
 
 impl PartialProfile {
@@ -81,6 +133,7 @@ impl PartialProfile {
             anchor_sigma,
             entries: Vec::with_capacity(capacity),
             capacity,
+            sorted: false,
         }
     }
 
@@ -95,7 +148,15 @@ impl PartialProfile {
     ) -> Self {
         debug_assert!(entries.len() <= capacity);
         debug_assert!((1..entries.len()).all(|k| !heap_gt(&entries[k], &entries[(k - 1) / 2])));
-        PartialProfile { owner, current_l: anchor_l, anchor_l, anchor_sigma, entries, capacity }
+        PartialProfile {
+            owner,
+            current_l: anchor_l,
+            anchor_l,
+            anchor_sigma,
+            entries,
+            capacity,
+            sorted: false,
+        }
     }
 
     /// Number of retained entries.
@@ -131,14 +192,43 @@ impl PartialProfile {
 
     /// Mutable access for the O(1) per-length advance.
     #[inline]
-    pub fn entries_mut(&mut self) -> &mut [DpEntry] {
+    pub(crate) fn entries_mut(&mut self) -> &mut [DpEntry] {
         &mut self.entries
+    }
+
+    /// The true z-normalised distance of `entry` (one of this profile's)
+    /// at [`PartialProfile::current_l`], from its dot product and the two
+    /// subsequences' statistics — the bits the advance and the kernel
+    /// compute. `+∞` for a dead entry.
+    pub fn entry_dist(&self, ps: &ProfiledSeries, entry: &DpEntry) -> f64 {
+        if !entry.is_live() {
+            return f64::INFINITY;
+        }
+        let (l, owner, i) = (self.current_l, self.owner, entry.neighbor());
+        dist_from_qt(
+            entry.qt(),
+            l,
+            ps.mean_c(i, l),
+            ps.std(i, l),
+            ps.mean_c(owner, l),
+            ps.std(owner, l),
+        )
+    }
+
+    /// Sorts the entries descending under the heap order, once per anchor:
+    /// a descending array is still a valid max-heap, and scanned from the
+    /// end it lists the Eq. 2 bounds in ascending order at every length.
+    pub(crate) fn sort_for_scan(&mut self) {
+        if !self.sorted {
+            self.entries.sort_unstable_by(|a, b| heap_cmp(b, a));
+            self.sorted = true;
+        }
     }
 
     /// The largest retained `lb_key` (heap root), or `None` when empty.
     #[inline]
     pub fn max_lb_key(&self) -> Option<f64> {
-        self.entries.first().map(|e| e.lb_key)
+        self.entries.first().map(|e| e.lb_key())
     }
 
     /// The threshold `maxLB` at length `l`: the largest retained anchor LB,
@@ -166,20 +256,21 @@ impl PartialProfile {
         if self.entries.len() < self.capacity {
             self.entries.push(entry);
             self.sift_up(self.entries.len() - 1);
-            true
         } else if heap_gt(&self.entries[0], &entry) {
             self.entries[0] = entry;
             self.sift_down(0);
-            true
         } else {
-            false
+            return false;
         }
+        self.sorted = false;
+        true
     }
 
     /// Clears the profile and re-anchors it at a new length (used when a
     /// distance profile is recomputed from scratch, Alg. 4 lines 30–34).
     pub fn reanchor(&mut self, anchor_l: usize, anchor_sigma: f64) {
         self.entries.clear();
+        self.sorted = false;
         self.anchor_l = anchor_l;
         self.current_l = anchor_l;
         self.anchor_sigma = anchor_sigma;
@@ -220,13 +311,13 @@ impl PartialProfile {
 /// `listDP` in the compact form a parked segment keeps between queries:
 /// per retained entry only the neighbour (`u32`) and the dot product
 /// (`f64`), row after row in each heap's own order, plus a fill count per
-/// row — 12 bytes per entry instead of a [`DpEntry`]'s 32.
+/// row — 12 bytes per entry instead of a [`DpEntry`]'s 20.
 ///
 /// Everything else is a pure function of those and the series' prefix-stable
 /// statistics, so [`PackedPartials::unpack`] rebuilds it with the accessors
-/// the fused kernel used: `dist` by [`dist_from_qt`] (bitwise symmetric in
-/// its two subsequences), `lb_key` by `key_for_pair` with the same flat
-/// flags, and the anchor σ by `ps.std(owner, ℓ)`. Only *anchor-fresh*
+/// the fused kernel used: `lb_key` by `key_for_pair` over the distance
+/// [`dist_from_qt`] gives (bitwise symmetric in its two subsequences) with
+/// the same flat flags, and the anchor σ by `ps.std(owner, ℓ)`. Only *anchor-fresh*
 /// partials pack — row `r` owned by subsequence `r`, never advanced or
 /// re-anchored — which is what a captured segment holds.
 #[derive(Debug, Clone)]
@@ -240,7 +331,7 @@ pub(crate) struct PackedPartials {
 
 impl PackedPartials {
     /// Packs anchor-fresh partials harvested at length `l`, or `None` when
-    /// a row or neighbour index does not fit in `u32`.
+    /// a row count does not fit in `u32`.
     pub(crate) fn pack(partials: &[PartialProfile], l: usize, capacity: usize) -> Option<Self> {
         let total = partials.iter().map(PartialProfile::len).sum();
         let mut packed = PackedPartials {
@@ -255,7 +346,7 @@ impl PackedPartials {
             debug_assert_eq!(prof.capacity, capacity);
             packed.fill.push(u32::try_from(prof.len()).ok()?);
             for e in prof.entries() {
-                packed.neighbor.push(u32::try_from(e.neighbor).ok()?);
+                packed.neighbor.push(e.neighbor);
                 packed.qt.push(e.qt);
             }
         }
@@ -285,7 +376,7 @@ impl PackedPartials {
                         (means[neighbor], stds[neighbor], flats[neighbor]);
                     let dist = dist_from_qt(qt, l, mean_r, std_r, mean_n, std_n);
                     let lb_key = key_for_pair(dist, l, flat_r, flat_n);
-                    entries.push(DpEntry { neighbor, qt, dist, lb_key });
+                    entries.push(DpEntry { qt, lb_key, neighbor: nb });
                 }
                 at = end;
                 PartialProfile::from_heap(r, l, std_r, self.capacity, entries)
@@ -306,7 +397,7 @@ mod tests {
     use super::*;
 
     fn entry(neighbor: usize, lb_key: f64) -> DpEntry {
-        DpEntry { neighbor, qt: 0.0, dist: 0.0, lb_key }
+        DpEntry::new(neighbor, 0.0, lb_key)
     }
 
     #[test]
@@ -316,7 +407,7 @@ mod tests {
             p.offer(entry(n, key));
         }
         assert_eq!(p.len(), 3);
-        let mut keys: Vec<f64> = p.entries().iter().map(|e| e.lb_key).collect();
+        let mut keys: Vec<f64> = p.entries().iter().map(DpEntry::lb_key).collect();
         keys.sort_by(f64::total_cmp);
         assert_eq!(keys, vec![0.5, 1.0, 3.0]);
         assert_eq!(p.max_lb_key(), Some(3.0));
@@ -339,7 +430,7 @@ mod tests {
             for &k in order {
                 p.offer(pool[k]);
             }
-            let mut kept: Vec<usize> = p.entries().iter().map(|e| e.neighbor).collect();
+            let mut kept: Vec<usize> = p.entries().iter().map(DpEntry::neighbor).collect();
             kept.sort_unstable();
             kept
         };

@@ -53,7 +53,7 @@ pub fn top_variable_length_motifs(
         if out.len() >= k {
             break;
         }
-        let pair = MotifPair::new(i, valmp.indices[i], valmp.lengths[i], valmp.distances[i]);
+        let pair = valmp.pair(i);
         let radius = policy.radius(pair.l);
         let clashes = out.iter().any(|m| {
             let r = radius.max(policy.radius(m.l));

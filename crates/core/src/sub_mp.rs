@@ -19,8 +19,12 @@
 //! slides off the end, or the grown exclusion zone swallows the pair) only
 //! *shrink* the set of real pairs, so discarding them keeps every statement
 //! above conservative.
+//!
+//! The same bound prunes inside a row: a stored entry whose scaled bound
+//! exceeds the row's running minimum cannot be that minimum, so the advance
+//! does not compute its distance (`LengthTable::advance_row`).
 
-use valmod_mp::distance::dist_from_qt;
+use valmod_mp::distance::{dist_from_qt, is_flat};
 use valmod_mp::distance_profile::{dp_from_qt_into, profile_min};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::parallel::row_chunks;
@@ -29,7 +33,7 @@ use valmod_mp::ProfiledSeries;
 use valmod_obs::{Recorder, SharedRecorder};
 
 use crate::harvest::{harvest_row, HarvestStats};
-use crate::lb::{lb_scale, tightness};
+use crate::lb::{sigma_ratio, tightness};
 use crate::profile::{DpEntry, PartialProfile};
 
 /// Result of one `ComputeSubMP` invocation.
@@ -72,6 +76,17 @@ impl SubMpResult {
     }
 }
 
+/// Relative slack of the lazy advance's skip rule: an entry's distance is
+/// left uncomputed only while its Eq. 2 bound exceeds the row's running
+/// minimum by more than this share plus [`SKIP_ABS_MARGIN`]. The margin is
+/// at least the admissibility tolerance `valmod check` holds the bound to,
+/// so a skipped entry's distance is above the row's minimum, and ties with
+/// the minimum are always computed.
+const SKIP_REL_MARGIN: f64 = 1e-6;
+
+/// Absolute slack of the skip rule, for minima near 0.
+const SKIP_ABS_MARGIN: f64 = 1e-6;
+
 /// What advancing every row to one length reads, hoisted out of the
 /// per-entry loop: the centred series, the length's statistics table (one
 /// `O(n)` fill per length) and its exclusion radius.
@@ -94,6 +109,8 @@ pub(crate) struct RowAdvance {
     pub(crate) max_lb: f64,
     /// The largest distance over the row's entries, `+∞` once any entry is
     /// invalid or the heap is not full: the row's [`HarvestHint`] bound.
+    /// `NaN` when the lazy advance skipped entries and the bound is finite:
+    /// [`LengthTable::max_dist`] then completes it.
     pub(crate) max_dist: f64,
 }
 
@@ -117,42 +134,86 @@ impl<'a> LengthTable<'a> {
         self.stds[j]
     }
 
+    /// The distance of row `j`'s live `entry`, already advanced to the
+    /// table's length (Eq. 3).
+    #[inline]
+    fn dist(&self, j: usize, entry: &DpEntry) -> f64 {
+        let i = entry.neighbor();
+        dist_from_qt(entry.qt(), self.l, self.means[i], self.stds[i], self.means[j], self.stds[j])
+    }
+
+    /// Row `j`'s [`RowAdvance::max_dist`] after an advance that skipped
+    /// entries: the largest distance over its entries, all live (a dead
+    /// entry makes the bound `+∞` without any distance).
+    pub(crate) fn max_dist(&self, j: usize, prof: &PartialProfile) -> f64 {
+        prof.entries().iter().map(|e| self.dist(j, e)).fold(0.0, f64::max)
+    }
+
     /// Advances row `j`'s entries from `prof.current_l` to the table's
     /// length (paper's `updateDistAndLB`), `O(1)` per entry and unit length
     /// step: extend the dot product by the newly covered samples, then take
     /// the distance (Eq. 3) from the table. An entry whose neighbour slid
     /// off the end (`i ≥ ndp`) or entered the grown exclusion zone is
-    /// marked dead (`dist = +∞`) for good: the radius only grows and the
-    /// end only gets closer, so its stale dot product is never read again.
-    /// `on_valid` sees every entry that is valid at the new length.
+    /// marked dead (`qt = NaN`) for good: the radius only grows and the end
+    /// only gets closer, so its stale dot product is never read again.
+    ///
+    /// With `lazy`, a distance is computed only while the entry's Eq. 2
+    /// bound `lb_base · σ_anchor/σ_new` can still reach the row's running
+    /// minimum (within [`SKIP_REL_MARGIN`] and [`SKIP_ABS_MARGIN`]); the dot
+    /// product advances either way, so a later length or reader finds it
+    /// current. All of a row's bounds share the σ-ratio, so the anchor key
+    /// order is the bound order: from its second advance after anchoring
+    /// the row is sorted once ([`PartialProfile::sort_for_scan`]), and the
+    /// scan from the end meets the smallest bounds first, where the minimum
+    /// lives. A flat owner (whose distances follow the flat convention, not
+    /// the bound) and a zero σ-ratio (every bound 0) compute every
+    /// distance. The minimum, `maxLB` and a finite hint bound are those of
+    /// the eager advance (`lazy == false`), bit for bit.
+    ///
+    /// `on_dist` sees every computed distance with its entry — with
+    /// `lazy == false`, every entry that is valid at the new length.
     #[inline]
     pub(crate) fn advance_row(
         &self,
         j: usize,
         prof: &mut PartialProfile,
-        mut on_valid: impl FnMut(&DpEntry),
+        lazy: bool,
+        mut on_dist: impl FnMut(&DpEntry, f64),
     ) -> RowAdvance {
         let (t, l, ndp) = (self.t, self.l, self.means.len());
         let (mean_j, std_j) = (self.means[j], self.stds[j]);
         let from_l = prof.current_l;
+        let ratio = sigma_ratio(prof.anchor_sigma, std_j);
         let mut row = RowAdvance {
             min_dist: f64::INFINITY,
             ind: usize::MAX,
             max_lb: prof.max_lb_at(std_j),
             max_dist: if prof.is_full() { 0.0 } else { f64::INFINITY },
         };
-        for e in prof.entries_mut() {
-            let i = e.neighbor;
-            if e.dist.is_infinite() || i >= ndp || i.abs_diff(j) < self.radius {
-                e.dist = f64::INFINITY;
+        let lazy = lazy && ratio > 0.0 && !is_flat(std_j, mean_j);
+        if lazy && from_l != prof.anchor_l {
+            prof.sort_for_scan();
+        }
+        // The key threshold of the skip rule: `+∞` until a distance is known.
+        let mut gate = f64::INFINITY;
+        let mut skipped = false;
+        for e in prof.entries_mut().iter_mut().rev() {
+            let i = e.neighbor();
+            if !e.is_live() || i >= ndp || i.abs_diff(j) < self.radius {
+                e.qt = f64::NAN;
                 row.max_dist = f64::INFINITY;
                 continue;
             }
+            let mut qt = e.qt;
             for step in from_l..l {
-                e.qt += t[j + step] * t[i + step];
+                qt += t[j + step] * t[i + step];
             }
-            let dist = dist_from_qt(e.qt, l, self.means[i], self.stds[i], mean_j, std_j);
-            e.dist = dist;
+            e.qt = qt;
+            if e.lb_key() > gate {
+                skipped = true;
+                continue;
+            }
+            let dist = dist_from_qt(qt, l, self.means[i], self.stds[i], mean_j, std_j);
             row.max_dist = row.max_dist.max(dist);
             // Ties resolve to the smaller neighbour, so the row's answer
             // does not depend on the heap's internal layout (which varies
@@ -160,8 +221,17 @@ impl<'a> LengthTable<'a> {
             if dist < row.min_dist || (dist == row.min_dist && i < row.ind) {
                 row.min_dist = dist;
                 row.ind = i;
+                if lazy {
+                    // LB > reach  ⇔  sqrt(key) · ratio > reach.
+                    let reach = dist + dist * SKIP_REL_MARGIN + SKIP_ABS_MARGIN;
+                    let base = reach / ratio;
+                    gate = base * base;
+                }
             }
-            on_valid(e);
+            on_dist(e, dist);
+        }
+        if skipped && row.max_dist.is_finite() {
+            row.max_dist = f64::NAN;
         }
         prof.current_l = l;
         row
@@ -183,6 +253,10 @@ struct AdvanceOut {
 /// mutually independent, so the pass chunks freely; the per-row arithmetic
 /// is identical regardless of the chunking, keeping threaded runs bitwise
 /// equal to sequential ones.
+///
+/// An enabled recorder needs every distance (the Fig. 10 tightness averages
+/// over all valid entries), so a recorded pass runs the advance with the
+/// skip rule off; its Fig. 9/10 samples are batched per chunk.
 fn advance_rows(
     table: &LengthTable<'_>,
     chunk: &mut [PartialProfile],
@@ -198,17 +272,18 @@ fn advance_rows(
         non_valid: Vec::new(),
     };
     let recording = recorder.enabled();
+    let capacity = if recording { chunk.len() } else { 0 };
+    let (mut margins, mut tlbs) = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
     // Normaliser for the Fig. 9 margin: distances live in [0, 2√ℓ].
     let margin_norm = 2.0 * (table.l as f64).sqrt();
     for (k, prof) in chunk.iter_mut().enumerate() {
         let j = chunk_start + k;
-        let (anchor_sigma, sigma_new) = (prof.anchor_sigma, table.sigma(j));
         let (mut tlb_sum, mut tlb_n) = (0.0f64, 0usize);
-        let row = table.advance_row(j, prof, |e| {
+        let ratio = sigma_ratio(prof.anchor_sigma, table.sigma(j));
+        let row = table.advance_row(j, prof, !recording, |e, dist| {
             if recording {
                 // Fig. 10 tightness of the Eq. 2 bound for this pair.
-                let lb = lb_scale(e.lb_base(), anchor_sigma, sigma_new);
-                tlb_sum += tightness(lb, e.dist);
+                tlb_sum += tightness(e.lb_base() * ratio, dist);
                 tlb_n += 1;
             }
         });
@@ -218,13 +293,12 @@ fn advance_rows(
             // Fig. 9 margin, normalised by the distance range; an unfilled
             // heap (maxLB = +∞, profile complete) overflows the histogram's
             // top bucket and still counts as resolvable.
-            let margin = if max_lb.is_infinite() && min_dist.is_infinite() {
+            margins.push(if max_lb.is_infinite() && min_dist.is_infinite() {
                 0.0
             } else {
                 (max_lb - min_dist) / margin_norm
-            };
-            recorder.observe("core.lb.margin", margin);
-            recorder.observe("core.lb.tlb", if tlb_n == 0 { 0.0 } else { tlb_sum / tlb_n as f64 });
+            });
+            tlbs.push(if tlb_n == 0 { 0.0 } else { tlb_sum / tlb_n as f64 });
         }
         if min_dist <= max_lb {
             // Paper line 16: minDist is the true row minimum.
@@ -238,6 +312,10 @@ fn advance_rows(
             out.min_lb_abs = out.min_lb_abs.min(max_lb);
             out.non_valid.push((j, max_lb));
         }
+    }
+    if recording {
+        recorder.observe_many("core.lb.margin", &margins);
+        recorder.observe_many("core.lb.tlb", &tlbs);
     }
     out
 }
@@ -279,8 +357,9 @@ pub fn compute_sub_mp_threaded(
 /// the last-chance pass records `core.lb.refined_rows`, one
 /// `mp.mass.calls` per recomputed row and the refined rows' harvest under
 /// the `core.harvest.*` counters, and the whole first pass is timed
-/// into `core.submp.advance_us`. The instrumentation only *reads* the
-/// algorithm's state: outputs are bitwise identical with any recorder.
+/// into `core.submp.advance_us`. The tightness needs every distance, so an
+/// enabled recorder turns the advance's skip rule off; outputs are bitwise
+/// identical with any recorder.
 pub fn compute_sub_mp_threaded_with(
     ps: &ProfiledSeries,
     partials: &mut [PartialProfile],
@@ -355,10 +434,10 @@ pub fn compute_sub_mp_threaded_with_ws(
     hint.clear();
     hint.resize(ndp, 0.0);
     let (mut means, mut stds) = (Vec::new(), Vec::new());
+    let span = valmod_obs::span!(recorder, "core.submp.advance_us");
+    ps.fill_stats(new_l, ndp, &mut means, &mut stds);
+    let table = &LengthTable::new(ps, new_l, &policy, &means, &stds);
     let chunk_outs: Vec<AdvanceOut> = {
-        let _span = valmod_obs::span!(recorder, "core.submp.advance_us");
-        ps.fill_stats(new_l, ndp, &mut means, &mut stds);
-        let table = &LengthTable::new(ps, new_l, &policy, &means, &stds);
         let chunks = row_chunks(ndp, threads);
         let last = chunks.len() - 1;
         std::thread::scope(|scope| {
@@ -402,6 +481,7 @@ pub fn compute_sub_mp_threaded_with_ws(
             outs
         })
     };
+    drop(span);
 
     let mut min_dist_abs = f64::INFINITY;
     let mut min_lb_abs = f64::INFINITY;
@@ -462,7 +542,13 @@ pub fn compute_sub_mp_threaded_with_ws(
         // The seed hint for the fallback harvest, filled by the advance: a
         // full heap whose entries all stayed valid holds p distinct real
         // pairs at most this far apart. No row was refined (that would
-        // have certified the length), so every bound is still current.
+        // have certified the length), so every bound is still current, and
+        // a row the lazy advance skipped has its dot products advanced.
+        for (j, bound) in hint.iter_mut().enumerate() {
+            if bound.is_nan() {
+                *bound = table.max_dist(j, &partials[j]);
+            }
+        }
         ws.set_harvest_hint(HarvestHint { l: new_l, p, max_dist: hint });
     }
 
@@ -716,7 +802,7 @@ mod tests {
         let mut prof = PartialProfile::new(owner, l, ps.std(owner, l), neighbors.len());
         for (k, &neighbor) in neighbors.iter().enumerate() {
             let qt = (0..l).map(|s| t[owner + s] * t[neighbor + s]).sum();
-            prof.offer(DpEntry { neighbor, qt, dist: 0.0, lb_key: k as f64 });
+            prof.offer(DpEntry::new(neighbor, qt, k as f64));
         }
         prof
     }
@@ -728,7 +814,8 @@ mod tests {
         LengthTable::new(ps, l, &ExclusionPolicy::HALF, &means, &stds).advance_row(
             prof.owner,
             prof,
-            |_| {},
+            false,
+            |_, _| {},
         )
     }
 
@@ -754,7 +841,7 @@ mod tests {
         let mut prof = profile_with(&ps, 0, 20, &[80, 40]);
         let row = advance_to(&ps, &mut prof, 21);
         let dead: Vec<usize> =
-            prof.entries().iter().filter(|e| e.dist.is_infinite()).map(|e| e.neighbor).collect();
+            prof.entries().iter().filter(|e| !e.is_live()).map(DpEntry::neighbor).collect();
         assert_eq!(dead, vec![80]);
         assert_eq!(row.ind, 40);
         assert!(row.max_dist.is_infinite(), "a dead entry voids the row's hint");
@@ -769,13 +856,14 @@ mod tests {
         let row = advance_to(&ps, &mut prof, 21);
         assert!(row.min_dist.is_finite() && row.max_dist.is_finite());
         let row = advance_to(&ps, &mut prof, 25);
-        assert!(row.min_dist.is_infinite() && prof.entries()[0].dist.is_infinite());
+        assert!(row.min_dist.is_infinite() && !prof.entries()[0].is_live());
     }
 
     /// The advance as it was before the length table, kept as the reference:
     /// every statistic re-derived per entry from the prefix sums, validity
-    /// from the series end and the policy. Returns the new distance, or
-    /// `None` when the pair is gone.
+    /// from the series end and the policy, every distance computed. Returns
+    /// the new distance, or `None` (and marks the entry dead) when the pair
+    /// is gone.
     fn reference_entry(
         ps: &ProfiledSeries,
         entry: &mut DpEntry,
@@ -785,28 +873,29 @@ mod tests {
         policy: &ExclusionPolicy,
     ) -> Option<f64> {
         let n = ps.len();
-        let i = entry.neighbor;
+        let i = entry.neighbor();
         if i + new_l > n || owner + new_l > n || policy.is_trivial(owner, i, new_l) {
-            entry.dist = f64::INFINITY;
+            entry.qt = f64::NAN;
             return None;
         }
         let t = ps.centered();
+        let mut qt = entry.qt;
         for step in from_l..new_l {
-            entry.qt += t[owner + step] * t[i + step];
+            qt += t[owner + step] * t[i + step];
         }
-        entry.dist = dist_from_qt(
-            entry.qt,
+        entry.qt = qt;
+        Some(dist_from_qt(
+            qt,
             new_l,
             ps.mean_c(i, new_l),
             ps.std(i, new_l),
             ps.mean_c(owner, new_l),
             ps.std(owner, new_l),
-        );
-        Some(entry.dist)
+        ))
     }
 
     /// The reference first pass: rows advanced with [`reference_entry`],
-    /// classified, and the hint taken by a second walk over the heaps.
+    /// classified, and the hint taken from every entry's distance.
     struct ReferencePass {
         partials: Vec<PartialProfile>,
         sub_mp: Vec<f64>,
@@ -830,7 +919,7 @@ mod tests {
             sub_mp: vec![f64::NAN; ndp],
             ip: vec![usize::MAX; ndp],
             valid: vec![false; ndp],
-            hint: Vec::new(),
+            hint: vec![0.0; ndp],
             slid_off: 0,
             excluded: 0,
         };
@@ -839,60 +928,75 @@ mod tests {
             let from_l = prof.current_l;
             let max_lb = prof.max_lb_at(sigma_new);
             let (mut min_dist, mut ind) = (f64::INFINITY, usize::MAX);
+            let mut max_dist = if prof.is_full() { 0.0f64 } else { f64::INFINITY };
             for e in prof.entries_mut() {
-                if e.dist.is_infinite() {
+                if !e.is_live() {
+                    max_dist = f64::INFINITY;
                     continue;
                 }
                 match reference_entry(ps, e, j, from_l, new_l, policy) {
                     Some(dist) => {
-                        if dist < min_dist || (dist == min_dist && e.neighbor < ind) {
+                        max_dist = max_dist.max(dist);
+                        if dist < min_dist || (dist == min_dist && e.neighbor() < ind) {
                             min_dist = dist;
-                            ind = e.neighbor;
+                            ind = e.neighbor();
                         }
                     }
-                    None if e.neighbor >= ndp => pass.slid_off += 1,
-                    None => pass.excluded += 1,
+                    None => {
+                        max_dist = f64::INFINITY;
+                        if e.neighbor() >= ndp {
+                            pass.slid_off += 1;
+                        } else {
+                            pass.excluded += 1;
+                        }
+                    }
                 }
             }
             prof.current_l = new_l;
+            pass.hint[j] = max_dist;
             if min_dist <= max_lb {
                 (pass.sub_mp[j], pass.ip[j], pass.valid[j]) = (min_dist, ind, true);
             }
         }
-        pass.hint = pass
-            .partials
-            .iter()
-            .map(|prof| {
-                if prof.is_full() {
-                    prof.entries().iter().map(|e| e.dist).fold(0.0, f64::max)
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect();
         pass
     }
 
-    /// Advances `partials` to `new_l` with ComputeSubMP and checks it
-    /// against [`reference_pass`] bit for bit: `sub_mp`/`ip`, the row
-    /// split, every entry's `qt`/`dist` in heap order, and the hint. Rows
-    /// the last-chance pass refined are re-anchored, so only their count is
-    /// checked. Returns whether the length was certified and the reference
-    /// pass's invalidation counts.
+    /// Every entry of `prof` as (neighbour, qt bits, lb_key bits), sorted by
+    /// neighbour: the retained set whatever the row's layout.
+    fn entry_bits(prof: &PartialProfile) -> Vec<(usize, u64, u64)> {
+        let mut v: Vec<_> = (prof.entries().iter())
+            .map(|e| (e.neighbor(), e.qt().to_bits(), e.lb_key().to_bits()))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Advances `partials` to `new_l` with ComputeSubMP — lazily, or with
+    /// the skip rule off under an enabled recorder — and checks it against
+    /// [`reference_pass`] bit for bit: `sub_mp`/`ip`, the row split, every
+    /// entry's `qt` (`NaN` when dead), and the hint. Rows the last-chance
+    /// pass refined are re-anchored, so only their count is checked.
+    /// Returns whether the length was certified and the reference pass's
+    /// invalidation counts.
     fn assert_advance_matches_reference(
         ps: &ProfiledSeries,
         partials: &mut [PartialProfile],
         new_l: usize,
-        threads: usize,
+        (threads, recorded): (usize, bool),
         what: &str,
     ) -> (bool, usize, usize) {
         let policy = ExclusionPolicy::HALF;
         let reference = reference_pass(ps, partials, new_l, &policy);
         let mut ws = Workspace::new();
-        let noop = SharedRecorder::noop();
-        let res =
-            compute_sub_mp_threaded_with_ws(ps, partials, new_l, policy, threads, &noop, &mut ws);
-        let what = format!("{what} l={new_l} threads={threads}");
+        let recorder = if recorded {
+            SharedRecorder::from(valmod_obs::Registry::new())
+        } else {
+            SharedRecorder::noop()
+        };
+        let res = compute_sub_mp_threaded_with_ws(
+            ps, partials, new_l, policy, threads, &recorder, &mut ws,
+        );
+        let what = format!("{what} l={new_l} threads={threads} recorded={recorded}");
         let valid = reference.valid.iter().filter(|&&v| v).count();
         assert_eq!((res.valid_rows, res.nonvalid_rows), (valid, reference.valid.len() - valid));
         let mut refined = 0;
@@ -906,13 +1010,7 @@ mod tests {
             assert_eq!(res.ip[j], reference.ip[j], "{what} row {j}: ip");
             let got = &partials[j];
             assert_eq!(got.current_l, want.current_l, "{what} row {j}: current_l");
-            let bits = |prof: &PartialProfile| {
-                prof.entries()
-                    .iter()
-                    .map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(bits(got), bits(want), "{what} row {j}: entries");
+            assert_eq!(entry_bits(got), entry_bits(want), "{what} row {j}: entries");
         }
         assert_eq!(refined, res.recomputed_rows, "{what}: refined rows");
         match ws.take_harvest_hint() {
@@ -927,23 +1025,46 @@ mod tests {
         (res.found_motif, reference.slid_off, reference.excluded)
     }
 
+    /// The distances a lazy advance of `partials` to `l` computes, and the
+    /// entries valid there: the skip rule's effect, without running it.
+    fn lazy_work(ps: &ProfiledSeries, partials: &[PartialProfile], l: usize) -> (usize, usize) {
+        let ndp = ps.num_subsequences(l);
+        let (mut means, mut stds) = (Vec::new(), Vec::new());
+        ps.fill_stats(l, ndp, &mut means, &mut stds);
+        let table = LengthTable::new(ps, l, &ExclusionPolicy::HALF, &means, &stds);
+        let (mut computed, mut valid) = (0, 0);
+        for (j, prof) in partials[..ndp].iter().enumerate() {
+            let mut prof = prof.clone();
+            table.advance_row(j, &mut prof, true, |_, _| computed += 1);
+            valid += prof.entries().iter().filter(|e| e.is_live()).count();
+        }
+        (computed, valid)
+    }
+
     #[test]
-    fn table_driven_advance_is_bit_identical_to_the_per_entry_formula() {
+    fn lazy_and_recorded_advances_are_bit_identical_to_the_per_entry_formula() {
         // A random walk with two flat stretches (flat owners and flat
-        // neighbours both reach the heaps, at key 0, and defeat the bound)
-        // and a periodic series the bound certifies.
+        // neighbours both reach the heaps, at key 0, and defeat the bound),
+        // a periodic series the bound certifies, and a random walk with a
+        // planted near-duplicate pair (a row minimum near 0, where the skip
+        // rule's absolute slack decides).
         let mut flat = random_walk(480, 61);
         for i in (120..170).chain(300..330) {
             flat[i] = if i < 200 { 1.25 } else { -0.5 };
         }
         let periodic = sine_mixture(480, &[(0.02, 1.0), (0.05, 0.4)], 0.05, 13);
+        let mut planted = random_walk(480, 67);
+        for k in 0..60 {
+            planted[350 + k] = planted[40 + k] + 1e-9 * k as f64;
+        }
         let policy = ExclusionPolicy::HALF;
         let (mut slid_off, mut excluded, mut multi_steps) = (0, 0, 0);
         let (mut certified, mut fallbacks) = (0, 0);
-        for (name, series) in [("flat", &flat), ("periodic", &periodic)] {
+        let (mut computed, mut valid) = (0, 0);
+        for (name, series) in [("flat", &flat), ("periodic", &periodic), ("planted", &planted)] {
             let ps = ProfiledSeries::from_values(series).unwrap();
             for p in [1usize, 50] {
-                for threads in [1usize, 3] {
+                for (threads, recorded) in [(1usize, false), (3, false), (1, true), (3, true)] {
                     let what = format!("{name} p={p}");
                     let mut state = compute_matrix_profile(&ps, 16, p, policy).unwrap();
                     let mut l = 16;
@@ -953,11 +1074,15 @@ mod tests {
                         let step = if l % 4 == 0 { 3 } else { 1 };
                         multi_steps += usize::from(step > 1);
                         l += step;
+                        if !recorded {
+                            let (c, v) = lazy_work(&ps, &state.partials, l);
+                            (computed, valid) = (computed + c, valid + v);
+                        }
                         let (found, s, e) = assert_advance_matches_reference(
                             &ps,
                             &mut state.partials,
                             l,
-                            threads,
+                            (threads, recorded),
                             &what,
                         );
                         slid_off += s;
@@ -972,10 +1097,11 @@ mod tests {
                 }
             }
         }
-        // The construction reaches every invalidation path, and both the
-        // certified and the hinted outcome.
+        // The construction reaches every invalidation path, both the
+        // certified and the hinted outcome, and skips distances.
         assert!(slid_off > 0 && excluded > 0 && multi_steps > 0, "{slid_off} {excluded}");
         assert!(certified > 0 && fallbacks > 0, "{certified} {fallbacks}");
+        assert!(4 * computed < 3 * valid, "the skip rule computed {computed} of {valid} distances");
     }
 
     #[test]

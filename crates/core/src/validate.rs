@@ -16,10 +16,18 @@ use valmod_data::error::{Result, ValmodError};
 /// * `l_min == 0` or `l_min > l_max` — a degenerate range
 ///   ([`ValmodError::InvalidParameter`]);
 /// * fewer than two subsequences at `l_max` (`l_max > n − 1`) — no pair
-///   exists to compare ([`ValmodError::TooShort`]).
+///   exists to compare ([`ValmodError::TooShort`]);
+/// * `n ≥ 2³²` — offsets and lengths are held as `u32` in `listDP` and the
+///   VALMP ([`ValmodError::InvalidParameter`]).
 pub fn validate_length_range(n: usize, l_min: usize, l_max: usize) -> Result<()> {
     if n == 0 {
         return Err(ValmodError::TooShort { len: 0, required: l_max.max(1) + 1 });
+    }
+    if u32::try_from(n).is_err() {
+        return Err(ValmodError::InvalidParameter(format!(
+            "series of {n} points: at most {} are supported",
+            u32::MAX
+        )));
     }
     if l_min == 0 || l_min > l_max {
         return Err(ValmodError::InvalidParameter(format!(
@@ -78,6 +86,17 @@ mod tests {
         ));
         // l_max == n leaves a single subsequence: no pair to compare.
         assert!(validate_length_range(50, 10, 50).is_err());
+    }
+
+    #[test]
+    fn rejects_series_beyond_u32_offsets() {
+        assert!(validate_length_range(u32::MAX as usize, 4, 16).is_ok());
+        if let Some(n) = (u32::MAX as usize).checked_add(1) {
+            assert!(matches!(
+                validate_length_range(n, 4, 16),
+                Err(ValmodError::InvalidParameter(_))
+            ));
+        }
     }
 
     #[test]

@@ -880,6 +880,46 @@ mod tests {
     }
 
     #[test]
+    fn best_pairs_do_not_depend_on_threads_or_the_recorder() {
+        use crate::pairs::PartialSnapshot;
+        use valmod_obs::Registry;
+        let series = valmod_data::datasets::ecg_like(2048, 1);
+        let snap_bits = |s: &PartialSnapshot| {
+            let neighbors: Vec<_> = s.neighbors.iter().map(|&(n, d)| (n, d.to_bits())).collect();
+            (s.owner, s.l, s.max_lb.to_bits(), neighbors)
+        };
+        let run = |threads: usize, recorded: bool| {
+            let recorder = if recorded {
+                SharedRecorder::from(Registry::new())
+            } else {
+                SharedRecorder::noop()
+            };
+            let out = Valmod::new(64, 72)
+                .p(50)
+                .threads(threads)
+                .track_pairs(5)
+                .recorder(recorder)
+                .run(&series)
+                .unwrap();
+            let best = out.best_pairs.unwrap();
+            assert_eq!(best.len(), 5);
+            (best.pairs().iter())
+                .map(|c| {
+                    let head = (c.a, c.b, c.l, c.dist.to_bits(), c.norm_dist.to_bits());
+                    (head, snap_bits(&c.part_a), snap_bits(&c.part_b))
+                })
+                .collect::<Vec<_>>()
+        };
+        let reference = run(1, false);
+        for (threads, recorded) in [(2, false), (1, true), (2, true)] {
+            assert!(
+                run(threads, recorded) == reference,
+                "threads={threads} recorded={recorded}: best_pairs differ"
+            );
+        }
+    }
+
+    #[test]
     fn row_accounting_is_consistent_for_every_method() {
         // Regression: the fallback branch used to report
         // `valid_rows = row count` while keeping the failed first pass's
@@ -1207,10 +1247,10 @@ mod tests {
                 "{what}: row {row} header"
             );
             assert_eq!(a.anchor_sigma.to_bits(), b.anchor_sigma.to_bits(), "{what}: row {row} σ");
-            let bits = |p: &PartialProfile| -> Vec<(usize, u64, u64, u64)> {
+            let bits = |p: &PartialProfile| -> Vec<(usize, u64, u64)> {
                 p.entries()
                     .iter()
-                    .map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
+                    .map(|e| (e.neighbor(), e.qt().to_bits(), e.lb_key().to_bits()))
                     .collect()
             };
             assert_eq!(bits(a), bits(b), "{what}: row {row} entries in heap order");
@@ -1234,7 +1274,7 @@ mod tests {
         }
         let partials = assert_packed_round_trip(&flat, 16, 6, "flat stretch");
         assert!(
-            partials[150].entries().iter().all(|e| e.lb_key == 0.0),
+            partials[150].entries().iter().all(|e| e.lb_key() == 0.0),
             "the flat stretch must exercise key-0 rows"
         );
         // Short and exclusion-heavy: no heap fills at the shipped p.

@@ -9,6 +9,12 @@ use valmod_mp::distance::length_normalize;
 use valmod_mp::motif::MotifPair;
 
 /// The variable-length matrix profile.
+///
+/// Lengths and neighbour offsets are held as `u32` (series are validated to
+/// fewer than `2³²` points), so a slot takes 24 bytes instead of 32: a
+/// caller that keeps many outputs, such as a result cache, keeps a quarter
+/// less. [`Valmp::length`], [`Valmp::neighbor`] and [`Valmp::pair`] read
+/// them back as `usize`.
 #[derive(Debug, Clone)]
 pub struct Valmp {
     /// Best length-normalised distance per offset (`dist · sqrt(1/ℓ)`).
@@ -16,20 +22,47 @@ pub struct Valmp {
     /// The raw z-normalised distance of that best match.
     pub distances: Vec<f64>,
     /// The subsequence length of that best match (0 = never updated).
-    pub lengths: Vec<usize>,
-    /// The neighbour offset of that best match (`usize::MAX` = none).
-    pub indices: Vec<usize>,
+    pub lengths: Vec<u32>,
+    /// The neighbour offset of that best match (`u32::MAX` = none).
+    pub indices: Vec<u32>,
 }
 
 impl Valmp {
     /// Creates an empty VALMP with `ndp` slots (all ⊥).
+    ///
+    /// # Panics
+    /// If `ndp` does not fit in `u32` (series of `2³²` points or more are
+    /// refused by [`crate::validate::validate_length_range`]).
     pub fn new(ndp: usize) -> Self {
+        assert!(u32::try_from(ndp).is_ok(), "a VALMP holds u32 offsets; {ndp} slots");
         Valmp {
             norm_distances: vec![f64::INFINITY; ndp],
             distances: vec![f64::INFINITY; ndp],
             lengths: vec![0; ndp],
-            indices: vec![usize::MAX; ndp],
+            indices: vec![u32::MAX; ndp],
         }
+    }
+
+    /// The subsequence length of slot `i`'s best match (0 = never updated).
+    #[inline]
+    pub fn length(&self, i: usize) -> usize {
+        self.lengths[i] as usize
+    }
+
+    /// The neighbour offset of slot `i`'s best match (`usize::MAX` = none).
+    #[inline]
+    pub fn neighbor(&self, i: usize) -> usize {
+        match self.indices[i] {
+            u32::MAX => usize::MAX,
+            nn => nn as usize,
+        }
+    }
+
+    /// Slot `i`'s best match as a pair: offset `i`, its neighbour, length
+    /// and raw distance.
+    #[inline]
+    pub fn pair(&self, i: usize) -> MotifPair {
+        MotifPair::new(i, self.neighbor(i), self.length(i), self.distances[i])
     }
 
     /// Number of slots.
@@ -64,8 +97,11 @@ impl Valmp {
             if norm < self.norm_distances[i] {
                 self.norm_distances[i] = norm;
                 self.distances[i] = d;
-                self.lengths[i] = l;
-                self.indices[i] = nn;
+                self.lengths[i] = u32::try_from(l).expect("lengths are below the u32 series bound");
+                self.indices[i] = match nn {
+                    usize::MAX => u32::MAX,
+                    nn => u32::try_from(nn).expect("offsets are below the u32 series bound"),
+                };
                 improved.push(i);
             }
         }
@@ -82,14 +118,14 @@ impl Valmp {
                 best = Some(i);
             }
         }
-        best.map(|i| MotifPair::new(i, self.indices[i], self.lengths[i], self.distances[i]))
+        best.map(|i| self.pair(i))
     }
 
     /// Iterates over the populated (finite) slots as `(offset, pair)`.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, MotifPair)> + '_ {
-        (0..self.len()).filter(|&i| self.norm_distances[i].is_finite()).map(move |i| {
-            (i, MotifPair::new(i, self.indices[i], self.lengths[i], self.distances[i]))
-        })
+        (0..self.len())
+            .filter(|&i| self.norm_distances[i].is_finite())
+            .map(move |i| (i, self.pair(i)))
     }
 }
 
@@ -128,6 +164,9 @@ mod tests {
         assert_eq!(best.l, 16);
         assert_eq!((best.a, best.b), (0, 1));
         assert_eq!(best.dist, 2.0);
+        // A slot never updated reads back as no neighbour at length 0.
+        let empty = Valmp::new(1);
+        assert_eq!((empty.neighbor(0), empty.length(0)), (usize::MAX, 0));
     }
 
     #[test]

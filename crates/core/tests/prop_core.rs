@@ -69,9 +69,10 @@ proptest! {
             let sigma = ps.std(prof.owner, l);
             for e in prof.entries() {
                 let lb = lb_scale(e.lb_base(), prof.anchor_sigma, sigma);
-                prop_assert!(lb <= e.dist + 1e-7,
-                    "owner {} neighbour {}: LB {} > dist {}", prof.owner, e.neighbor, lb, e.dist);
-                prop_assert!(tightness(lb, e.dist) <= 1.0 + 1e-12);
+                let dist = prof.entry_dist(&ps, e);
+                prop_assert!(lb <= dist + 1e-7,
+                    "owner {} neighbour {}: LB {} > dist {}", prof.owner, e.neighbor(), lb, dist);
+                prop_assert!(tightness(lb, dist) <= 1.0 + 1e-12);
             }
         }
     }

@@ -26,6 +26,15 @@ pub trait Recorder: Send + Sync {
 
     /// Record one sample of `value` into the histogram named `key`.
     fn observe(&self, key: &str, value: f64);
+
+    /// Record every sample of `values`, in order, into the histogram named
+    /// `key`. Implementations that look `key` up per call should bind it
+    /// once here.
+    fn observe_many(&self, key: &str, values: &[f64]) {
+        for &value in values {
+            self.observe(key, value);
+        }
+    }
 }
 
 /// Recorder that drops every measurement and reports `enabled() == false`.
@@ -87,6 +96,10 @@ impl Recorder for SharedRecorder {
     fn observe(&self, key: &str, value: f64) {
         self.0.observe(key, value);
     }
+
+    fn observe_many(&self, key: &str, values: &[f64]) {
+        self.0.observe_many(key, values);
+    }
 }
 
 impl Default for SharedRecorder {
@@ -120,6 +133,7 @@ mod tests {
         rec.add("k", 1);
         rec.set("k", 1.0);
         rec.observe("k", 1.0);
+        rec.observe_many("k", &[1.0, 2.0]);
     }
 
     #[test]

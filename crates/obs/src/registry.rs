@@ -79,18 +79,22 @@ impl Registry {
     /// Bind the histogram named `key`, registering it with the default
     /// `_us` latency layout ([`buckets::default_latency_us`]) if new.
     pub fn histogram(&self, key: &str) -> Arc<Histogram> {
-        self.histogram_with(key, &buckets::default_latency_us())
+        self.histogram_by(key, buckets::default_latency_us)
     }
 
     /// Bind the histogram named `key`, registering it with `bounds` if
     /// new. An existing histogram keeps its original bounds (first
     /// registration wins).
     pub fn histogram_with(&self, key: &str, bounds: &[f64]) -> Arc<Histogram> {
-        match self
-            .get_or_insert(key, || Metric::Histogram(Arc::new(Histogram::new(bounds.to_vec()))))
-        {
+        self.histogram_by(key, || bounds.to_vec())
+    }
+
+    /// Bind the histogram named `key`; `bounds` builds its layout only when
+    /// the key is new.
+    fn histogram_by(&self, key: &str, bounds: impl Fn() -> Vec<f64>) -> Arc<Histogram> {
+        match self.get_or_insert(key, || Metric::Histogram(Arc::new(Histogram::new(bounds())))) {
             Metric::Histogram(hist) => hist,
-            _ => Arc::new(Histogram::new(bounds.to_vec())),
+            _ => Arc::new(Histogram::new(bounds())),
         }
     }
 
@@ -138,6 +142,13 @@ impl Recorder for Registry {
 
     fn observe(&self, key: &str, value: f64) {
         self.histogram(key).record(value);
+    }
+
+    fn observe_many(&self, key: &str, values: &[f64]) {
+        let hist = self.histogram(key);
+        for &value in values {
+            hist.record(value);
+        }
     }
 }
 
@@ -248,6 +259,22 @@ mod tests {
         assert_eq!(snap.counter("c"), Some(5));
         assert_eq!(snap.gauge("g"), Some(-1.5));
         assert_eq!(snap.histogram("h").unwrap().count, 1);
+    }
+
+    #[test]
+    fn observe_many_records_like_one_observe_per_value() {
+        let (many, one) = (Registry::new(), Registry::new());
+        many.histogram_with("h", &[1.0, 2.0]);
+        one.histogram_with("h", &[1.0, 2.0]);
+        let values = [0.5, 1.5, 3.0, f64::NAN, 1.0];
+        many.observe_many("h", &values);
+        for v in values {
+            one.observe("h", v);
+        }
+        let (a, b) = (many.snapshot(), one.snapshot());
+        let (a, b) = (a.histogram("h").unwrap(), b.histogram("h").unwrap());
+        assert_eq!((a.count, a.sum.to_bits(), &a.counts), (b.count, b.sum.to_bits(), &b.counts));
+        assert_eq!(a.count, 4, "NaN is rejected, not counted");
     }
 
     #[test]
