@@ -13,12 +13,13 @@
 //! streamer, across block widths and a parallel run),
 //! [`check_parallel_vs_sequential`] (3 threads against 1),
 //! [`check_harvest_seeded_vs_cold`] (a seeded harvest against an unseeded
-//! one) and [`check_lazy_advance`] (ComputeSubMP's lazy advance against the
-//! recorded one, which computes every distance).
+//! one) and [`check_lazy_advance`] (ComputeSubMP's lazy advance against an
+//! eager reference that computes every distance).
 
 use valmod_baselines::stomp_range;
 use valmod_core::harvest::seed_gate;
 use valmod_core::lb::lb_scale;
+use valmod_core::profile::PartialProfile;
 use valmod_core::{
     compute_matrix_profile, compute_matrix_profile_with_ws, compute_matrix_profile_ws,
     compute_sub_mp_threaded_with_ws, MpWithProfiles, Valmod, ValmodConfig,
@@ -519,7 +520,7 @@ fn same_harvest(a: &MpWithProfiles, b: &MpWithProfiles) -> Option<String> {
         return Some("matrix profile differs".into());
     }
     for (pa, pb) in a.partials.iter().zip(&b.partials) {
-        let set = |prof: &valmod_core::profile::PartialProfile| {
+        let set = |prof: &PartialProfile| {
             let mut v: Vec<_> = prof
                 .entries()
                 .iter()
@@ -535,67 +536,103 @@ fn same_harvest(a: &MpWithProfiles, b: &MpWithProfiles) -> Option<String> {
     (a.partials.len() != b.partials.len()).then(|| "row counts differ".into())
 }
 
-/// ComputeSubMP's lazy advance against the eager one, bit for bit. The
-/// length walk runs twice from the same anchor: with a noop recorder (the
-/// advance skips every distance whose Eq. 2 bound cannot reach its row's
-/// minimum) and with an enabled recorder (the skip rule off, every
-/// distance computed). Per length, `found`, the valid/non-valid/refined
-/// counts, the `mp`/`ip` bits and the fallback hint's bits must agree;
-/// a fallback length re-anchors both walks on one cold pass.
+/// ComputeSubMP's lazy advance against an eager reference, bit for bit.
+/// The walk runs from one anchor with a recorder attached (serve's path).
+/// After each advance the reference is rebuilt from every live entry's
+/// distance ([`PartialProfile::entry_dist`]), and per length it must agree
+/// with the result on:
+///
+/// * each row's minimum and neighbour (ties to the smaller neighbour);
+/// * the `min ≤ maxLB` split into valid and non-valid rows;
+/// * on a fallback length, each row's max-distance hint (`+∞` for a row
+///   with a dead entry or a short heap).
+///
+/// Rows the last-chance pass refined are re-anchored at the new length,
+/// so only their count is checked. A fallback length re-anchors the walk
+/// on a cold pass.
 pub fn check_lazy_advance(case: &Case, ps: &ProfiledSeries) -> Option<Divergence> {
     const ORACLE: &str = "lazy-advance";
     let (p, policy) = (case.p, ExclusionPolicy::HALF);
-    let (noop, recorder) = (SharedRecorder::noop(), SharedRecorder::from(Registry::new()));
-    let (mut lazy_ws, mut eager_ws) = (Workspace::new(), Workspace::new());
-    let mut lazy = match compute_matrix_profile_ws(ps, case.l_min, p, policy, &mut lazy_ws) {
+    let recorder = SharedRecorder::from(Registry::new());
+    let mut ws = Workspace::new();
+    let mut state = match compute_matrix_profile_ws(ps, case.l_min, p, policy, &mut ws) {
         Ok(s) => s,
         Err(e) => return Some(diverge(case, ORACLE, format!("anchor: {e}"))),
     };
-    let mut eager = lazy.clone();
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for l in (case.l_min + 1)..=case.l_max {
-        let a = compute_sub_mp_threaded_with_ws(
+        let res = compute_sub_mp_threaded_with_ws(
             ps,
-            &mut lazy.partials,
-            l,
-            policy,
-            1,
-            &noop,
-            &mut lazy_ws,
-        );
-        let b = compute_sub_mp_threaded_with_ws(
-            ps,
-            &mut eager.partials,
+            &mut state.partials,
             l,
             policy,
             1,
             &recorder,
-            &mut eager_ws,
+            &mut ws,
         );
-        let counts = |r: &valmod_core::SubMpResult| {
-            (r.found_motif, r.valid_rows, r.nonvalid_rows, r.recomputed_rows)
-        };
-        if counts(&a) != counts(&b) {
-            let detail = format!("l={l}: lazy {:?} vs eager {:?}", counts(&a), counts(&b));
+        if let Some(detail) = eager_mismatch(ps, &state.partials, &res, l) {
+            return Some(diverge(case, ORACLE, format!("l={l}: {detail}")));
+        }
+        let hint = ws.take_harvest_hint();
+        if hint.is_some() == res.found_motif {
+            let detail = format!("l={l}: found={} but hint={}", res.found_motif, hint.is_some());
             return Some(diverge(case, ORACLE, detail));
         }
-        if bits(&a.sub_mp) != bits(&b.sub_mp) || a.ip != b.ip {
-            return Some(diverge(case, ORACLE, format!("l={l}: mp/ip differ")));
-        }
-        let hint_bits = |ws: &mut Workspace| ws.take_harvest_hint().map(|h| bits(&h.max_dist));
-        let lazy_hint = hint_bits(&mut lazy_ws);
-        if lazy_hint != hint_bits(&mut eager_ws) {
-            return Some(diverge(case, ORACLE, format!("l={l}: fallback hints differ")));
-        }
-        if !a.found_motif {
-            lazy = match compute_matrix_profile_ws(ps, l, p, policy, &mut lazy_ws) {
+        if let Some(hint) = hint {
+            let want = state.partials[..res.sub_mp.len()].iter().map(|prof| {
+                let all = prof.entries().iter().map(|e| prof.entry_dist(ps, e));
+                if prof.is_full() {
+                    all.fold(0.0, f64::max)
+                } else {
+                    f64::INFINITY
+                }
+            });
+            if hint.l != l || !want.map(f64::to_bits).eq(hint.max_dist.iter().map(|d| d.to_bits()))
+            {
+                return Some(diverge(case, ORACLE, format!("l={l}: fallback hint differs")));
+            }
+            state = match compute_matrix_profile_ws(ps, l, p, policy, &mut ws) {
                 Ok(s) => s,
                 Err(e) => return Some(diverge(case, ORACLE, format!("l={l}: fallback: {e}"))),
             };
-            eager = lazy.clone();
         }
     }
     None
+}
+
+/// The first [`check_lazy_advance`] disagreement between `res` and the
+/// eager reference over `partials`, just advanced to `l`.
+fn eager_mismatch(
+    ps: &ProfiledSeries,
+    partials: &[PartialProfile],
+    res: &valmod_core::SubMpResult,
+    l: usize,
+) -> Option<String> {
+    let (mut valid, mut refined) = (0, 0);
+    for (j, prof) in partials[..res.sub_mp.len()].iter().enumerate() {
+        if prof.anchor_l == l {
+            refined += 1;
+            continue;
+        }
+        let (mut min, mut ind) = (f64::INFINITY, usize::MAX);
+        for e in prof.entries().iter().filter(|e| e.is_live()) {
+            let (d, i) = (prof.entry_dist(ps, e), e.neighbor());
+            if d < min || (d == min && i < ind) {
+                (min, ind) = (d, i);
+            }
+        }
+        let (got, got_ind) = (res.sub_mp[j], res.ip[j]);
+        if min <= prof.max_lb_at(ps.std(j, l)) {
+            valid += 1;
+            if got.to_bits() != min.to_bits() || got_ind != ind {
+                return Some(format!("row {j}: ({got}, {got_ind}) vs eager ({min}, {ind})"));
+            }
+        } else if !got.is_nan() {
+            return Some(format!("row {j}: {got} where eager leaves the row non-valid"));
+        }
+    }
+    let want = (valid, res.sub_mp.len() - valid - refined, refined);
+    let got = (res.valid_rows, res.nonvalid_rows - res.recomputed_rows, res.recomputed_rows);
+    (got != want).then(|| format!("(valid, non-valid, refined) {got:?} vs eager {want:?}"))
 }
 
 /// The Eq. 2 invariant: every harvested lower bound, scaled to any longer

@@ -82,7 +82,7 @@ fn complete_from(
         let mut recomputed = 0usize;
         for j in 0..ndp {
             let prof = &mut state.partials[j];
-            let row = table.advance_row(j, prof, true, |_, _| {});
+            let row = table.advance_row(j, prof);
             if row.min_dist <= row.max_lb {
                 // Certified: the stored minimum is the row's true minimum.
                 mp[j] = row.min_dist;

@@ -4,45 +4,50 @@
 //!   profile (positive ⇒ the profile was resolvable without recomputation),
 //!   recorded by the production advance pass into `core.lb.margin`.
 //! * Fig. 10 — the average tightness of the lower bound (TLB) per profile,
-//!   recorded into `core.lb.tlb`.
+//!   recorded into `core.lb.tlb` by [`lb_probe`] alone: the production
+//!   advance skips the distances its Eq. 2 bound rules out, so the probe
+//!   takes the tightness over every valid entry after its recorded advance.
 //! * Fig. 11 — the distribution of pairwise subsequence distances
 //!   (`core.dist.distribution`).
 //!
-//! Earlier revisions re-implemented the margin/TLB arithmetic in a private
-//! probe; the probes now attach a [`Registry`] to the same
+//! The margins come from attaching a [`Registry`] to the same
 //! [`compute_sub_mp_threaded_with`] pass that VALMOD itself runs, so the
-//! figures measure exactly what the algorithm does.
+//! figures measure exactly what the algorithm does. The tightness reads
+//! the dot products that pass advanced.
 
 use valmod_data::error::Result;
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::stomp::StompDriver;
 use valmod_mp::ProfiledSeries;
-use valmod_obs::{buckets, HistogramSnapshot, Registry, SharedRecorder, Snapshot};
+use valmod_obs::{buckets, HistogramSnapshot, Recorder, Registry, SharedRecorder, Snapshot};
 
 use crate::compute_mp::compute_matrix_profile;
-use crate::sub_mp::{compute_sub_mp, compute_sub_mp_threaded_with};
+use crate::lb::{sigma_ratio, tightness};
+use crate::profile::PartialProfile;
+use crate::sub_mp::{compute_sub_mp, compute_sub_mp_threaded_with, LengthTable};
 
-/// Registers the lower-bound diagnostic histograms with layouts suited to
-/// their value ranges (the registry's default buckets are latency-shaped):
-///
-/// * `core.lb.margin` — normalised margins in `[-1, 1]`, bucket width 1/8,
-///   with an exact bucket edge at 0 so "positive margin" is a bucket
-///   boundary, not an interpolation;
-/// * `core.lb.tlb` — tightness in `[0, 1]`, bucket width 1/16.
+/// Registers the histogram a recorded VALMOD run observes with a layout
+/// suited to its value range (the registry's default buckets are
+/// latency-shaped): `core.lb.margin`, normalised margins in `[-1, 1]`,
+/// bucket width 1/8, with an exact bucket edge at 0 so "positive margin"
+/// is a bucket boundary, not an interpolation.
 ///
 /// Call this on any registry that will observe a VALMOD run *before* the
 /// run records into it (first registration fixes the layout).
 pub fn register_probe_histograms(registry: &Registry) {
     registry.histogram_with("core.lb.margin", &buckets::linear(-1.0, 0.125, 17));
-    registry.histogram_with("core.lb.tlb", &buckets::linear(0.0, 0.0625, 17));
 }
 
 /// Harvests partial profiles at `l_min`, advances them length by length
 /// (without any fallback recomputation), and records the final advance step
 /// to `target_l` into a fresh registry. The returned snapshot holds the
 /// Fig. 9 margins (`core.lb.margin`, normalised by the `2√ℓ` distance
-/// range), the Fig. 10 tightness (`core.lb.tlb`), and the
-/// `core.lb.valid_rows`/`core.lb.nonvalid_rows` split of that step.
+/// range), the `core.lb.valid_rows`/`core.lb.nonvalid_rows` split and the
+/// `core.submp.*` work counters of that step, and the Fig. 10 tightness
+/// (`core.lb.tlb`, tightness in `[0, 1]` with bucket width 1/16): per row,
+/// the mean of `tightness(LB, dist)` over every entry valid at `target_l`,
+/// summed in the advance's scan order. A row the step's last-chance pass
+/// re-anchored is measured on the advance that pass replaced.
 ///
 /// `target_l` must be greater than `l_min`: the margin is a property of an
 /// *advance*, which the anchor length does not perform.
@@ -61,9 +66,44 @@ pub fn lb_probe(
     }
     let registry = Registry::new();
     register_probe_histograms(&registry);
+    registry.histogram_with("core.lb.tlb", &buckets::linear(0.0, 0.0625, 17));
     let recorder = SharedRecorder::from(registry.clone());
+    let before = state.partials.clone();
     let _ = compute_sub_mp_threaded_with(ps, &mut state.partials, target_l, policy, 1, &recorder);
+
+    let ndp = ps.num_subsequences(target_l);
+    let (mut means, mut stds) = (Vec::new(), Vec::new());
+    ps.fill_stats(target_l, ndp, &mut means, &mut stds);
+    let table = LengthTable::new(ps, target_l, &policy, &means, &stds);
+    let tlbs: Vec<f64> = (state.partials[..ndp].iter().zip(&before).enumerate())
+        .map(|(j, (prof, prior))| {
+            if prof.anchor_l != target_l {
+                return mean_tightness(ps, prof, table.sigma(j));
+            }
+            let mut replaced = prior.clone();
+            table.advance_row(j, &mut replaced);
+            mean_tightness(ps, &replaced, table.sigma(j))
+        })
+        .collect();
+    recorder.observe_many("core.lb.tlb", &tlbs);
     Ok(registry.snapshot())
+}
+
+/// The mean Eq. 2 tightness over `prof`'s live entries, just advanced to
+/// their current length where the owner's σ is `sigma_new`, in the scan
+/// order of [`LengthTable::advance_row`] (0 for a row with none).
+fn mean_tightness(ps: &ProfiledSeries, prof: &PartialProfile, sigma_new: f64) -> f64 {
+    let ratio = sigma_ratio(prof.anchor_sigma, sigma_new);
+    let (mut sum, mut n) = (0.0f64, 0usize);
+    for e in prof.entries().iter().rev().filter(|e| e.is_live()) {
+        sum += tightness(e.lb_base() * ratio, prof.entry_dist(ps, e));
+        n += 1;
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
 }
 
 /// Computes the pairwise-distance histogram at length `l` over every
@@ -123,6 +163,55 @@ mod tests {
         let valid = snap.counter("core.lb.valid_rows").unwrap_or(0);
         let nonvalid = snap.counter("core.lb.nonvalid_rows").unwrap_or(0);
         assert_eq!(valid + nonvalid, rows);
+    }
+
+    #[test]
+    fn probe_tightness_follows_the_per_entry_formula() {
+        use crate::lb::lb_scale;
+        use valmod_data::generators::sine_mixture;
+        use valmod_mp::distance::zdist_naive;
+        let policy = ExclusionPolicy::HALF;
+        let periodic = sine_mixture(400, &[(0.02, 1.0), (0.05, 0.4)], 0.05, 2);
+        let mut refined = 0;
+        // The periodic steps reach the last-chance refinement, after three
+        // advances (sorted rows) and after one.
+        for (series, l_min, target_l, p) in [
+            (random_walk(300, 63), 16, 21, 5),
+            (periodic.clone(), 22, 25, 2),
+            (periodic, 26, 27, 2),
+        ] {
+            let ps = ProfiledSeries::from_values(&series).unwrap();
+            let snap = lb_probe(&ps, l_min, target_l, p, policy).unwrap();
+            refined += snap.counter("core.lb.refined_rows").unwrap_or(0);
+            // The reference: the same silent walk, then each row's mean
+            // tightness over the entries valid at `target_l`, with the
+            // bound scaled by `lb_scale` and the distance taken naively.
+            let mut state = compute_matrix_profile(&ps, l_min, p, policy).unwrap();
+            for l in (l_min + 1)..target_l {
+                let _ = compute_sub_mp(&ps, &mut state.partials, l, policy);
+            }
+            let (n, ndp) = (series.len(), ps.num_subsequences(target_l));
+            let reference = Registry::new();
+            let want = reference.histogram_with("tlb", &buckets::linear(0.0, 0.0625, 17));
+            for (j, prof) in state.partials[..ndp].iter().enumerate() {
+                let sigma_new = ps.std(j, target_l);
+                let (mut sum, mut k) = (0.0, 0);
+                for e in prof.entries().iter().filter(|e| e.is_live()) {
+                    let i = e.neighbor();
+                    if i + target_l > n || policy.is_trivial(j, i, target_l) {
+                        continue;
+                    }
+                    let dist = zdist_naive(&series[j..j + target_l], &series[i..i + target_l]);
+                    sum += tightness(lb_scale(e.lb_base(), prof.anchor_sigma, sigma_new), dist);
+                    k += 1;
+                }
+                want.record(if k == 0 { 0.0 } else { sum / k as f64 });
+            }
+            let (got, want) = (snap.histogram("core.lb.tlb").unwrap(), want.snapshot());
+            assert_eq!((got.count, &got.counts), (ndp as u64, &want.counts), "l={target_l}");
+            assert!((got.sum - want.sum).abs() < 1e-9 * ndp as f64, "{} vs {}", got.sum, want.sum);
+        }
+        assert!(refined > 0, "no probed step reaches the last-chance refinement");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use valmod_mp::ProfiledSeries;
 use valmod_obs::{Recorder, SharedRecorder};
 
 use crate::harvest::{harvest_row, HarvestStats};
-use crate::lb::{sigma_ratio, tightness};
+use crate::lb::sigma_ratio;
 use crate::profile::{DpEntry, PartialProfile};
 
 /// Result of one `ComputeSubMP` invocation.
@@ -109,9 +109,13 @@ pub(crate) struct RowAdvance {
     pub(crate) max_lb: f64,
     /// The largest distance over the row's entries, `+∞` once any entry is
     /// invalid or the heap is not full: the row's [`HarvestHint`] bound.
-    /// `NaN` when the lazy advance skipped entries and the bound is finite:
+    /// `NaN` when the advance skipped entries and the bound is finite:
     /// [`LengthTable::max_dist`] then completes it.
     pub(crate) max_dist: f64,
+    /// Entries still valid at the new length (their dot products advanced).
+    pub(crate) entries: usize,
+    /// Distances computed: `entries` minus those the skip rule left out.
+    pub(crate) distances: usize,
 }
 
 impl<'a> LengthTable<'a> {
@@ -157,29 +161,20 @@ impl<'a> LengthTable<'a> {
     /// marked dead (`qt = NaN`) for good: the radius only grows and the end
     /// only gets closer, so its stale dot product is never read again.
     ///
-    /// With `lazy`, a distance is computed only while the entry's Eq. 2
-    /// bound `lb_base · σ_anchor/σ_new` can still reach the row's running
-    /// minimum (within [`SKIP_REL_MARGIN`] and [`SKIP_ABS_MARGIN`]); the dot
-    /// product advances either way, so a later length or reader finds it
-    /// current. All of a row's bounds share the σ-ratio, so the anchor key
-    /// order is the bound order: from its second advance after anchoring
-    /// the row is sorted once ([`PartialProfile::sort_for_scan`]), and the
-    /// scan from the end meets the smallest bounds first, where the minimum
-    /// lives. A flat owner (whose distances follow the flat convention, not
-    /// the bound) and a zero σ-ratio (every bound 0) compute every
-    /// distance. The minimum, `maxLB` and a finite hint bound are those of
-    /// the eager advance (`lazy == false`), bit for bit.
-    ///
-    /// `on_dist` sees every computed distance with its entry — with
-    /// `lazy == false`, every entry that is valid at the new length.
+    /// A distance is computed only while the entry's Eq. 2 bound
+    /// `lb_base · σ_anchor/σ_new` can still reach the row's running minimum
+    /// (within [`SKIP_REL_MARGIN`] and [`SKIP_ABS_MARGIN`]); the dot product
+    /// advances either way, so a later length or reader finds it current.
+    /// All of a row's bounds share the σ-ratio, so the anchor key order is
+    /// the bound order: from its second advance after anchoring the row is
+    /// sorted once ([`PartialProfile::sort_for_scan`]), and the scan from
+    /// the end meets the smallest bounds first, where the minimum lives. A
+    /// flat owner (whose distances follow the flat convention, not the
+    /// bound) and a zero σ-ratio (every bound 0) compute every distance. The
+    /// minimum, `maxLB` and a finite hint bound are those of an advance that
+    /// computes every distance, bit for bit.
     #[inline]
-    pub(crate) fn advance_row(
-        &self,
-        j: usize,
-        prof: &mut PartialProfile,
-        lazy: bool,
-        mut on_dist: impl FnMut(&DpEntry, f64),
-    ) -> RowAdvance {
+    pub(crate) fn advance_row(&self, j: usize, prof: &mut PartialProfile) -> RowAdvance {
         let (t, l, ndp) = (self.t, self.l, self.means.len());
         let (mean_j, std_j) = (self.means[j], self.stds[j]);
         let from_l = prof.current_l;
@@ -189,8 +184,10 @@ impl<'a> LengthTable<'a> {
             ind: usize::MAX,
             max_lb: prof.max_lb_at(std_j),
             max_dist: if prof.is_full() { 0.0 } else { f64::INFINITY },
+            entries: 0,
+            distances: 0,
         };
-        let lazy = lazy && ratio > 0.0 && !is_flat(std_j, mean_j);
+        let lazy = ratio > 0.0 && !is_flat(std_j, mean_j);
         if lazy && from_l != prof.anchor_l {
             prof.sort_for_scan();
         }
@@ -209,11 +206,13 @@ impl<'a> LengthTable<'a> {
                 qt += t[j + step] * t[i + step];
             }
             e.qt = qt;
+            row.entries += 1;
             if e.lb_key() > gate {
                 skipped = true;
                 continue;
             }
             let dist = dist_from_qt(qt, l, self.means[i], self.stds[i], mean_j, std_j);
+            row.distances += 1;
             row.max_dist = row.max_dist.max(dist);
             // Ties resolve to the smaller neighbour, so the row's answer
             // does not depend on the heap's internal layout (which varies
@@ -228,7 +227,6 @@ impl<'a> LengthTable<'a> {
                     gate = base * base;
                 }
             }
-            on_dist(e, dist);
         }
         if skipped && row.max_dist.is_finite() {
             row.max_dist = f64::NAN;
@@ -254,9 +252,9 @@ struct AdvanceOut {
 /// is identical regardless of the chunking, keeping threaded runs bitwise
 /// equal to sequential ones.
 ///
-/// An enabled recorder needs every distance (the Fig. 10 tightness averages
-/// over all valid entries), so a recorded pass runs the advance with the
-/// skip rule off; its Fig. 9/10 samples are batched per chunk.
+/// An enabled recorder gets the chunk's Fig. 9 margins in one batch and the
+/// entries walked and distances computed as two counters; it reads what
+/// the advance computes anyway and does not change how much it computes.
 fn advance_rows(
     table: &LengthTable<'_>,
     chunk: &mut [PartialProfile],
@@ -272,23 +270,17 @@ fn advance_rows(
         non_valid: Vec::new(),
     };
     let recording = recorder.enabled();
-    let capacity = if recording { chunk.len() } else { 0 };
-    let (mut margins, mut tlbs) = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+    let mut margins = Vec::with_capacity(if recording { chunk.len() } else { 0 });
+    let (mut entries, mut distances) = (0usize, 0usize);
     // Normaliser for the Fig. 9 margin: distances live in [0, 2√ℓ].
     let margin_norm = 2.0 * (table.l as f64).sqrt();
     for (k, prof) in chunk.iter_mut().enumerate() {
         let j = chunk_start + k;
-        let (mut tlb_sum, mut tlb_n) = (0.0f64, 0usize);
-        let ratio = sigma_ratio(prof.anchor_sigma, table.sigma(j));
-        let row = table.advance_row(j, prof, !recording, |e, dist| {
-            if recording {
-                // Fig. 10 tightness of the Eq. 2 bound for this pair.
-                tlb_sum += tightness(e.lb_base() * ratio, dist);
-                tlb_n += 1;
-            }
-        });
+        let row = table.advance_row(j, prof);
         let (min_dist, max_lb) = (row.min_dist, row.max_lb);
         hint[k] = row.max_dist;
+        entries += row.entries;
+        distances += row.distances;
         if recording {
             // Fig. 9 margin, normalised by the distance range; an unfilled
             // heap (maxLB = +∞, profile complete) overflows the histogram's
@@ -298,7 +290,6 @@ fn advance_rows(
             } else {
                 (max_lb - min_dist) / margin_norm
             });
-            tlbs.push(if tlb_n == 0 { 0.0 } else { tlb_sum / tlb_n as f64 });
         }
         if min_dist <= max_lb {
             // Paper line 16: minDist is the true row minimum.
@@ -315,7 +306,8 @@ fn advance_rows(
     }
     if recording {
         recorder.observe_many("core.lb.margin", &margins);
-        recorder.observe_many("core.lb.tlb", &tlbs);
+        recorder.add("core.submp.entries", entries as u64);
+        recorder.add("core.submp.distances", distances as u64);
     }
     out
 }
@@ -352,14 +344,16 @@ pub fn compute_sub_mp_threaded(
 /// [`compute_sub_mp_threaded`] with instrumentation. With an enabled
 /// recorder, the advance pass records per-row pruning margins
 /// (`core.lb.margin`, normalised by the `2√ℓ` distance range — Fig. 9) and
-/// the mean tightness of the Eq. 2 lower bound (`core.lb.tlb` — Fig. 10);
-/// the merge records `core.lb.valid_rows`/`core.lb.nonvalid_rows` counters,
-/// the last-chance pass records `core.lb.refined_rows`, one
-/// `mp.mass.calls` per recomputed row and the refined rows' harvest under
-/// the `core.harvest.*` counters, and the whole first pass is timed
-/// into `core.submp.advance_us`. The tightness needs every distance, so an
-/// enabled recorder turns the advance's skip rule off; outputs are bitwise
-/// identical with any recorder.
+/// the live entries it walked and the distances it computed
+/// (`core.submp.entries`, `core.submp.distances`: their gap is what the
+/// skip rule saved); the merge records `core.lb.valid_rows`/
+/// `core.lb.nonvalid_rows` counters, the last-chance pass records
+/// `core.lb.refined_rows`, one `mp.mass.calls` per recomputed row and the
+/// refined rows' harvest under the `core.harvest.*` counters, and the whole
+/// first pass is timed into `core.submp.advance_us`. The recorder only
+/// reads: the advance skips the same distances and the outputs are bitwise
+/// identical with any recorder. Fig. 10's tightness, which needs every
+/// distance, is measured by [`lb_probe`](crate::instrument::lb_probe).
 pub fn compute_sub_mp_threaded_with(
     ps: &ProfiledSeries,
     partials: &mut [PartialProfile],
@@ -678,7 +672,10 @@ mod tests {
         let registry = Registry::new();
         crate::instrument::register_probe_histograms(&registry);
         let rec = SharedRecorder::from(registry.clone());
+        let (mut plain_distances, mut plain_entries) = (0, 0);
         for l in 21..=26 {
+            let (d, e) = lazy_work(&ps, &plain.partials, l);
+            (plain_distances, plain_entries) = (plain_distances + d, plain_entries + e);
             let a = compute_sub_mp(&ps, &mut plain.partials, l, policy);
             let b = compute_sub_mp_threaded_with(&ps, &mut recorded.partials, l, policy, 2, &rec);
             assert_eq!(a.found_motif, b.found_motif, "l={l}");
@@ -688,15 +685,22 @@ mod tests {
         }
         let snap = registry.snapshot();
         let rows: u64 = (21..=26u64).map(|l| 300 - l + 1).sum();
-        // One margin and one TLB observation per advanced row.
+        // One margin observation per advanced row; Fig. 10's tightness is
+        // the probe's, not the pass's.
         assert_eq!(snap.histogram("core.lb.margin").unwrap().count, rows);
-        assert_eq!(snap.histogram("core.lb.tlb").unwrap().count, rows);
+        assert!(snap.histogram("core.lb.tlb").is_none());
         assert_eq!(
             snap.counter("core.lb.valid_rows").unwrap()
                 + snap.counter("core.lb.nonvalid_rows").unwrap(),
             rows
         );
         assert_eq!(snap.histogram("core.submp.advance_us").unwrap().count, 6);
+        // The recorded walk computes exactly the distances the unrecorded
+        // one does, and the skip rule still skips under the recorder.
+        let distances = snap.counter("core.submp.distances").unwrap();
+        assert_eq!(distances, plain_distances as u64);
+        assert_eq!(snap.counter("core.submp.entries").unwrap(), plain_entries as u64);
+        assert!(plain_distances < plain_entries, "{plain_distances} of {plain_entries}");
     }
 
     #[test]
@@ -811,12 +815,7 @@ mod tests {
     fn advance_to(ps: &ProfiledSeries, prof: &mut PartialProfile, l: usize) -> RowAdvance {
         let (mut means, mut stds) = (Vec::new(), Vec::new());
         ps.fill_stats(l, ps.num_subsequences(l), &mut means, &mut stds);
-        LengthTable::new(ps, l, &ExclusionPolicy::HALF, &means, &stds).advance_row(
-            prof.owner,
-            prof,
-            false,
-            |_, _| {},
-        )
+        LengthTable::new(ps, l, &ExclusionPolicy::HALF, &means, &stds).advance_row(prof.owner, prof)
     }
 
     #[test]
@@ -971,9 +970,8 @@ mod tests {
         v
     }
 
-    /// Advances `partials` to `new_l` with ComputeSubMP — lazily, or with
-    /// the skip rule off under an enabled recorder — and checks it against
-    /// [`reference_pass`] bit for bit: `sub_mp`/`ip`, the row split, every
+    /// Advances `partials` to `new_l` with ComputeSubMP, with or without a
+    /// recorder, and checks it against [`reference_pass`] bit for bit: `sub_mp`/`ip`, the row split, every
     /// entry's `qt` (`NaN` when dead), and the hint. Rows the last-chance
     /// pass refined are re-anchored, so only their count is checked.
     /// Returns whether the length was certified and the reference pass's
@@ -1025,8 +1023,8 @@ mod tests {
         (res.found_motif, reference.slid_off, reference.excluded)
     }
 
-    /// The distances a lazy advance of `partials` to `l` computes, and the
-    /// entries valid there: the skip rule's effect, without running it.
+    /// The distances an advance of `partials` to `l` computes, and the
+    /// entries valid there: the skip rule's effect, on a copy.
     fn lazy_work(ps: &ProfiledSeries, partials: &[PartialProfile], l: usize) -> (usize, usize) {
         let ndp = ps.num_subsequences(l);
         let (mut means, mut stds) = (Vec::new(), Vec::new());
@@ -1034,9 +1032,8 @@ mod tests {
         let table = LengthTable::new(ps, l, &ExclusionPolicy::HALF, &means, &stds);
         let (mut computed, mut valid) = (0, 0);
         for (j, prof) in partials[..ndp].iter().enumerate() {
-            let mut prof = prof.clone();
-            table.advance_row(j, &mut prof, true, |_, _| computed += 1);
-            valid += prof.entries().iter().filter(|e| e.is_live()).count();
+            let row = table.advance_row(j, &mut prof.clone());
+            (computed, valid) = (computed + row.distances, valid + row.entries);
         }
         (computed, valid)
     }

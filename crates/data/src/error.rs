@@ -61,6 +61,9 @@ pub enum ValmodError {
     SeriesExists(String),
     /// A request line could not be parsed or is missing fields.
     Protocol(String),
+    /// The server failed while handling the request (a worker's job
+    /// panicked); the request may be retried.
+    Internal(String),
 }
 
 impl ValmodError {
@@ -78,6 +81,7 @@ impl ValmodError {
             ValmodError::UnknownSeries(_) => "unknown_series",
             ValmodError::SeriesExists(_) => "series_exists",
             ValmodError::Protocol(_) => "protocol",
+            ValmodError::Internal(_) => "internal",
         }
     }
 }
@@ -104,6 +108,7 @@ impl fmt::Display for ValmodError {
                 write!(f, "series {name:?} already exists (pass \"replace\": true to overwrite)")
             }
             ValmodError::Protocol(msg) => write!(f, "protocol error: {msg}"),
+            ValmodError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }

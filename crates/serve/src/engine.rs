@@ -432,6 +432,7 @@ fn clone_error(e: &ServeError) -> ServeError {
         ServeError::UnknownSeries(name) => ServeError::UnknownSeries(name.clone()),
         ServeError::SeriesExists(name) => ServeError::SeriesExists(name.clone()),
         ServeError::Protocol(msg) => ServeError::Protocol(msg.clone()),
+        ServeError::Internal(msg) => ServeError::Internal(msg.clone()),
     }
 }
 
@@ -440,6 +441,9 @@ enum Work {
     /// Diagnostics: occupy a worker for `ms` milliseconds. Used to probe
     /// queue/deadline behaviour of a deployment (and by the tests).
     Sleep(u64),
+    /// A job that panics, to drive the worker's containment.
+    #[cfg(test)]
+    Panic,
 }
 
 struct Job {
@@ -921,17 +925,16 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
             let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
             continue;
         }
-        let result = match &job.work {
-            Work::Sleep(ms) => {
-                std::thread::sleep(Duration::from_millis(*ms));
-                Ok(QueryOutcome {
-                    payload: Arc::new(Value::obj(vec![("slept_ms", (*ms).into())])),
-                    cached: false,
-                    coalesced: false,
-                })
-            }
-            Work::Query(spec) => execute_query(&shared, spec),
-        };
+        // A panicking job costs its caller an `internal` error, not the
+        // pool a worker: the thread answers the next job as before.
+        let run = std::panic::AssertUnwindSafe(|| run_job(&shared, &job.work));
+        let result = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+            shared.recorder.add("serve.worker.panics", 1);
+            let what = (payload.downcast_ref::<&str>().copied())
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("a job panicked");
+            Err(ServeError::Internal(what.to_string()))
+        });
         let result = match result {
             Ok(_) if Instant::now() > job.deadline => {
                 // Too late to be useful to this caller, but the computed
@@ -943,6 +946,22 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
             other => other,
         };
         let _ = job.reply.send(result);
+    }
+}
+
+fn run_job(shared: &Shared, work: &Work) -> ServeResult<QueryOutcome> {
+    match work {
+        Work::Sleep(ms) => {
+            std::thread::sleep(Duration::from_millis(*ms));
+            Ok(QueryOutcome {
+                payload: Arc::new(Value::obj(vec![("slept_ms", (*ms).into())])),
+                cached: false,
+                coalesced: false,
+            })
+        }
+        Work::Query(spec) => execute_query(shared, spec),
+        #[cfg(test)]
+        Work::Panic => panic!("injected job panic"),
     }
 }
 
@@ -1521,6 +1540,57 @@ mod tests {
         let stats = eng.stats();
         assert_eq!(planner(&stats, "fragment_entries"), 0);
         assert_eq!(planner(&stats, "parked_states"), 0);
+        eng.shutdown();
+        eng.join();
+    }
+
+    #[test]
+    fn recorded_queries_after_an_append_still_prune() {
+        // The engine always records, and the Eq. 2 skip rule must not care:
+        // the post-append query's advances compute fewer distances than
+        // they walk entries.
+        let eng = engine(1, 8, 1 << 20);
+        let series = valmod_data::datasets::ecg_like(1100, 7);
+        let values = series.values();
+        eng.load("s", values[..1000].to_vec(), &[], ExclusionPolicy::HALF, false).unwrap();
+        let mut spec = motif_spec("s", 64, 80);
+        spec.p = 50;
+        eng.query(spec.clone()).unwrap();
+        let work = |eng: &QueryEngine| {
+            let stats = eng.stats();
+            let obs = stats.get("obs").unwrap();
+            let counter = |key: &str| obs.get(key).and_then(Value::as_usize).unwrap_or(0);
+            (counter("core.submp.entries"), counter("core.submp.distances"))
+        };
+        let (entries_before, distances_before) = work(&eng);
+        eng.append("s", &values[1000..1016]).unwrap();
+        assert!(!eng.query(spec).unwrap().cached);
+        let (entries, distances) = work(&eng);
+        let (entries, distances) = (entries - entries_before, distances - distances_before);
+        assert!(entries > 0, "the post-append query advanced no entry");
+        assert!(distances < entries, "computed {distances} distances for {entries} entries");
+        eng.shutdown();
+        eng.join();
+    }
+
+    #[test]
+    fn a_panicking_job_costs_its_caller_an_error_not_the_pool_a_worker() {
+        let eng = engine(2, 8, 1 << 20);
+        eng.load("s", random_walk(300, 43), &[], ExclusionPolicy::HALF, false).unwrap();
+        // One panic per worker: without containment the pool would be empty.
+        for _ in 0..2 {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let err = eng.submit(Work::Panic, deadline).unwrap_err();
+            assert!(matches!(&err, ServeError::Internal(m) if m.contains("injected")), "{err:?}");
+        }
+        let workers = eng.workers.lock().unwrap();
+        assert_eq!(workers.len(), 2);
+        assert!(workers.iter().all(|w| !w.is_finished()), "a worker thread died");
+        drop(workers);
+        assert!(eng.query(motif_spec("s", 16, 20)).is_ok());
+        let stats = eng.stats();
+        let obs = stats.get("obs").unwrap();
+        assert_eq!(obs.get("serve.worker.panics").and_then(Value::as_usize), Some(2));
         eng.shutdown();
         eng.join();
     }

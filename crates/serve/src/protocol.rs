@@ -369,6 +369,7 @@ impl Response {
                     "unknown_series" => ServeError::UnknownSeries(message.to_string()),
                     "series_exists" => ServeError::SeriesExists(message.to_string()),
                     "invalid_parameter" => ServeError::InvalidParameter(message.to_string()),
+                    "internal" => ServeError::Internal(message.to_string()),
                     _ => ServeError::Protocol(format!("server error [{kind}]: {message}")),
                 })
             }
@@ -630,6 +631,8 @@ mod tests {
         assert!(matches!(Response::from_value(&err), Err(ServeError::SeriesExists(_))));
         let err = response_err(&ServeError::InvalidParameter("k".into()));
         assert!(matches!(Response::from_value(&err), Err(ServeError::InvalidParameter(_))));
+        let err = response_err(&ServeError::Internal("job panicked".into()));
+        assert!(matches!(Response::from_value(&err), Err(ServeError::Internal(_))));
         assert!(Response::from_value(&Value::Null).is_err());
     }
 }
