@@ -4,7 +4,8 @@
 //!
 //! * [`brute`] — `O(n²ℓ)` brute force (the test oracle).
 //! * [`stomp_range()`] — STOMP run independently per length (the adapted
-//!   fixed-length state of the art).
+//!   fixed-length state of the art); [`stomp_profiles()`] keeps each whole
+//!   profile.
 //! * [`quick_motif()`] — QuickMotif: PAA summaries + Hilbert R-tree, best-first
 //!   MBR-pair pruning with early-abandoning refinement.
 //! * [`moen()`] — a MOEN-style enumerator of motifs of all lengths whose lower
@@ -26,4 +27,4 @@ pub mod stomp_range;
 pub use brute::{brute_force_motif, brute_force_range};
 pub use moen::{moen, MoenOutput};
 pub use quick_motif::{quick_motif, quick_motif_range_with_deadline, QuickMotifConfig};
-pub use stomp_range::{stomp_range, stomp_range_with_deadline};
+pub use stomp_range::{stomp_profiles, stomp_range, stomp_range_with_deadline};

@@ -5,6 +5,7 @@
 
 use valmod_data::error::Result;
 use valmod_mp::exclusion::ExclusionPolicy;
+use valmod_mp::matrix_profile::MatrixProfile;
 use valmod_mp::motif::MotifPair;
 use valmod_mp::parallel::stomp_parallel;
 use valmod_mp::ProfiledSeries;
@@ -27,6 +28,20 @@ pub fn stomp_range(
             Ok(profile.motif_pair().map(|(a, b, d)| MotifPair::new(a, b, l, d)))
         })
         .collect()
+}
+
+/// The whole STOMP profile of every length in `[l_min, l_max]`, one
+/// independent run per length, for oracles that compare more than the
+/// motif ([`stomp_range`] keeps only the motif pairs).
+pub fn stomp_profiles(
+    ps: &ProfiledSeries,
+    l_min: usize,
+    l_max: usize,
+    policy: ExclusionPolicy,
+    threads: usize,
+) -> Result<Vec<MatrixProfile>> {
+    valmod_core::validate_length_range(ps.len(), l_min, l_max)?;
+    (l_min..=l_max).map(|l| stomp_parallel(ps, l, policy, threads)).collect()
 }
 
 /// Like [`stomp_range`] but aborts once `deadline` has elapsed, returning
@@ -72,6 +87,19 @@ mod tests {
                 other => panic!("presence mismatch: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn profiles_hold_the_range_motifs() {
+        let ps = ProfiledSeries::from_values(&random_walk(150, 7)).unwrap();
+        let motifs = stomp_range(&ps, 8, 14, ExclusionPolicy::HALF, 1).unwrap();
+        let profiles = stomp_profiles(&ps, 8, 14, ExclusionPolicy::HALF, 1).unwrap();
+        assert_eq!(profiles.len(), motifs.len());
+        for (prof, motif) in profiles.iter().zip(&motifs) {
+            let from_profile = prof.motif_pair().map(|(a, b, d)| MotifPair::new(a, b, prof.l, d));
+            assert_eq!(from_profile, *motif);
+        }
+        assert!(stomp_profiles(&ps, 14, 8, ExclusionPolicy::HALF, 1).is_err());
     }
 
     #[test]

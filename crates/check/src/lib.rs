@@ -14,11 +14,13 @@
 //!   `(seed, id)`;
 //! * [`oracles`] — the diagonal-blocked kernel vs the row streamer
 //!   (bit-exact, across block widths), VALMOD vs STOMP-per-length, parallel
-//!   vs sequential, streaming-append vs batch recompute, serve cached vs
-//!   cold, the seeded `listDP` harvest vs an unseeded one (bit-exact),
-//!   ComputeSubMP's lazy advance vs an eager reference rebuilt from every
-//!   live entry's distance (bit-exact), and the Eq. 2 lower-bound
-//!   admissibility invariant probed against naive z-normalised distances;
+//!   vs sequential, the complete per-length profiles vs STOMP (and at 2
+//!   threads vs 1, bit-exact), streaming-append vs batch recompute, serve
+//!   cached vs cold, the seeded `listDP` harvest vs an unseeded one
+//!   (bit-exact), ComputeSubMP's lazy advance vs an eager reference
+//!   rebuilt from every live entry's distance (bit-exact), and the Eq. 2
+//!   lower-bound admissibility invariant probed against naive z-normalised
+//!   distances;
 //! * [`faults`] — truncated frames, oversized lines, malformed JSON,
 //!   mid-`APPEND` disconnects, hostile numeric fields, and deadline expiry
 //!   replayed against a real loopback server;

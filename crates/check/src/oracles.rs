@@ -12,22 +12,25 @@
 //! [`check_diagonal_vs_row`] (the diagonal-blocked kernel against the row
 //! streamer, across block widths and a parallel run),
 //! [`check_parallel_vs_sequential`] (3 threads against 1),
+//! [`check_complete_vs_stomp`]'s thread half (2 threads against 1),
 //! [`check_harvest_seeded_vs_cold`] (a seeded harvest against an unseeded
 //! one) and [`check_lazy_advance`] (ComputeSubMP's lazy advance against an
 //! eager reference that computes every distance).
 
-use valmod_baselines::stomp_range;
+use valmod_baselines::stomp_profiles;
 use valmod_core::harvest::seed_gate;
 use valmod_core::lb::lb_scale;
 use valmod_core::profile::PartialProfile;
 use valmod_core::{
-    compute_matrix_profile, compute_matrix_profile_with_ws, compute_matrix_profile_ws,
-    compute_sub_mp_threaded_with_ws, MpWithProfiles, Valmod, ValmodConfig,
+    complete_profiles, compute_matrix_profile, compute_matrix_profile_with_ws,
+    compute_matrix_profile_ws, compute_sub_mp_threaded_with_ws, MpWithProfiles, Valmod,
+    ValmodConfig,
 };
 use valmod_data::rng::Xoshiro256;
 use valmod_mp::diagonal::{stomp_diagonal_parallel_ws, stomp_diagonal_ws};
 use valmod_mp::distance::zdist_naive;
 use valmod_mp::matrix_profile::MatrixProfile;
+use valmod_mp::motif::MotifPair;
 use valmod_mp::stomp::{stomp, stomp_row};
 use valmod_mp::workspace::{HarvestHint, Workspace};
 use valmod_mp::{ExclusionPolicy, ProfiledSeries, StreamingProfile};
@@ -69,7 +72,9 @@ fn diverge(case: &Case, oracle: &'static str, detail: String) -> Divergence {
     Divergence { case_id: case.id, oracle, detail: format!("{}: {detail}", case.label()) }
 }
 
-/// Runs the seven differential oracles plus the LB-admissibility invariant.
+/// Runs the eight differential oracles plus the LB-admissibility invariant.
+/// STOMP runs once per length of the case, shared by `valmod-vs-stomp` and
+/// `complete-vs-stomp`.
 pub fn run_case(case: &Case, lb_probe_budget: usize) -> CaseOutcome {
     let mut out = CaseOutcome::default();
     let ps = match ProfiledSeries::from_values(&case.values) {
@@ -82,8 +87,14 @@ pub fn run_case(case: &Case, lb_probe_budget: usize) -> CaseOutcome {
     if let Some(d) = check_diagonal_vs_row(case, &ps) {
         out.divergences.push(d);
     }
-    if let Some(d) = check_valmod_vs_stomp(case, &ps) {
-        out.divergences.push(d);
+    match stomp_profiles(&ps, case.l_min, case.l_max, ExclusionPolicy::HALF, 1) {
+        Ok(oracle) => {
+            out.divergences.extend(check_valmod_vs_stomp(case, &ps, &oracle));
+            out.divergences.extend(check_complete_vs_stomp(case, &ps, &oracle));
+        }
+        Err(e) => {
+            out.divergences.push(diverge(case, "valmod-vs-stomp", format!("stomp failed: {e}")))
+        }
     }
     if let Some(d) = check_parallel_vs_sequential(case, &ps) {
         out.divergences.push(d);
@@ -185,19 +196,21 @@ pub fn check_diagonal_vs_row(case: &Case, ps: &ProfiledSeries) -> Option<Diverge
 }
 
 /// VALMOD against independent STOMP-per-length: the paper's Problem 1 answer
-/// must match the quadratic baseline at every length.
-pub fn check_valmod_vs_stomp(case: &Case, ps: &ProfiledSeries) -> Option<Divergence> {
+/// must match the quadratic baseline (`oracle`, one STOMP profile per length
+/// of the case) at every length.
+pub fn check_valmod_vs_stomp(
+    case: &Case,
+    ps: &ProfiledSeries,
+    oracle: &[MatrixProfile],
+) -> Option<Divergence> {
     let config = ValmodConfig::new(case.l_min, case.l_max).with_p(case.p);
     let valmod = match Valmod::from_config(config).run_on(ps) {
         Ok(out) => out,
         Err(e) => return Some(diverge(case, "valmod-vs-stomp", format!("valmod failed: {e}"))),
     };
-    let oracle = match stomp_range(ps, case.l_min, case.l_max, ExclusionPolicy::HALF, 1) {
-        Ok(out) => out,
-        Err(e) => return Some(diverge(case, "valmod-vs-stomp", format!("stomp failed: {e}"))),
-    };
-    for (report, expect) in valmod.per_length.iter().zip(&oracle) {
-        match (&report.motif, expect) {
+    for (report, stomp) in valmod.per_length.iter().zip(oracle) {
+        let expect = stomp.motif_pair().map(|(a, b, d)| MotifPair::new(a, b, stomp.l, d));
+        match (&report.motif, &expect) {
             (Some(got), Some(want)) if !close(got.dist, want.dist) => {
                 return Some(diverge(
                     case,
@@ -213,6 +226,65 @@ pub fn check_valmod_vs_stomp(case: &Case, ps: &ProfiledSeries) -> Option<Diverge
                     format!("l={}: presence mismatch valmod={got:?} stomp={want:?}", report.l),
                 ));
             }
+        }
+    }
+    None
+}
+
+/// The complete per-length profiles ([`complete_profiles()`]) against STOMP:
+/// every row of every length within tolerance of the `oracle` profile (a
+/// row with no valid pair must be `+∞` on both sides; neighbours may differ
+/// on ties), and the whole output — `mp` and `ip` bits and each length's
+/// method — equal at 2 threads and at 1.
+pub fn check_complete_vs_stomp(
+    case: &Case,
+    ps: &ProfiledSeries,
+    oracle: &[MatrixProfile],
+) -> Option<Divergence> {
+    const ORACLE: &str = "complete-vs-stomp";
+    let run = |threads: usize| {
+        let config = ValmodConfig::new(case.l_min, case.l_max).with_p(case.p).with_threads(threads);
+        complete_profiles(ps, &config)
+            .map_err(|e| diverge(case, ORACLE, format!("threads={threads}: {e}")))
+    };
+    let (one, two) = match (run(1), run(2)) {
+        (Ok(one), Ok(two)) => (one, two),
+        (Err(d), _) | (_, Err(d)) => return Some(d),
+    };
+    if one.len() != oracle.len() {
+        return Some(diverge(
+            case,
+            ORACLE,
+            format!("{} lengths vs stomp's {}", one.len(), oracle.len()),
+        ));
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    // `close` accepts `+∞` against any finite value, so a missing pair
+    // must be missing on both sides.
+    let agree = |a: f64, b: f64| {
+        if a.is_infinite() || b.is_infinite() {
+            a == b
+        } else {
+            close(a, b)
+        }
+    };
+    for ((got, par), want) in one.iter().zip(&two).zip(oracle) {
+        if got.method != par.method || bits(&got.mp) != bits(&par.mp) || got.ip != par.ip {
+            return Some(diverge(case, ORACLE, format!("l={}: threads 2 differ from 1", got.l)));
+        }
+        if got.mp.len() != want.mp.len() {
+            return Some(diverge(
+                case,
+                ORACLE,
+                format!("l={}: {} rows vs stomp's {}", got.l, got.mp.len(), want.mp.len()),
+            ));
+        }
+        if let Some(j) = (0..got.mp.len()).find(|&j| !agree(got.mp[j], want.mp[j])) {
+            return Some(diverge(
+                case,
+                ORACLE,
+                format!("l={} row {j}: complete {} vs stomp {}", got.l, got.mp[j], want.mp[j]),
+            ));
         }
     }
     None
@@ -737,6 +809,18 @@ mod tests {
                 let div = check_lazy_advance(&case, &ps);
                 assert!(div.is_none(), "seed {seed} id {id}: {div:?}");
             }
+        }
+    }
+
+    #[test]
+    fn complete_oracle_passes_every_family() {
+        for id in 0..8 {
+            let case = generate_case(7, id);
+            let ps = ProfiledSeries::from_values(&case.values).unwrap();
+            let oracle =
+                stomp_profiles(&ps, case.l_min, case.l_max, ExclusionPolicy::HALF, 1).unwrap();
+            let div = check_complete_vs_stomp(&case, &ps, &oracle);
+            assert!(div.is_none(), "family id {id}: {div:?}");
         }
     }
 

@@ -21,8 +21,8 @@ use std::process::ExitCode;
 
 use args::{ArgError, Args};
 use valmod_core::{
-    compute_var_length_motif_sets, top_variable_length_motifs, variable_length_discords, Valmod,
-    ValmodConfig,
+    compute_var_length_motif_sets, top_variable_length_motifs, variable_length_discords,
+    LengthMethod, Valmod, ValmodConfig,
 };
 use valmod_data::datasets::Dataset;
 use valmod_data::io;
@@ -156,10 +156,11 @@ and latency histograms from every layer — in a human-readable table
 (`--raw` prints the full STATS response verbatim instead).
 
 `check` runs the seeded differential-correctness harness (valmod-check):
-adversarial series through VALMOD-vs-STOMP, parallel-vs-sequential,
-streaming-vs-batch, and serve cached-vs-cold oracles, the Eq. 2
-lower-bound admissibility invariant, a serve fault-injection matrix, a
-crash-recovery kill-point matrix against the durable store, and a query
+adversarial series through VALMOD-vs-STOMP, complete-vs-STOMP,
+parallel-vs-sequential, streaming-vs-batch, and serve cached-vs-cold
+oracles, the Eq. 2 lower-bound admissibility invariant, a serve
+fault-injection matrix, a crash-recovery kill-point matrix against the
+durable store, and a query
 planner matrix (fragment-composed and coalesced answers vs independent
 cold computes; `--no-planner` skips it), and an incremental-extension
 matrix (batched streaming appends, tail-extended profiles, and lazily
@@ -320,19 +321,24 @@ fn cmd_profiles(args: &Args) -> CliResult {
     let dir = std::path::PathBuf::from(args.require("output")?);
     std::fs::create_dir_all(&dir)?;
     let ps = ProfiledSeries::new(&series);
-    let (profiles, stats) =
-        valmod_core::complete_profiles(&ps, cfg.l_min, cfg.l_max, cfg.p, cfg.policy)?;
+    let profiles = valmod_core::complete_profiles(&ps, &cfg)?;
     use std::io::Write;
+    let (mut certified, mut recomputed) = (0, 0);
     for prof in &profiles {
         let path = dir.join(format!("mp_{}.csv", prof.l));
         let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
         writeln!(f, "offset,nn_dist,nn_offset")?;
-        for i in 0..prof.len() {
+        for i in 0..prof.mp.len() {
             writeln!(f, "{},{:.6},{}", i, prof.mp[i], prof.ip[i] as i64)?;
         }
+        match prof.method {
+            LengthMethod::SubMp | LengthMethod::SubMpRefined => {
+                certified += prof.valid_rows;
+                recomputed += prof.recomputed_rows;
+            }
+            LengthMethod::FullProfile | LengthMethod::Fallback => recomputed += prof.mp.len(),
+        }
     }
-    let certified: usize = stats.iter().map(|s| s.certified_rows).sum();
-    let recomputed: usize = stats.iter().map(|s| s.recomputed_rows).sum();
     outln!(
         "wrote {} complete matrix profiles to {} ({} rows certified by the lower bound, {} recomputed)",
         profiles.len(),

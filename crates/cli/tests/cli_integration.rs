@@ -303,6 +303,36 @@ fn sets_with_k_zero_reports_an_error_not_a_panic() {
 }
 
 #[test]
+fn profiles_with_a_bad_range_or_p_reports_an_error_not_a_panic() {
+    let dir = tmp_dir("profiles_bad");
+    let data = dir.join("emg.csv");
+    assert!(run(&[
+        "generate",
+        "--dataset",
+        "emg",
+        "--n",
+        "400",
+        "--output",
+        data.to_str().unwrap()
+    ])
+    .status
+    .success());
+    let out_dir = dir.join("out");
+    for bad in
+        [["--min", "72", "--max", "64", "--p", "5"], ["--min", "32", "--max", "36", "--p", "0"]]
+    {
+        let mut args = vec!["profiles", "--input", data.to_str().unwrap()];
+        args.extend(bad);
+        args.extend(["--output", out_dir.to_str().unwrap()]);
+        let out = run(&args);
+        assert!(!out.status.success(), "{bad:?}");
+        let err = stderr(&out);
+        assert!(err.contains("invalid parameter"), "{bad:?}: {err}");
+        assert!(!err.contains("panicked"), "{bad:?}: {err}");
+    }
+}
+
+#[test]
 fn serve_and_query_round_trip() {
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;

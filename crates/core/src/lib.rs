@@ -28,7 +28,7 @@
 //! | [`motif_sets`] | Algorithm 6 (`computeVarLengthMotifSets`), Def. 2.6 |
 //! | [`ranking`] | §3 (length-normalised comparison, Fig. 2) |
 //! | [`discords`] | §8 future work: variable-length discords |
-//! | [`mod@complete_profiles`] | §8 future work: complete per-length profiles |
+//! | [`mod@complete_profiles`] | §8 future work: complete per-length profiles (Algorithm 1 + every ⊥ row refined or a full pass) |
 //! | [`instrument`] | Figs. 9–11 diagnostics (registry-backed) |
 //! | [`validate`] | shared degenerate-config rejection (driver, baselines, CLI) |
 //!
@@ -88,7 +88,7 @@ pub mod validate;
 pub mod valmod;
 pub mod valmp;
 
-pub use complete_profiles::{complete_profiles, CompletionStats};
+pub use complete_profiles::complete_profiles;
 pub use compute_mp::{
     compute_matrix_profile, compute_matrix_profile_capture_with_ws, compute_matrix_profile_with,
     compute_matrix_profile_with_ws, compute_matrix_profile_ws, MpWithProfiles,

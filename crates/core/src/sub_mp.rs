@@ -486,53 +486,43 @@ pub fn compute_sub_mp_threaded_with_ws(
         non_valid.extend(out.non_valid);
     }
 
-    let valid_rows = ndp - non_valid.len();
-    let nonvalid_rows = non_valid.len();
-    let mut found = min_dist_abs < min_lb_abs;
-    let mut recomputed = 0usize;
+    let mut res = SubMpResult {
+        found_motif: min_dist_abs < min_lb_abs,
+        sub_mp,
+        ip,
+        valid_rows: ndp - non_valid.len(),
+        nonvalid_rows: non_valid.len(),
+        recomputed_rows: 0,
+    };
     let mut refined = HarvestStats::default();
 
     // Paper lines 27–37: the last chance to avoid a full matrix-profile
     // recomputation — refine only the non-valid rows whose bound leaves room
     // below the best-so-far, provided there are few enough of them.
-    if !found && non_valid.len() < ndp / p.max(1) {
-        let mut dp = Vec::with_capacity(ndp);
+    if !res.found_motif && non_valid.len() < ndp / p.max(1) {
         for &(j, lb_max) in &non_valid {
             if lb_max < min_dist_abs {
-                let qt = ws.self_qt(ps, j, new_l);
-                dp_from_qt_into(ps, qt, j, new_l, &policy, &mut dp);
-                let prof = &mut partials[j];
-                prof.reanchor(new_l, ps.std(j, new_l));
-                refined.merge(harvest_row(ps, prof, &dp, qt, j, new_l));
-                match profile_min(&dp) {
-                    Some((arg, d)) => {
-                        sub_mp[j] = d;
-                        ip[j] = arg;
-                        if d < min_dist_abs {
-                            min_dist_abs = d;
-                        }
-                    }
-                    None => sub_mp[j] = f64::INFINITY,
-                }
-                recomputed += 1;
+                refined.merge(refine_rows(ps, partials, new_l, &policy, &[j], &mut res, ws));
+                min_dist_abs = min_dist_abs.min(res.sub_mp[j]);
             }
         }
-        found = true;
+        res.found_motif = true;
     }
 
     if recorder.enabled() {
-        recorder.add("core.lb.valid_rows", valid_rows as u64);
-        recorder.add("core.lb.nonvalid_rows", nonvalid_rows as u64);
+        recorder.add("core.lb.valid_rows", res.valid_rows as u64);
+        recorder.add("core.lb.nonvalid_rows", res.nonvalid_rows as u64);
+        let recomputed = res.recomputed_rows as u64;
         if recomputed > 0 {
-            recorder.add("core.lb.refined_rows", recomputed as u64);
+            recorder.add("core.lb.refined_rows", recomputed);
             // Each refined row re-seeds its dot-product vector with one FFT.
-            recorder.add("mp.mass.calls", recomputed as u64);
+            recorder.add("mp.mass.calls", recomputed);
             // The refined rows' harvest, under the same counters as a pass.
             refined.record(recorder);
         }
     }
 
-    if !found {
+    if !res.found_motif {
         // The seed hint for the fallback harvest, filled by the advance: a
         // full heap whose entries all stayed valid holds p distinct real
         // pairs at most this far apart. No row was refined (that would
@@ -545,15 +535,40 @@ pub fn compute_sub_mp_threaded_with_ws(
         }
         ws.set_harvest_hint(HarvestHint { l: new_l, p, max_dist: hint });
     }
+    res
+}
 
-    SubMpResult {
-        found_motif: found,
-        sub_mp,
-        ip,
-        valid_rows,
-        nonvalid_rows,
-        recomputed_rows: recomputed,
+/// Recomputes each of `rows` exactly at length `l` (paper Alg. 4 lines
+/// 29–33), one row at a time: re-seeds the row's dot products through
+/// `ws`'s FFT plan cache ([`Workspace::self_qt`]), takes its distance
+/// profile, re-anchors its partial profile at `l` and harvests the row into
+/// it ([`harvest_row`]), and writes the exact row minimum into
+/// `res.sub_mp`/`res.ip` (`+∞` when every pair is excluded), counting the
+/// row in `res.recomputed_rows`. Returns the rows' harvest accounting.
+pub(crate) fn refine_rows(
+    ps: &ProfiledSeries,
+    partials: &mut [PartialProfile],
+    l: usize,
+    policy: &ExclusionPolicy,
+    rows: &[usize],
+    res: &mut SubMpResult,
+    ws: &mut Workspace,
+) -> HarvestStats {
+    let mut stats = HarvestStats::default();
+    let mut dp = Vec::new();
+    for &j in rows {
+        let qt = ws.self_qt(ps, j, l);
+        dp_from_qt_into(ps, qt, j, l, policy, &mut dp);
+        let prof = &mut partials[j];
+        prof.reanchor(l, ps.std(j, l));
+        stats.merge(harvest_row(ps, prof, &dp, qt, j, l));
+        (res.sub_mp[j], res.ip[j]) = match profile_min(&dp) {
+            Some((arg, d)) => (d, arg),
+            None => (f64::INFINITY, usize::MAX),
+        };
+        res.recomputed_rows += 1;
     }
+    stats
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@ use valmod_obs::{Recorder, SharedRecorder};
 
 use valmod_mp::workspace::Workspace;
 
+use crate::complete_profiles::refine_unknown;
 use crate::compute_mp::{
     compute_matrix_profile_capture_with_ws, compute_matrix_profile_with_ws, MpWithProfiles,
 };
@@ -372,7 +373,7 @@ impl Valmod {
         let recorder = &self.recorder;
         let _span = valmod_obs::span!(recorder, "core.valmod.segment_us");
         let mut out = Vec::with_capacity(l_hi - l_lo + 1);
-        drive_lengths(ps, &cfg, recorder, |lp, _| out.push(lp))?;
+        drive_lengths(ps, &cfg, recorder, false, |lp, _| out.push(lp))?;
         Ok(out)
     }
 
@@ -420,7 +421,7 @@ impl Valmod {
             tail,
         });
         out.push(anchor_profile(&walk.profile, l_lo));
-        advance_walk(ps, &cfg, recorder, &mut ws, &mut walk, &mut |lp, _| out.push(lp))?;
+        advance_walk(ps, &cfg, recorder, &mut ws, &mut walk, false, &mut |lp, _| out.push(lp))?;
         Ok((out, seg))
     }
 }
@@ -570,7 +571,7 @@ impl SegmentState {
         out.push(anchor_profile(&self.profile, cfg.l_min));
         let mut ws = Workspace::new();
         let mut walk = self.unpack(ps);
-        advance_walk(ps, &cfg, recorder, &mut ws, &mut walk, &mut |lp, _| out.push(lp))?;
+        advance_walk(ps, &cfg, recorder, &mut ws, &mut walk, false, &mut |lp, _| out.push(lp))?;
         Ok(out)
     }
 }
@@ -621,7 +622,7 @@ fn run_valmod(
     let mut tracker = (config.track_pairs > 0).then(|| BestKPairs::new(config.track_pairs));
     let mut per_length = Vec::with_capacity(config.l_max - config.l_min + 1);
 
-    drive_lengths(ps, config, recorder, |lp, partials| {
+    drive_lengths(ps, config, recorder, false, |lp, partials| {
         let improved = valmp.update(&lp.mp, &lp.ip, lp.l);
         if let Some(t) = tracker.as_mut() {
             for &i in &improved {
@@ -638,12 +639,14 @@ fn run_valmod(
 /// `config.l_min`, then `ComputeSubMP` per subsequent length with the full
 /// recomputation fallback. Each resolved length is handed to `visit`
 /// together with the partial profiles live at that point (which top-K pair
-/// tracking needs). Both [`run_valmod`] and [`Valmod::run_lengths_on`] are
-/// thin folds over this walk.
-fn drive_lengths(
+/// tracking needs). [`run_valmod`], [`Valmod::run_lengths_on`] and, with
+/// `complete`, [`complete_profiles`](crate::complete_profiles()) are thin
+/// folds over this walk.
+pub(crate) fn drive_lengths(
     ps: &ProfiledSeries,
     config: &ValmodConfig,
     recorder: &SharedRecorder,
+    complete: bool,
     mut visit: impl FnMut(LengthProfile, &[PartialProfile]),
 ) -> Result<()> {
     ps.require_pairs(config.l_max)?;
@@ -666,7 +669,7 @@ fn drive_lengths(
         &mut ws,
     )?;
     visit(anchor_profile(&state.profile, config.l_min), &state.partials);
-    advance_walk(ps, config, recorder, &mut ws, &mut state, &mut visit)
+    advance_walk(ps, config, recorder, &mut ws, &mut state, complete, &mut visit)
 }
 
 /// The anchor's [`LengthProfile`] — emitted identically by the cold walk
@@ -690,17 +693,22 @@ fn anchor_profile(profile: &MatrixProfile, l_min: usize) -> LengthProfile {
 /// per length with the full-recompute fallback. Shared verbatim by the cold
 /// walk and segment replay; `state` holds the live anchor artifacts and is
 /// mutated by the advances (and replaced entirely by a fallback).
-fn advance_walk(
+///
+/// A `complete` walk also resolves every row a certified length left ⊥
+/// ([`refine_unknown`]): few enough are refined one by one, and otherwise
+/// the length takes the fallback, so every emitted row is known.
+pub(crate) fn advance_walk(
     ps: &ProfiledSeries,
     config: &ValmodConfig,
     recorder: &SharedRecorder,
     ws: &mut Workspace,
     state: &mut MpWithProfiles,
+    complete: bool,
     visit: &mut impl FnMut(LengthProfile, &[PartialProfile]),
 ) -> Result<()> {
     let policy = config.policy;
     for l in (config.l_min + 1)..=config.l_max {
-        let res = compute_sub_mp_threaded_with_ws(
+        let mut res = compute_sub_mp_threaded_with_ws(
             ps,
             &mut state.partials,
             l,
@@ -709,8 +717,10 @@ fn advance_walk(
             recorder,
             ws,
         );
+        let certified = res.found_motif
+            && (!complete || refine_unknown(ps, config, l, &mut state.partials, &mut res, ws));
         let (mp_vals, ip_vals, method, known, valid, nonvalid, recomputed);
-        if res.found_motif {
+        if certified {
             method = if res.recomputed_rows > 0 {
                 LengthMethod::SubMpRefined
             } else {
@@ -725,8 +735,9 @@ fn advance_walk(
         } else {
             // Fallback: recompute the full profile and re-harvest. The
             // valid/non-valid split still describes the *first pass* that
-            // failed to certify the motif (so the two always sum to the row
-            // count); `known` reflects the recomputed, fully-known profile.
+            // failed to certify the motif, or left a complete walk too many
+            // ⊥ rows (so the two always sum to the row count); `known`
+            // reflects the recomputed, fully-known profile.
             if recorder.enabled() {
                 recorder.add("core.lb.fallback", 1);
             }
