@@ -52,7 +52,7 @@ fn bench_profile_heap(c: &mut Criterion) {
     for p in [5usize, 50, 150] {
         group.bench_with_input(BenchmarkId::new("offer_stream", p), &p, |b, &p| {
             b.iter(|| {
-                let mut prof = PartialProfile::new(0, 64, 1.0, p);
+                let mut prof = PartialProfile::new(0, 64, 1.0, p, 2000);
                 for i in 0..2000usize {
                     let key = ((i * 2654435761) % 1000) as f64;
                     prof.offer(DpEntry::new(i, 0.0, key));

@@ -455,15 +455,15 @@ pub fn run_suite(smoke: bool) -> RegressionReport {
     }
 
     // --- Sharded serve engine under a mixed concurrent workload: four
-    // independent per-series op streams (hot fixed-length MOTIFS,
-    // single-length DISCORDS, APPEND batches, STATS probes, each op
-    // followed by a short client think-time) executed by one client
-    // thread running the streams back to back vs four threads running
-    // one stream each. The series carry a hot length and the engine is
-    // primed outside the timed region, so the timed ops are the live
-    // steady state — hot-profile answers, cache hits, O(k·n) streaming
-    // appends, and single-length fragment revivals, not initial O(n²)
-    // colds (those serialise on any worker pool and would drown the
+    // independent per-series op streams (fixed-length MOTIFS and
+    // DISCORDS at the series' hot length, APPEND batches, STATS probes,
+    // each op followed by a short client think-time) executed by one
+    // client thread running the streams back to back vs four threads
+    // running one stream each. The series carry a hot length and the
+    // engine is primed outside the timed region, so the timed ops are the
+    // live steady state — cache hits, O(k) appends, and revivals of the
+    // pinned single-length state (an O(k·n) extension), not initial
+    // O(n²) colds (those serialise on any worker pool and would drown the
     // concurrency signal on a small host). Total work is identical on
     // both sides; the speedup column is the concurrency win of the
     // striped store — think-times alone overlap, so four threads must
@@ -530,9 +530,9 @@ pub fn run_suite(smoke: bool) -> RegressionReport {
                 let name = format!("s{s}");
                 let values = random_walk(mn, SEED + s as u64);
                 engine.load(&name, values, &[ml], ExclusionPolicy::HALF, false).unwrap();
-                // Prime the discord shape: the timed streams then pay a
-                // single-length fragment revival after each append, never
-                // the initial cold compute.
+                // Prime the pinned state: the timed streams then pay a
+                // single-length revival after each append, never the
+                // initial cold compute.
                 engine.query(mixed_spec(&name, QueryKind::Discords { top: 2 }, ml)).unwrap();
             }
             let start = Instant::now();

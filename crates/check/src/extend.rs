@@ -19,7 +19,10 @@
 //!   are lazily extended across a random APPEND/query interleaving answers
 //!   byte-identically to fresh zero-cache engines replaying the same
 //!   LOAD + APPEND history, and its STATS prove the extension path (not a
-//!   recompute) produced those answers;
+//!   recompute) produced those answers. The queries include single-length
+//!   segments: a fixed hot length (whose state the warm engine pins and
+//!   the cold engines, loaded without hot lengths, never have), a fixed
+//!   length that is not hot, and a range whose last segment is one length;
 //! * **serve-shipped-defaults** — the same claim at the engine's shipped
 //!   budgets and the paper's `p = 50` on a 2048-point series, where every
 //!   append must extend: the parked state has to fit a default stripe.
@@ -231,10 +234,16 @@ fn serve_schedule_vs_cold_history(seed: u64) -> Result<(), String> {
     let engine = QueryEngine::new(cfg);
     let result = (|| {
         engine
-            .load("s", values[..base_n].to_vec(), &[], ExclusionPolicy::HALF, false)
+            .load("s", values[..base_n].to_vec(), &[l], ExclusionPolicy::HALF, false)
             .map_err(|e| format!("warm load: {e}"))?;
-        let queries: [(QueryKind, usize, usize); 2] =
-            [(QueryKind::Motifs { top: 3 }, 16, 40), (QueryKind::Discords { top: 2 }, 16, 32)];
+        // 16..28 plans [16, 18], [19, 27] and the single length [28, 28].
+        let queries: [(QueryKind, usize, usize); 5] = [
+            (QueryKind::Motifs { top: 3 }, 16, 40),
+            (QueryKind::Discords { top: 2 }, 16, 32),
+            (QueryKind::Motifs { top: 3 }, l, l),
+            (QueryKind::Discords { top: 2 }, 20, 20),
+            (QueryKind::Discords { top: 2 }, 16, 28),
+        ];
         // Prime the fragments, then interleave appends with re-queries.
         for (kind, lo, hi) in &queries {
             engine
@@ -263,6 +272,9 @@ fn serve_schedule_vs_cold_history(seed: u64) -> Result<(), String> {
         let stats = engine.stats();
         if planner_stat(&stats, "fragments_extended")? == 0 {
             return Err("the schedule never exercised the extension path".into());
+        }
+        if planner_stat(&stats, "pinned_states")? != 1 {
+            return Err("the hot length's single-length state is not pinned".into());
         }
         if planner_stat(&stats, "fragment_invalidated")? == 0 {
             return Err("stale fragments were never lazily collected".into());

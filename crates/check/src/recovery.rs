@@ -13,8 +13,10 @@
 //!   surviving prefix of batches (a fully-synced APPEND is never lost,
 //!   a half-written one is cleanly dropped);
 //! * the version counter and hot lengths match the reference;
-//! * a post-recovery `MOTIFS` answer is byte-identical to a cold engine
-//!   replaying the same ingestion history (the stats frame is pinned at
+//! * post-recovery `MOTIFS` answers — a variable-length range and the
+//!   fixed hot length, whose single-length state the recovered engine
+//!   pins — are byte-identical to a cold engine loaded without hot lengths
+//!   that replays the same ingestion history (the stats frame is pinned at
 //!   LOAD time, so the replay — not a one-shot LOAD — is the oracle).
 //!
 //! Everything derives from the run's seed, so `valmod check --seed 42`
@@ -36,7 +38,8 @@ const BATCH_SIZES: [usize; 4] = [7, 32, 1, 40];
 /// Samples loaded before any append.
 const BASE_LEN: usize = 256;
 
-/// The hot length kept live through the ingestion.
+/// The reference series' hot length: the recovered engine pins its
+/// single-length planner state.
 const HOT_LENGTH: usize = 16;
 
 /// Outcome of the recovery matrix.
@@ -208,8 +211,8 @@ fn run_scenario(base: &Path, dir: &Path, kill: &KillPoint, samples: &[f64]) -> R
             recovered.version()
         ));
     }
-    if recovered.hot_lengths() != vec![HOT_LENGTH] {
-        return Err(format!("hot lengths {:?}, expected [{HOT_LENGTH}]", recovered.hot_lengths()));
+    if slot.hot_lengths() != [HOT_LENGTH] {
+        return Err(format!("hot lengths {:?}, expected [{HOT_LENGTH}]", slot.hot_lengths()));
     }
     for (i, (a, b)) in recovered.values().iter().zip(&samples[..expected_len]).enumerate() {
         if a.to_bits() != b.to_bits() {
@@ -225,20 +228,26 @@ fn run_scenario(base: &Path, dir: &Path, kill: &KillPoint, samples: &[f64]) -> R
     motifs_match_cold(dir, &samples[..expected_len])
 }
 
-/// Asserts a durable engine over `dir` answers a variable-length MOTIFS
-/// query byte-identically to an in-memory engine that replays the same
+/// Asserts a durable engine over `dir` answers MOTIFS queries — a
+/// variable-length range and the fixed hot length — byte-identically to
+/// an in-memory engine loaded without hot lengths that replays the same
 /// ingestion history (LOAD of the base prefix, then the surviving APPEND
 /// batches). The history matters: a series' stats frame is pinned at LOAD
 /// time, so a one-shot LOAD of the full samples would sit in a different
 /// frame than the recovered store and could differ in the last float bit.
-/// The length range straddles the hot length but is not fixed, so both
-/// sides cold-compute from their samples.
 fn motifs_match_cold(dir: &Path, reference: &[f64]) -> Result<(), String> {
+    for l_max in [HOT_LENGTH + 8, HOT_LENGTH] {
+        motifs_match_cold_at(dir, reference, l_max)?;
+    }
+    Ok(())
+}
+
+fn motifs_match_cold_at(dir: &Path, reference: &[f64], l_max: usize) -> Result<(), String> {
     let spec = QuerySpec {
         series: "s".into(),
         kind: QueryKind::Motifs { top: 3 },
         l_min: HOT_LENGTH,
-        l_max: HOT_LENGTH + 8,
+        l_max,
         p: 8,
         policy: ExclusionPolicy::HALF,
         deadline: None,
@@ -251,10 +260,18 @@ fn motifs_match_cold(dir: &Path, reference: &[f64]) -> Result<(), String> {
             .map_err(|e| format!("engine config: {e}"))?;
         let engine = QueryEngine::open(config).map_err(|e| format!("open durable engine: {e}"))?;
         let out = engine.query(spec.clone()).map_err(|e| format!("post-recovery query: {e}"))?;
-        let body = body_of(&out.payload)?;
+        let pinned = engine
+            .stats()
+            .get("planner")
+            .and_then(|p| p.get("pinned_states"))
+            .and_then(Value::as_usize);
         engine.shutdown();
         engine.join();
-        body
+        let expected = usize::from(l_max == HOT_LENGTH);
+        if pinned != Some(expected) {
+            return Err(format!("recovered engine pins {pinned:?} states, expected {expected}"));
+        }
+        body_of(&out.payload)?
     };
     let cold_body = {
         let engine = QueryEngine::new(
@@ -283,7 +300,8 @@ fn motifs_match_cold(dir: &Path, reference: &[f64]) -> Result<(), String> {
     };
     if recovered_body != cold_body {
         return Err(format!(
-            "post-recovery MOTIFS diverges from cold batch: {recovered_body} vs {cold_body}"
+            "post-recovery MOTIFS [{HOT_LENGTH}, {l_max}] diverges from cold batch: \
+             {recovered_body} vs {cold_body}"
         ));
     }
     Ok(())

@@ -144,9 +144,13 @@ byte-identical output.
 result cache, plans variable-length queries over a per-length fragment
 cache (`--fragment-cache-mb`, 0 disables), coalesces identical concurrent
 queries into one compute, and accepts live APPEND ingestion; `query` is
-its client. The store and both caches are sharded into `--stripes`
-lock stripes (default 8) so requests for unrelated series never contend
-on a shared lock.
+its client. Every MOTIFS and DISCORDS query, fixed-length or not, runs
+through the planner. `--hot <l1,l2>` on a load pins each listed length's
+single-length planner state outside the fragment budget, so a
+fixed-length query after an append extends it instead of recomputing;
+each length must fit the series (1 <= l < n). The store and both caches
+are sharded into `--stripes` lock stripes (default 8) so requests for
+unrelated series never contend on a shared lock.
 With `--data-dir` the store is durable: loads write checksummed snapshots,
 every append is WAL-logged (fsynced) before it applies, and a restart
 recovers the directory — replaying the log over the latest snapshot and
@@ -541,10 +545,9 @@ fn cmd_stats(args: &Args) -> CliResult {
     if let Some(engine) = stats.get("engine") {
         let n = |key: &str| engine.get(key).and_then(WireValue::as_usize).unwrap_or(0);
         outln!(
-            "engine: {} queries ({} computed, {} hot), {} busy, {} deadline misses",
+            "engine: {} queries ({} computed), {} busy, {} deadline misses",
             n("queries"),
             n("computed"),
-            n("served_hot"),
             n("busy_rejections"),
             n("deadline_misses")
         );

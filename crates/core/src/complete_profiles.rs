@@ -158,11 +158,17 @@ mod tests {
     fn relayout(state: &MpWithProfiles, seed: u64) -> MpWithProfiles {
         let mut rng = Xoshiro256::seed_from_u64(seed);
         let mut out = state.clone();
+        let rows = out.partials.len();
         for prof in &mut out.partials {
             let mut entries = prof.entries().to_vec();
             rng.shuffle(&mut entries);
-            let mut rebuilt =
-                PartialProfile::new(prof.owner, prof.anchor_l, prof.anchor_sigma, prof.capacity());
+            let mut rebuilt = PartialProfile::new(
+                prof.owner,
+                prof.anchor_l,
+                prof.anchor_sigma,
+                prof.capacity(),
+                rows,
+            );
             for e in entries {
                 rebuilt.offer(e);
             }

@@ -19,7 +19,7 @@
 use valmod_data::error::{Result, ValmodError};
 use valmod_mp::diagonal::{diagonal_rows, Diagonals};
 use valmod_mp::exclusion::ExclusionPolicy;
-use valmod_mp::extend::{capture_cells, TailState};
+use valmod_mp::extend::{capture_cells, stomp_with_tail_ws, TailState};
 use valmod_mp::matrix_profile::MatrixProfile;
 use valmod_mp::workspace::Workspace;
 use valmod_mp::ProfiledSeries;
@@ -190,6 +190,26 @@ pub fn compute_matrix_profile_capture_with_ws(
     Ok((out, TailState::from_heads(ps, l, policy, heads)))
 }
 
+/// The matrix profile at `l` and its [`TailState`], without a harvest: what
+/// a segment that never advances past its anchor keeps. `mp` and `ip` are
+/// bit-identical to [`compute_matrix_profile_capture_with_ws`]'s at every
+/// `p` and thread count, and the pass is accounted like it, minus the
+/// harvest counters.
+pub(crate) fn capture_profile_with_ws(
+    ps: &ProfiledSeries,
+    l: usize,
+    policy: ExclusionPolicy,
+    threads: usize,
+    recorder: &SharedRecorder,
+    ws: &mut Workspace,
+) -> Result<(MatrixProfile, TailState)> {
+    let _span = valmod_obs::span!(recorder, "core.mp.full_profile_us");
+    let baseline = PassBaseline::take(ws);
+    let (profile, tail) = stomp_with_tail_ws(ps, l, policy, threads, ws)?;
+    baseline.record(recorder, profile.len(), l, policy, ws);
+    Ok((profile, tail))
+}
+
 /// Pre-pass workspace snapshot, turned into the per-pass accounting.
 struct PassBaseline {
     hits0: u64,
@@ -267,7 +287,7 @@ mod tests {
         let mut mp = vec![f64::INFINITY; ndp];
         let mut ip = vec![usize::MAX; ndp];
         let mut partials: Vec<PartialProfile> =
-            (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
+            (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p, ndp)).collect();
         let mut dp = Vec::with_capacity(ndp);
         while let Some(row) = driver.next_row(&mut dp) {
             if let Some((arg, d)) = profile_min(&dp) {

@@ -198,7 +198,7 @@ impl HarvestSink {
     /// A fresh pass over the `ndp` rows of length `l`, each gate starting at
     /// its seed (`seeds` is empty when unseeded, else one gate per row).
     fn new(ps: &ProfiledSeries, l: usize, p: usize, ndp: usize, seeds: &[f64]) -> Self {
-        let partials = (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
+        let partials = (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p, ndp)).collect();
         let mut sink =
             Self::resume(ps, l, vec![f64::INFINITY; ndp], vec![usize::MAX; ndp], partials);
         if !seeds.is_empty() {

@@ -85,6 +85,17 @@ impl DpEntry {
     }
 }
 
+/// The heap slots worth reserving for a profile of `capacity` entries over
+/// `rows` subsequences: a row has at most `rows − 1` neighbours, however
+/// large `p` is. A heap that later outgrows it (the rows of a series that
+/// grows) reallocates like any `Vec`. This bounds only the reservation:
+/// with `p ≥ rows − 1` no heap ever fills, so `listDP` still holds every
+/// neighbour of every row, `O(rows²)` entries.
+#[inline]
+fn reservation(capacity: usize, rows: usize) -> usize {
+    capacity.min(rows.saturating_sub(1))
+}
+
 /// Strict total heap order: `lb_key` (via `total_cmp`), ties broken by the
 /// neighbour index. With this order, eviction from a full heap is
 /// deterministic regardless of offer order.
@@ -123,15 +134,24 @@ pub struct PartialProfile {
 }
 
 impl PartialProfile {
-    /// Creates an empty profile anchored at `anchor_l`.
-    pub fn new(owner: usize, anchor_l: usize, anchor_sigma: f64, capacity: usize) -> Self {
+    /// Creates an empty profile anchored at `anchor_l` for one of the
+    /// `rows` subsequences of the series at that length. A row has at most
+    /// `rows − 1` neighbours, so no more slots than that are reserved up
+    /// front: an oversized `p` costs nothing until entries arrive.
+    pub fn new(
+        owner: usize,
+        anchor_l: usize,
+        anchor_sigma: f64,
+        capacity: usize,
+        rows: usize,
+    ) -> Self {
         assert!(capacity > 0, "profile capacity p must be positive");
         PartialProfile {
             owner,
             current_l: anchor_l,
             anchor_l,
             anchor_sigma,
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(reservation(capacity, rows)),
             capacity,
             sorted: false,
         }
@@ -362,14 +382,14 @@ impl PackedPartials {
         ps.fill_stats(l, self.fill.len(), &mut means, &mut stds);
         let flats: Vec<bool> =
             means.iter().zip(&stds).map(|(&mean, &std)| is_flat(std, mean)).collect();
-        let mut at = 0;
+        let (mut at, reserve) = (0, reservation(self.capacity, self.fill.len()));
         self.fill
             .iter()
             .enumerate()
             .map(|(r, &fill)| {
                 let (mean_r, std_r, flat_r) = (means[r], stds[r], flats[r]);
                 let end = at + fill as usize;
-                let mut entries = Vec::with_capacity(self.capacity);
+                let mut entries = Vec::with_capacity(reserve);
                 for (&nb, &qt) in self.neighbor[at..end].iter().zip(&self.qt[at..end]) {
                     let neighbor = nb as usize;
                     let (mean_n, std_n, flat_n) =
@@ -402,7 +422,7 @@ mod tests {
 
     #[test]
     fn heap_keeps_p_smallest_keys() {
-        let mut p = PartialProfile::new(0, 8, 1.0, 3);
+        let mut p = PartialProfile::new(0, 8, 1.0, 3, 100);
         for (n, key) in [(1usize, 5.0), (2, 1.0), (3, 4.0), (4, 0.5), (5, 3.0)] {
             p.offer(entry(n, key));
         }
@@ -426,7 +446,7 @@ mod tests {
             entry(8, 0.5),
         ];
         let survivors = |order: &[usize]| -> Vec<usize> {
-            let mut p = PartialProfile::new(0, 8, 1.0, 3);
+            let mut p = PartialProfile::new(0, 8, 1.0, 3, 100);
             for &k in order {
                 p.offer(pool[k]);
             }
@@ -443,14 +463,14 @@ mod tests {
 
     #[test]
     fn unfilled_heap_reports_infinite_threshold() {
-        let mut p = PartialProfile::new(0, 8, 2.0, 4);
+        let mut p = PartialProfile::new(0, 8, 2.0, 4, 100);
         p.offer(entry(1, 2.0));
         assert!(p.max_lb_at(1.0).is_infinite());
     }
 
     #[test]
     fn max_lb_scales_with_sigma_ratio() {
-        let mut p = PartialProfile::new(0, 8, 2.0, 2);
+        let mut p = PartialProfile::new(0, 8, 2.0, 2, 100);
         p.offer(entry(1, 4.0));
         p.offer(entry(2, 9.0));
         // maxLB = sqrt(9) * 2.0/σ_new.
@@ -460,7 +480,7 @@ mod tests {
 
     #[test]
     fn reanchor_clears_state() {
-        let mut p = PartialProfile::new(3, 8, 2.0, 2);
+        let mut p = PartialProfile::new(3, 8, 2.0, 2, 100);
         p.offer(entry(1, 4.0));
         p.reanchor(12, 3.0);
         assert!(p.is_empty());
@@ -472,6 +492,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_is_rejected() {
-        PartialProfile::new(0, 8, 1.0, 0);
+        PartialProfile::new(0, 8, 1.0, 0, 100);
     }
 }

@@ -798,7 +798,7 @@ mod tests {
         // Simulate a profile rebuilt with a different capacity: must not
         // panic, and every known row must still be exact.
         let sigma = ps.std(0, 16);
-        state.partials[0] = PartialProfile::new(0, 16, sigma, 9);
+        state.partials[0] = PartialProfile::new(0, 16, sigma, 9, state.partials.len());
         let res = compute_sub_mp(&ps, &mut state.partials, 17, policy);
         assert_eq!(res.valid_rows + res.nonvalid_rows, res.sub_mp.len());
         let oracle = stomp(&ps, 17, policy).unwrap();
@@ -818,7 +818,8 @@ mod tests {
         neighbors: &[usize],
     ) -> PartialProfile {
         let t = ps.centered();
-        let mut prof = PartialProfile::new(owner, l, ps.std(owner, l), neighbors.len());
+        let rows = ps.num_subsequences(l);
+        let mut prof = PartialProfile::new(owner, l, ps.std(owner, l), neighbors.len(), rows);
         for (k, &neighbor) in neighbors.iter().enumerate() {
             let qt = (0..l).map(|s| t[owner + s] * t[neighbor + s]).sum();
             prof.offer(DpEntry::new(neighbor, qt, k as f64));

@@ -8,7 +8,7 @@
 use valmod_data::error::{Result, ValmodError};
 use valmod_data::series::Series;
 use valmod_mp::exclusion::ExclusionPolicy;
-use valmod_mp::extend::{extend_cells, TailState};
+use valmod_mp::extend::{extend_cells, extend_profile, TailState};
 use valmod_mp::matrix_profile::MatrixProfile;
 use valmod_mp::motif::MotifPair;
 use valmod_mp::ProfiledSeries;
@@ -18,7 +18,8 @@ use valmod_mp::workspace::Workspace;
 
 use crate::complete_profiles::refine_unknown;
 use crate::compute_mp::{
-    compute_matrix_profile_capture_with_ws, compute_matrix_profile_with_ws, MpWithProfiles,
+    capture_profile_with_ws, compute_matrix_profile_capture_with_ws,
+    compute_matrix_profile_with_ws, MpWithProfiles,
 };
 use crate::harvest::HarvestSink;
 use crate::pairs::BestKPairs;
@@ -387,6 +388,10 @@ impl Valmod {
     /// Capture works at every thread count: each diagonal range captures its
     /// own chain heads. The state is `None` only for a series whose row
     /// indices do not fit the packed `u32` neighbours.
+    ///
+    /// A single-length segment (`l_lo == l_hi`) never advances, so it runs
+    /// no harvest and its state holds no `listDP`: just the anchor profile
+    /// and its tail, which do not depend on `p`.
     pub fn run_lengths_capturing(
         &self,
         ps: &ProfiledSeries,
@@ -402,6 +407,15 @@ impl Valmod {
         let mut out = Vec::with_capacity(l_hi - l_lo + 1);
         ps.require_pairs(cfg.l_max)?;
         let mut ws = Workspace::new();
+        if l_lo == l_hi {
+            let (profile, tail) =
+                capture_profile_with_ws(ps, l_lo, cfg.policy, cfg.threads, recorder, &mut ws)?;
+            out.push(anchor_profile(&profile, l_lo));
+            let n = ps.len();
+            let seg =
+                SegmentState { config: cfg, n, extended: false, profile, partials: None, tail };
+            return Ok((out, Some(seg)));
+        }
         let (mut walk, tail) = compute_matrix_profile_capture_with_ws(
             ps,
             l_lo,
@@ -417,7 +431,7 @@ impl Valmod {
             n: ps.len(),
             extended: false,
             profile: walk.profile.clone(),
-            partials,
+            partials: Some(partials),
             tail,
         });
         out.push(anchor_profile(&walk.profile, l_lo));
@@ -449,7 +463,9 @@ impl Valmod {
 /// The partial profiles dominate the footprint, so they are held packed
 /// (neighbour and dot product per entry, 12 bytes instead of 32) and
 /// rebuilt on use, entry for entry in the same heap order — packing is
-/// invisible to every result.
+/// invisible to every result. A single-length segment holds none: it
+/// replays only its anchor and extends through
+/// [`valmod_mp::extend_profile`], about 24 bytes per row.
 #[derive(Debug, Clone)]
 pub struct SegmentState {
     /// The segment's configuration at capture time (`l_min` is the anchor;
@@ -461,8 +477,8 @@ pub struct SegmentState {
     extended: bool,
     /// Pre-advance anchor profile.
     profile: MatrixProfile,
-    /// Pre-advance `listDP`, packed.
-    partials: PackedPartials,
+    /// Pre-advance `listDP`, packed; `None` for a single-length segment.
+    partials: Option<PackedPartials>,
     /// The diagonal chain heads the extension continues from.
     tail: TailState,
 }
@@ -494,13 +510,8 @@ impl SegmentState {
     pub fn heap_bytes(&self) -> usize {
         self.profile.mp.len() * std::mem::size_of::<f64>()
             + self.profile.ip.len() * std::mem::size_of::<usize>()
-            + self.partials.heap_bytes()
+            + self.partials.as_ref().map_or(0, PackedPartials::heap_bytes)
             + self.tail.heap_bytes()
-    }
-
-    /// The anchor artifacts rebuilt for a walk or an extension.
-    fn unpack(&self, ps: &ProfiledSeries) -> MpWithProfiles {
-        MpWithProfiles { profile: self.profile.clone(), partials: self.partials.unpack(ps) }
     }
 
     /// Advances the anchor artifacts over the appended tail of `ps` in
@@ -521,11 +532,17 @@ impl SegmentState {
         if recorder.enabled() {
             recorder.add("core.valmod.extends", 1);
         }
+        let Some(packed) = &self.partials else {
+            extend_profile(&mut self.profile, &mut self.tail, ps)?;
+            self.n = ps.len();
+            self.extended = true;
+            return Ok(());
+        };
         let (l, p) = (self.config.l_min, self.config.p);
-        let mut partials = self.partials.unpack(ps);
+        let mut partials = packed.unpack(ps);
         partials.reserve(new_ndp - old_ndp);
         for r in old_ndp..new_ndp {
-            partials.push(PartialProfile::new(r, l, ps.std(r, l), p));
+            partials.push(PartialProfile::new(r, l, ps.std(r, l), p, new_ndp));
         }
         let mut mp = std::mem::take(&mut self.profile.mp);
         let mut ip = std::mem::take(&mut self.profile.ip);
@@ -538,7 +555,7 @@ impl SegmentState {
         grown?;
         harvest.stats.record(recorder);
         self.partials =
-            PackedPartials::pack(&harvest.partials, l, p).expect("row count checked above");
+            Some(PackedPartials::pack(&harvest.partials, l, p).expect("row count checked above"));
         self.n = ps.len();
         self.extended = true;
         Ok(())
@@ -549,7 +566,8 @@ impl SegmentState {
     /// [`Valmod::run_lengths_on`]`(ps, anchor, l_hi)` over the same series —
     /// including the full-recompute fallback on lengths the lower bounds
     /// cannot certify. `ps` must cover exactly the samples the state does
-    /// (extend first after an append).
+    /// (extend first after an append). A single-length state replays only
+    /// its anchor: any `l_hi` past it is an error.
     pub fn replay(
         &self,
         ps: &ProfiledSeries,
@@ -569,8 +587,18 @@ impl SegmentState {
         let _span = valmod_obs::span!(recorder, "core.valmod.segment_us");
         let mut out = Vec::with_capacity(l_hi - cfg.l_min + 1);
         out.push(anchor_profile(&self.profile, cfg.l_min));
+        if l_hi == cfg.l_min {
+            return Ok(out);
+        }
+        let Some(packed) = &self.partials else {
+            return Err(ValmodError::InvalidParameter(format!(
+                "segment replay: a single-length state at {} cannot advance to {l_hi}",
+                cfg.l_min
+            )));
+        };
         let mut ws = Workspace::new();
-        let mut walk = self.unpack(ps);
+        let mut walk =
+            MpWithProfiles { profile: self.profile.clone(), partials: packed.unpack(ps) };
         advance_walk(ps, &cfg, recorder, &mut ws, &mut walk, false, &mut |lp, _| out.push(lp))?;
         Ok(out)
     }
@@ -1010,6 +1038,24 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_p_answers_like_p_equal_to_n() {
+        // Regression: every heap used to reserve `p` slots up front, so a
+        // huge `p` aborted the process on allocation instead of answering.
+        let series = Series::new(random_walk(300, 61)).unwrap();
+        let run = |p: usize| Valmod::new(32, 34).p(p).threads(2).run(&series).unwrap();
+        let (huge, full) = (run(u32::MAX as usize), run(300));
+        assert_eq!(huge.valmp.indices, full.valmp.indices);
+        assert_eq!(huge.valmp.lengths, full.valmp.lengths);
+        for (a, b) in huge.valmp.norm_distances.iter().zip(&full.valmp.norm_distances) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let shape = |out: &ValmodOutput| -> Vec<String> {
+            out.per_length.iter().map(|r| format!("{r:?}")).collect()
+        };
+        assert_eq!(shape(&huge), shape(&full));
+    }
+
+    #[test]
     fn threads_do_not_change_the_output() {
         // Random walk plus a flat stretch: the constant rows exercise the
         // key-0 lower-bound path and tied distances under the split.
@@ -1244,13 +1290,14 @@ mod tests {
             &mut Workspace::new(),
         )
         .unwrap();
-        let (_, seg) = Valmod::new(l, l).p(p).run_lengths_capturing(&ps, l, l).unwrap();
+        // A two-length segment: a single-length one keeps no `listDP`.
+        let (_, seg) = Valmod::new(l, l).p(p).run_lengths_capturing(&ps, l, l + 1).unwrap();
         let seg = seg.expect("a u32-sized series must capture");
-        let rebuilt = seg.unpack(&ps);
-        assert_eq!(rebuilt.profile.mp, kernel.profile.mp, "{what}: anchor profile");
-        assert_eq!(rebuilt.profile.ip, kernel.profile.ip, "{what}: anchor indices");
-        assert_eq!(rebuilt.partials.len(), kernel.partials.len(), "{what}: rows");
-        for (a, b) in rebuilt.partials.iter().zip(&kernel.partials) {
+        let rebuilt = seg.partials.as_ref().expect("a two-length segment packs").unpack(&ps);
+        assert_eq!(seg.profile.mp, kernel.profile.mp, "{what}: anchor profile");
+        assert_eq!(seg.profile.ip, kernel.profile.ip, "{what}: anchor indices");
+        assert_eq!(rebuilt.len(), kernel.partials.len(), "{what}: rows");
+        for (a, b) in rebuilt.iter().zip(&kernel.partials) {
             let row = b.owner;
             assert_eq!(
                 (a.owner, a.anchor_l, a.current_l, a.capacity()),
@@ -1294,6 +1341,36 @@ mod tests {
         // Shipped shape: full heaps at p = 50.
         let partials = assert_packed_round_trip(&fallback_rich_series(700), 64, 50, "p=50");
         assert!(partials.iter().any(PartialProfile::is_full));
+    }
+
+    #[test]
+    fn single_length_states_hold_no_listdp_and_extend_bit_identically() {
+        let values = fallback_rich_series(760);
+        let base_n = 700;
+        let base = ProfiledSeries::from_values(&values[..base_n]).unwrap();
+        let grown = ProfiledSeries::with_offset(&values, base.offset()).unwrap();
+        let recorder = SharedRecorder::noop();
+        let l = 24;
+        let cold = Valmod::new(l, l).run_lengths_on(&base, l, l).unwrap();
+        let cold_grown = Valmod::new(l, l).run_lengths_on(&grown, l, l).unwrap();
+        for (p, threads) in [(1usize, 1usize), (8, 2), (50, 1), (50, 2)] {
+            let what = format!("p={p} threads={threads}");
+            let runner = Valmod::new(1, 2).p(p).threads(threads);
+            let (frags, seg) = runner.run_lengths_capturing(&base, l, l).unwrap();
+            let mut seg = seg.expect("a u32-sized series must capture");
+            assert_fragments_bit_identical(&frags, &cold, &what);
+            assert!(seg.partials.is_none(), "{what}: a single length keeps no listDP");
+            let (ndp, radius) = (base.num_subsequences(l), ExclusionPolicy::HALF.radius(l));
+            assert_eq!(seg.heap_bytes(), 24 * ndp - 8 * radius, "{what}: profile and tail");
+            let replayed = seg.replay(&base, l, &recorder).unwrap();
+            assert_fragments_bit_identical(&replayed, &cold, &format!("{what}: replay"));
+            assert!(seg.replay(&base, l + 1, &recorder).is_err(), "{what}: past the anchor");
+            seg.extend(&grown, &recorder).unwrap();
+            assert!(seg.was_extended());
+            assert_eq!(seg.n(), values.len());
+            let replayed = seg.replay(&grown, l, &recorder).unwrap();
+            assert_fragments_bit_identical(&replayed, &cold_grown, &format!("{what}: extended"));
+        }
     }
 
     #[test]

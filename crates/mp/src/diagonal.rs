@@ -141,6 +141,30 @@ impl<'a> Diagonals<'a> {
         let (mp, ip) = (&mut out.mp, &mut out.ip);
         diagonal_rows(self, range, |i, j0, _qt, dist| fold_row(mp, ip, i, j0, dist));
     }
+
+    /// Runs `fold` over each of the `threads` ranges ([`Diagonals::chunks`],
+    /// spread by [`map_chunks`]: the last on the calling thread), each into
+    /// its own unset profile, and merges the profiles lexicographically.
+    /// Returns the merged profile and each range's own output, in range
+    /// order.
+    pub(crate) fn fold_ranges<T, F>(&self, threads: usize, fold: F) -> (MatrixProfile, Vec<T>)
+    where
+        T: Send,
+        F: Fn((usize, usize), &mut MatrixProfile) -> T + Sync,
+    {
+        let (mut parts, outputs): (Vec<_>, Vec<_>) = map_chunks(&self.chunks(threads), |range| {
+            let mut part = self.unset_profile();
+            let output = fold(range, &mut part);
+            (part, output)
+        })
+        .into_iter()
+        .unzip();
+        let mut out = parts.pop().expect("a traversal has at least one range");
+        for part in &parts {
+            merge_partial(&mut out, part);
+        }
+        (out, outputs)
+    }
 }
 
 /// Z-normalised distances of one block row: `dist[c]` gets the bits of
@@ -397,16 +421,7 @@ pub fn stomp_diagonal_parallel_ws(
     ws: &mut Workspace,
 ) -> Result<MatrixProfile> {
     let diags = Diagonals::prepare(ps, l, &policy, ws)?;
-    let mut parts = map_chunks(&diags.chunks(threads), |range| {
-        let mut part = diags.unset_profile();
-        diags.fold_into(range, &mut part);
-        part
-    });
-    let mut out = parts.pop().expect("a traversal has at least one range");
-    for part in &parts {
-        merge_partial(&mut out, part);
-    }
-    Ok(out)
+    Ok(diags.fold_ranges(threads, |range, part| diags.fold_into(range, part)).0)
 }
 
 #[cfg(test)]

@@ -110,25 +110,27 @@ pub fn stomp_with_tail(
     policy: ExclusionPolicy,
 ) -> Result<(MatrixProfile, TailState)> {
     let mut ws = Workspace::new();
-    stomp_with_tail_ws(ps, l, policy, &mut ws)
+    stomp_with_tail_ws(ps, l, policy, 1, &mut ws)
 }
 
-/// [`stomp_with_tail`] over a caller-held [`Workspace`].
+/// [`stomp_with_tail`] with `threads` workers (0 = all cores) over a
+/// caller-held [`Workspace`]: each diagonal range folds its own profile and
+/// captures its own chain heads, and the profiles merge by the same
+/// `(distance, index)` min, so the result is bit-identical at every thread
+/// count.
 pub fn stomp_with_tail_ws(
     ps: &ProfiledSeries,
     l: usize,
     policy: ExclusionPolicy,
+    threads: usize,
     ws: &mut Workspace,
 ) -> Result<(MatrixProfile, TailState)> {
     let diags = Diagonals::prepare(ps, l, &policy, ws)?;
-    let ndp = diags.ndp();
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    let heads = capture_cells(&diags, diags.full(), |i, j0, _qt, dist| {
-        fold_row(&mut mp, &mut ip, i, j0, dist)
+    let (profile, heads) = diags.fold_ranges(threads, |range, part| {
+        let (mp, ip) = (&mut part.mp, &mut part.ip);
+        capture_cells(&diags, range, |i, j0, _qt, dist| fold_row(mp, ip, i, j0, dist))
     });
-    let state = TailState::from_heads(ps, l, policy, vec![heads]);
-    Ok((MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) }, state))
+    Ok((profile, TailState::from_heads(ps, l, policy, heads)))
 }
 
 /// Streams every block row of diagonals `range` to `visit` exactly as
@@ -275,6 +277,23 @@ mod tests {
             assert_bits(&captured, &plain, &format!("l={l}"));
             assert_eq!(state.n(), 300);
             assert_eq!(state.l(), l);
+        }
+    }
+
+    #[test]
+    fn threaded_capture_matches_one_thread_and_extends_alike() {
+        let walk = random_walk(360, 29);
+        let base = ProfiledSeries::from_values(&walk[..300]).unwrap();
+        let grown = ProfiledSeries::with_offset(&walk, base.offset()).unwrap();
+        let (mut one, mut one_tail) = stomp_with_tail(&base, 16, ExclusionPolicy::HALF).unwrap();
+        extend_profile(&mut one, &mut one_tail, &grown).unwrap();
+        for threads in [2usize, 3, 0] {
+            let mut ws = Workspace::new();
+            let (mut many, mut tail) =
+                stomp_with_tail_ws(&base, 16, ExclusionPolicy::HALF, threads, &mut ws).unwrap();
+            assert_bits(&many, &stomp(&base, 16, ExclusionPolicy::HALF).unwrap(), "capture");
+            extend_profile(&mut many, &mut tail, &grown).unwrap();
+            assert_bits(&many, &one, &format!("threads={threads}, extended"));
         }
     }
 

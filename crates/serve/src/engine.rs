@@ -16,8 +16,9 @@
 //! ## Scheduling model
 //!
 //! Ingestion (`load`/`append`) runs on the calling thread under the owning
-//! series' write lock — it is O(n·hot lengths) and must be strictly
-//! ordered with that series' version counter. Queries are **admitted** on
+//! series' write lock — it only validates, logs and stores samples (O(k)
+//! per APPEND of k) and must be strictly ordered with that series' version
+//! counter. Queries are **admitted** on
 //! the calling thread (cache probe, so cache hits are O(1) and never
 //! consume a queue slot) and **executed** on a fixed worker pool behind a
 //! bounded queue:
@@ -44,6 +45,7 @@
 //! decomposes the length range into segments whose per-length fragments
 //! are cached in a [`crate::fragment::FragmentCache`] and recomposed —
 //! so overlapping ranges share work across requests, bit-identically.
+//! Every MOTIFS and DISCORDS takes that one path; SETS runs VALMOD directly.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -57,8 +59,7 @@ use valmod_core::{
     compute_var_length_motif_sets, top_variable_length_motifs, variable_length_discords, Valmod,
     ValmodConfig,
 };
-use valmod_mp::motif::top_motifs;
-use valmod_mp::{ExclusionPolicy, MatrixProfile, ProfiledSeries};
+use valmod_mp::{ExclusionPolicy, ProfiledSeries};
 use valmod_obs::{MetricSnapshot, Recorder, Registry, SharedRecorder, Snapshot};
 
 use crate::cache::{CacheKey, ResultCache};
@@ -458,7 +459,6 @@ struct EngineCounters {
     queries: AtomicU64,
     computed: AtomicU64,
     coalesced: AtomicU64,
-    served_hot: AtomicU64,
     busy_rejections: AtomicU64,
     deadline_misses: AtomicU64,
     /// Open single-flight entries across all stripes (STATS reads this
@@ -568,8 +568,9 @@ impl QueryEngine {
         Ok(QueryEngine { shared, sender: Mutex::new(Some(tx)), workers: Mutex::new(workers) })
     }
 
-    /// Loads (or with `replace` overwrites) a named series, seeding hot
-    /// streaming profiles at `hot_lengths`. Returns `(version, len)`.
+    /// Loads (or with `replace` overwrites) a named series whose
+    /// `hot_lengths` get their single-length planner states pinned under
+    /// `policy`. Returns `(version, len)`.
     pub fn load(
         &self,
         name: &str,
@@ -598,8 +599,8 @@ impl QueryEngine {
     }
 
     /// Appends samples to a named series: WAL-logs the batch first (when
-    /// durable), bumps its version, extends hot profiles, and purges the
-    /// series' *result*-cache entries. Fragments are deliberately **not**
+    /// durable), bumps its version, and purges the series' *result*-cache
+    /// entries. Fragments are deliberately **not**
     /// purged: the version bump already makes them unservable (their key
     /// carries the old watermark), and the planner revives their parked
     /// segment states by extending over the appended tail on the next
@@ -777,75 +778,49 @@ impl QueryEngine {
         ]);
         // Aggregate the striped caches; expose per-stripe accounting so a
         // hot stripe is visible, not averaged away.
-        let mut per_stripe = Vec::with_capacity(self.shared.shards.len());
-        let (mut entries, mut used, mut budget) = (0usize, 0usize, 0usize);
-        let (mut hits, mut misses, mut evictions, mut invalidated) = (0u64, 0u64, 0u64, 0u64);
+        let (mut cache_rows, mut per_stripe) = (Vec::new(), Vec::new());
         for (i, shard) in self.shared.shards.iter().enumerate() {
             let cache = shard.cache.lock().expect("cache lock");
             let cs = cache.stats();
-            entries += cache.len();
-            used += cache.used_bytes();
-            budget += cache.budget_bytes();
-            hits += cs.hits;
-            misses += cs.misses;
-            evictions += cs.evictions;
-            invalidated += cs.invalidated;
-            per_stripe.push(Value::obj(vec![
-                ("stripe", i.into()),
-                ("entries", cache.len().into()),
-                ("used_bytes", cache.used_bytes().into()),
-                ("budget_bytes", cache.budget_bytes().into()),
-                ("hits", cs.hits.into()),
-                ("misses", cs.misses.into()),
-            ]));
+            let row = vec![
+                ("entries", cache.len() as u64),
+                ("used_bytes", cache.used_bytes() as u64),
+                ("budget_bytes", cache.budget_bytes() as u64),
+                ("hits", cs.hits),
+                ("misses", cs.misses),
+                ("evictions", cs.evictions),
+                ("invalidated", cs.invalidated),
+            ];
+            let stripe = row[..5].iter().map(|&(k, v)| (k, v.into()));
+            per_stripe
+                .push(Value::obj(std::iter::once(("stripe", i.into())).chain(stripe).collect()));
+            cache_rows.push(row);
         }
-        let cache_v = Value::obj(vec![
-            ("entries", entries.into()),
-            ("used_bytes", used.into()),
-            ("budget_bytes", budget.into()),
-            ("hits", hits.into()),
-            ("misses", misses.into()),
-            ("evictions", evictions.into()),
-            ("invalidated", invalidated.into()),
-            ("per_stripe", Value::Arr(per_stripe)),
-        ]);
-        let (mut f_entries, mut f_used, mut f_budget) = (0usize, 0usize, 0usize);
-        let (mut parked, mut parked_bytes, mut parked_proven) = (0usize, 0usize, 0usize);
-        let (mut f_hits, mut f_misses, mut f_evictions, mut f_invalidated, mut f_extended) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        let mut refused = 0u64;
-        for shard in self.shared.shards.iter() {
+        let mut cache_fields = sum_fields(cache_rows);
+        cache_fields.push(("per_stripe", Value::Arr(per_stripe)));
+        let planner_rows = self.shared.shards.iter().map(|shard| {
             let fragments = shard.fragments.lock().expect("fragment cache lock");
-            let fs = fragments.stats();
-            f_entries += fragments.len();
-            f_used += fragments.used_bytes();
-            f_budget += fragments.budget_bytes();
-            parked += fragments.state_count();
-            parked_bytes += fragments.parked_bytes();
-            parked_proven += fragments.proven_count();
-            f_hits += fs.hits;
-            f_misses += fs.misses;
-            f_evictions += fs.evictions;
-            f_invalidated += fs.invalidated;
-            f_extended += fs.extended;
-            refused += fs.states_refused;
-        }
+            let (fs, (pinned, pinned_bytes)) = (fragments.stats(), fragments.pinned());
+            vec![
+                ("fragment_entries", fragments.len() as u64),
+                ("fragment_used_bytes", fragments.used_bytes() as u64),
+                ("fragment_budget_bytes", fragments.budget_bytes() as u64),
+                ("fragment_hits", fs.hits),
+                ("fragment_misses", fs.misses),
+                ("fragment_evictions", fs.evictions),
+                ("fragment_invalidated", fs.invalidated),
+                ("fragments_extended", fs.extended),
+                ("parked_states", fragments.state_count() as u64),
+                ("parked_bytes", fragments.parked_bytes() as u64),
+                ("parked_proven", fragments.proven_count() as u64),
+                ("pinned_states", pinned as u64),
+                ("pinned_bytes", pinned_bytes as u64),
+                ("states_refused", fs.states_refused),
+            ]
+        });
         let c = &self.shared.counters;
-        let planner_v = Value::obj(vec![
-            ("fragment_entries", f_entries.into()),
-            ("fragment_used_bytes", f_used.into()),
-            ("fragment_budget_bytes", f_budget.into()),
-            ("fragment_hits", f_hits.into()),
-            ("fragment_misses", f_misses.into()),
-            ("fragment_evictions", f_evictions.into()),
-            ("fragment_invalidated", f_invalidated.into()),
-            ("fragments_extended", f_extended.into()),
-            ("parked_states", parked.into()),
-            ("parked_bytes", parked_bytes.into()),
-            ("parked_proven", parked_proven.into()),
-            ("states_refused", refused.into()),
-            ("inflight", c.inflight_flights.load(Ordering::Relaxed).into()),
-        ]);
+        let mut planner_fields = sum_fields(planner_rows);
+        planner_fields.push(("inflight", c.inflight_flights.load(Ordering::Relaxed).into()));
         Value::obj(vec![
             (
                 "engine",
@@ -853,7 +828,6 @@ impl QueryEngine {
                     ("queries", c.queries.load(Ordering::Relaxed).into()),
                     ("computed", c.computed.load(Ordering::Relaxed).into()),
                     ("coalesced", c.coalesced.load(Ordering::Relaxed).into()),
-                    ("served_hot", c.served_hot.load(Ordering::Relaxed).into()),
                     ("busy_rejections", c.busy_rejections.load(Ordering::Relaxed).into()),
                     ("deadline_misses", c.deadline_misses.load(Ordering::Relaxed).into()),
                     ("active_computes", c.active_computes.load(Ordering::Relaxed).into()),
@@ -864,8 +838,8 @@ impl QueryEngine {
                     ("kernel_threads", self.shared.cfg.kernel_threads.into()),
                 ]),
             ),
-            ("cache", cache_v),
-            ("planner", planner_v),
+            ("cache", Value::obj(cache_fields)),
+            ("planner", Value::obj(planner_fields)),
             ("persist", persist_v),
             ("series", Value::Arr(series)),
             ("obs", snapshot_value(&self.shared.registry.snapshot())),
@@ -965,22 +939,33 @@ fn run_job(shared: &Shared, work: &Work) -> ServeResult<QueryOutcome> {
     }
 }
 
+/// Sums per-stripe `(field, count)` rows field by field; every row lists
+/// the same fields in the same order.
+fn sum_fields(
+    rows: impl IntoIterator<Item = Vec<(&'static str, u64)>>,
+) -> Vec<(&'static str, Value)> {
+    let mut total: Vec<(&'static str, u64)> = Vec::new();
+    for row in rows {
+        if total.is_empty() {
+            total = row;
+        } else {
+            total.iter_mut().zip(row).for_each(|(acc, (_, v))| acc.1 += v);
+        }
+    }
+    total.into_iter().map(|(k, v)| (k, v.into())).collect()
+}
+
 fn execute_query(shared: &Shared, spec: &QuerySpec) -> ServeResult<QueryOutcome> {
-    // Snapshot (batch view, version, optional hot profile) atomically,
-    // under the owning series' lock only — computes on other series and
-    // the whole admission path stay unaffected.
+    // Snapshot (batch view, version) atomically, under the owning series'
+    // lock only — computes on other series and the whole admission path
+    // stay unaffected. Hot lengths pin only under the series' own policy.
     let slot = shared.store.get(&spec.series)?;
-    let (ps, version, hot) = {
+    let (ps, version, pinned) = {
         let mut entry = slot.write();
-        let hot = match spec.kind {
-            QueryKind::Motifs { .. } if spec.l_min == spec.l_max => entry
-                .hot_profile(spec.l_min)
-                .filter(|sp| sp.policy().reduced() == spec.policy.reduced())
-                .map(|sp| sp.profile()),
-            _ => None,
-        };
+        let own_policy = entry.policy().reduced() == spec.policy.reduced();
+        let pinned = if own_policy { slot.hot_lengths() } else { &[] };
         let (ps, version) = entry.profiled()?;
-        (ps, version, hot)
+        (ps, version, pinned)
     };
     // The version may have advanced past the admission-time probe; another
     // worker may also have filled the entry meanwhile. Re-probe.
@@ -994,7 +979,7 @@ fn execute_query(shared: &Shared, spec: &QuerySpec) -> ServeResult<QueryOutcome>
     let body = {
         let _active = ComputeSpan::enter(shared);
         let _span = valmod_obs::span!(&shared.recorder, "serve.compute_us");
-        compute_payload(shared, shard, spec, &ps, version, hot)?
+        compute_payload(shared, shard, spec, &ps, slot.generation(), version, pinned)?
     };
     let payload = Arc::new(Value::obj(vec![
         ("series", Value::str(&spec.series)),
@@ -1012,8 +997,9 @@ fn compute_payload(
     shard: &Shard,
     spec: &QuerySpec,
     ps: &ProfiledSeries,
+    generation: u64,
     version: u64,
-    hot: Option<MatrixProfile>,
+    pinned: &[usize],
 ) -> ServeResult<Value> {
     let cfg = spec.valmod_config(shared.cfg.kernel_threads);
     let runner = Valmod::from_config(cfg.clone()).recorder(shared.recorder.clone());
@@ -1021,12 +1007,14 @@ fn compute_payload(
     // decomposed into grid segments whose per-length fragments are cached
     // in the series' own stripe and recomposed, so overlapping ranges
     // share work across requests.
-    let planned = |runner: &Valmod| {
+    let planned = || {
         crate::planner::execute_plan(
             ps,
             &spec.series,
+            generation,
             version,
-            runner,
+            pinned,
+            &runner,
             &shard.fragments,
             &shared.recorder,
             (spec.l_min, spec.l_max),
@@ -1034,23 +1022,9 @@ fn compute_payload(
     };
     match spec.kind {
         QueryKind::Motifs { top } => {
-            // Fixed-length queries at a registered hot length skip the
-            // batch computation: the streaming profile is already live.
-            let (motifs, source) = match hot {
-                Some(profile) => {
-                    shared.counters.served_hot.fetch_add(1, Ordering::Relaxed);
-                    (top_motifs(&profile, top), "hot")
-                }
-                None => {
-                    let (out, _) = planned(&runner)?;
-                    (top_variable_length_motifs(&out.valmp, top, cfg.policy), "cold")
-                }
-            };
-            Ok(MotifsBody {
-                motifs: motifs.iter().map(MotifHit::from_pair).collect(),
-                source: source.into(),
-            }
-            .to_value())
+            let (out, _) = planned()?;
+            let motifs = top_variable_length_motifs(&out.valmp, top, cfg.policy);
+            Ok(MotifsBody { motifs: motifs.iter().map(MotifHit::from_pair).collect() }.to_value())
         }
         QueryKind::Sets { k, radius } => {
             if k == 0 {
@@ -1088,7 +1062,7 @@ fn compute_payload(
             .to_value())
         }
         QueryKind::Discords { top } => {
-            let (out, _) = planned(&runner)?;
+            let (out, _) = planned()?;
             let discords = variable_length_discords(&out.valmp, top, cfg.policy);
             Ok(DiscordsBody {
                 discords: discords
@@ -1214,38 +1188,172 @@ mod tests {
         eng.join();
     }
 
+    fn planner_stat(eng: &QueryEngine, key: &str) -> usize {
+        eng.stats().get("planner").and_then(|p| p.get(key)).and_then(Value::as_usize).unwrap()
+    }
+
+    fn obs_counter(eng: &QueryEngine, key: &str) -> usize {
+        eng.stats().get("obs").and_then(|o| o.get(key)).and_then(Value::as_usize).unwrap_or(0)
+    }
+
+    /// Segments computed by a cold run: not reused, not revived.
+    fn cold_segments(eng: &QueryEngine) -> usize {
+        obs_counter(eng, "serve.planner.segments_computed")
+            - obs_counter(eng, "serve.planner.segments_revived")
+    }
+
+    fn body_of(out: &QueryOutcome) -> String {
+        out.payload.get("body").map(Value::encode).expect("payload has a body")
+    }
+
     #[test]
-    fn hot_length_serves_fixed_length_motifs() {
-        let eng = engine(1, 8, 0); // cache disabled: exercise the hot path
+    fn fixed_length_bodies_do_not_depend_on_hot_threads_or_revival() {
+        // LOAD with and without a hot length, at one and two kernel
+        // threads, then APPEND: every fixed-length MOTIFS and DISCORDS body
+        // equals a cold engine's that replays the same history, and the
+        // hot engine answers each post-append query by extending its
+        // pinned single-length state.
         let (values, _) = plant_motif(900, 32, 2, 0.001, 17);
-        eng.load("s", values[..700].to_vec(), &[32], ExclusionPolicy::HALF, false).unwrap();
-        eng.append("s", &values[700..]).unwrap();
-        let out = eng.query(motif_spec("s", 32, 32)).unwrap();
-        let body = out.payload.get("body").unwrap();
-        assert_eq!(body.get("source").unwrap().as_str(), Some("hot"));
-        // The hot result agrees with a cold run of the same spec.
-        let eng2 = engine(1, 8, 0);
-        let (values, _) = plant_motif(900, 32, 2, 0.001, 17);
-        eng2.load("s", values, &[], ExclusionPolicy::HALF, false).unwrap();
-        let cold = eng2.query(motif_spec("s", 32, 32)).unwrap();
-        let cold_body = cold.payload.get("body").unwrap();
-        assert_eq!(cold_body.get("source").unwrap().as_str(), Some("cold"));
-        let (h, c) = (
-            body.get("motifs").unwrap().as_arr().unwrap(),
-            cold_body.get("motifs").unwrap().as_arr().unwrap(),
-        );
-        assert_eq!(h.len(), c.len());
-        for (x, y) in h.iter().zip(c) {
-            assert_eq!(x.get("a"), y.get("a"));
-            assert_eq!(x.get("b"), y.get("b"));
-            let dx = x.get("dist").unwrap().as_f64().unwrap();
-            let dy = y.get("dist").unwrap().as_f64().unwrap();
-            assert!((dx - dy).abs() < 1e-6);
+        let (base, tail) = values.split_at(700);
+        let specs = || {
+            let mut discords = motif_spec("s", 32, 32);
+            discords.kind = QueryKind::Discords { top: 3 };
+            [motif_spec("s", 32, 32), discords]
+        };
+        let answers = |hot: &[usize], threads: usize, appends: usize| -> Vec<String> {
+            let eng = QueryEngine::new(
+                EngineConfig::builder().workers(1).kernel_threads(threads).build().unwrap(),
+            );
+            eng.load("s", base.to_vec(), hot, ExclusionPolicy::HALF, false).unwrap();
+            let mut bodies: Vec<String> =
+                specs().into_iter().map(|q| body_of(&eng.query(q).unwrap())).collect();
+            for k in 0..appends {
+                eng.append("s", &tail[k * 50..(k + 1) * 50]).unwrap();
+                bodies.extend(specs().into_iter().map(|q| body_of(&eng.query(q).unwrap())));
+            }
+            if !hot.is_empty() {
+                assert_eq!(planner_stat(&eng, "pinned_states"), 1);
+                assert_eq!(planner_stat(&eng, "fragments_extended"), appends);
+                assert_eq!(obs_counter(&eng, "serve.planner.segments_revived"), appends);
+                assert_eq!(cold_segments(&eng), 1);
+            }
+            eng.shutdown();
+            eng.join();
+            bodies
+        };
+        let reference = answers(&[], 1, 4);
+        assert!(!reference[0].contains("source"), "no path marker on the wire");
+        for (hot, threads) in [(&[32usize][..], 1usize), (&[32], 2), (&[], 2)] {
+            assert_eq!(answers(hot, threads, 4), reference, "hot {hot:?}, threads {threads}");
         }
-        for e in [eng, eng2] {
+        // Each post-append body equals a cold engine that replays the same
+        // LOAD + APPEND history at that point.
+        for k in 1..=4 {
+            let eng = engine(1, 8, 0);
+            eng.load("s", base.to_vec(), &[], ExclusionPolicy::HALF, false).unwrap();
+            for j in 0..k {
+                eng.append("s", &tail[j * 50..(j + 1) * 50]).unwrap();
+            }
+            let replay: Vec<String> =
+                specs().into_iter().map(|q| body_of(&eng.query(q).unwrap())).collect();
+            assert_eq!(replay, reference[2 * k..2 * k + 2], "after append {k}");
+            eng.shutdown();
+            eng.join();
+        }
+    }
+
+    #[test]
+    fn a_fixed_and_a_range_query_at_one_anchor_keep_separate_states() {
+        // 32..32 takes the pinned single-length state and 32..40 its own
+        // p-keyed full state; after each APPEND both revive by extension.
+        let eng = QueryEngine::new(
+            EngineConfig::builder().workers(1).fragment_cache_bytes(64 << 20).build().unwrap(),
+        );
+        let (values, _) = plant_motif(1_000, 32, 2, 0.001, 19);
+        eng.load("s", values[..800].to_vec(), &[32], ExclusionPolicy::HALF, false).unwrap();
+        eng.query(motif_spec("s", 32, 32)).unwrap();
+        eng.query(motif_spec("s", 32, 40)).unwrap();
+        assert_eq!(
+            (planner_stat(&eng, "pinned_states"), planner_stat(&eng, "parked_states")),
+            (1, 1)
+        );
+        for round in 1..=3 {
+            eng.append("s", &values[800 + (round - 1) * 60..800 + round * 60]).unwrap();
+            eng.query(motif_spec("s", 32, 32)).unwrap();
+            eng.query(motif_spec("s", 32, 40)).unwrap();
+            assert_eq!(planner_stat(&eng, "fragments_extended"), 2 * round, "round {round}");
+        }
+        assert_eq!(obs_counter(&eng, "serve.planner.segments_revived"), 6);
+        assert_eq!(cold_segments(&eng), 2);
+        // A policy other than the series' own does not pin.
+        let mut quarter = motif_spec("s", 32, 32);
+        quarter.policy = ExclusionPolicy::QUARTER;
+        eng.query(quarter).unwrap();
+        assert_eq!(
+            (planner_stat(&eng, "pinned_states"), planner_stat(&eng, "parked_states")),
+            (1, 2)
+        );
+        // A replace drops the pin with everything else.
+        eng.load("s", random_walk(300, 5), &[], ExclusionPolicy::HALF, true).unwrap();
+        assert_eq!(planner_stat(&eng, "pinned_states"), 0);
+        assert_eq!(planner_stat(&eng, "pinned_bytes"), 0);
+        eng.shutdown();
+        eng.join();
+    }
+
+    #[test]
+    fn a_state_re_parked_across_an_equal_length_replace_never_serves_the_new_series() {
+        // The race: a query takes the pinned state, a LOAD replaces the
+        // series with one of the same length, and the query parks the old
+        // state again afterwards. The next fixed-length query must answer
+        // from the new samples, not replay the old profile.
+        let eng = engine(1, 8, 1 << 20);
+        let (old, new) = (random_walk(400, 3), random_walk(400, 4));
+        eng.load("s", old, &[24], ExclusionPolicy::HALF, false).unwrap();
+        eng.query(motif_spec("s", 24, 24)).unwrap();
+        let generation = eng.shared.store.get("s").unwrap().generation();
+        let fragments = &eng.shared.shard_for("s").fragments;
+        let taken = fragments.lock().unwrap().take_state("s", generation, 24, "excl=1/2");
+        let taken = taken.expect("the hot length's state is pinned");
+        eng.load("s", new.clone(), &[24], ExclusionPolicy::HALF, true).unwrap();
+        assert!(fragments.lock().unwrap().put_state("s", generation, 24, "excl=1/2", taken, true));
+
+        let mut discords = motif_spec("s", 24, 24);
+        discords.kind = QueryKind::Discords { top: 3 };
+        let specs = [motif_spec("s", 24, 24), discords];
+        let bodies: Vec<String> =
+            specs.iter().map(|q| body_of(&eng.query(q.clone()).unwrap())).collect();
+        let cold = engine(1, 8, 0);
+        cold.load("s", new, &[], ExclusionPolicy::HALF, false).unwrap();
+        let expected: Vec<String> =
+            specs.iter().map(|q| body_of(&cold.query(q.clone()).unwrap())).collect();
+        assert_eq!(bodies, expected);
+        assert_eq!(obs_counter(&eng, "serve.planner.segments_revived"), 0, "never revived");
+        assert_eq!(planner_stat(&eng, "pinned_states"), 1, "the stale pin was collected");
+        for e in [eng, cold] {
             e.shutdown();
             e.join();
         }
+    }
+
+    #[test]
+    fn an_oversized_p_answers_like_p_equal_to_n_and_the_engine_goes_on() {
+        // Regression: a MOTIFS whose `p` sized every heap's reservation
+        // aborted the whole server on allocation failure. What `p ≥ rows`
+        // still costs is `listDP` itself, every pair of rows: fine here,
+        // not on a long series.
+        let eng = engine(1, 8, 0);
+        let values = random_walk(400, 47);
+        eng.load("s", values, &[], ExclusionPolicy::HALF, false).unwrap();
+        let with_p = |p: usize| {
+            let mut spec = motif_spec("s", 24, 28);
+            spec.p = p;
+            body_of(&eng.query(spec).unwrap())
+        };
+        assert_eq!(with_p(u32::MAX as usize), with_p(400));
+        assert!(eng.query(motif_spec("s", 16, 20)).is_ok(), "the engine keeps answering");
+        eng.shutdown();
+        eng.join();
     }
 
     #[test]
@@ -1711,29 +1819,40 @@ mod tests {
     fn held_series_lock_blocks_neither_other_series_nor_stats() {
         // The deterministic form of APPEND/MOTIFS isolation: hold series
         // A's write lock (what a slow append amounts to) and prove that a
-        // query on series B and a STATS snapshot both still complete. The
-        // old single-RwLock store deadlocked here by construction.
+        // LOAD, an APPEND and a MOTIFS on series B and a STATS snapshot all
+        // still complete. The old single-RwLock store deadlocked here by
+        // construction.
         let eng = Arc::new(engine(2, 8, 1 << 20));
         eng.load("a", random_walk(400, 3), &[], ExclusionPolicy::HALF, false).unwrap();
-        eng.load("b", random_walk(400, 5), &[], ExclusionPolicy::HALF, false).unwrap();
         let slot_a = eng.shared.store.get("a").unwrap();
         let held = slot_a.write();
-        let (done_tx, done_rx) = mpsc::sync_channel(2);
-        for _ in 0..1 {
+        let (done_tx, done_rx) = mpsc::sync_channel(1);
+        {
             let eng = Arc::clone(&eng);
-            let done = done_tx.clone();
             std::thread::spawn(move || {
-                let query = eng.query(motif_spec("b", 16, 24)).map(|_| ());
-                let stats = eng.stats();
-                assert!(stats.get("series").is_some());
-                let _ = done.send(query);
+                let run = || -> ServeResult<(u64, u64)> {
+                    let (v1, _) =
+                        eng.load("b", random_walk(400, 5), &[], ExclusionPolicy::HALF, false)?;
+                    let (v2, _) = eng.append("b", &random_walk(40, 6))?;
+                    eng.query(motif_spec("b", 16, 24))?;
+                    let stats = eng.stats();
+                    assert_eq!(
+                        stats.get("series").and_then(Value::as_arr).map(<[_]>::len),
+                        Some(2)
+                    );
+                    Ok((v1, v2))
+                };
+                let _ = done_tx.send(run());
             });
         }
         let outcome = done_rx
             .recv_timeout(Duration::from_secs(30))
-            .expect("series B and STATS must not block behind series A's lock");
-        outcome.unwrap();
+            .expect("LOAD, APPEND, MOTIFS and STATS on B must not block behind A's lock");
+        assert_eq!(outcome.unwrap(), (1, 2));
         drop(held);
+        // A itself was only ever waiting, never broken.
+        eng.append("a", &[0.5]).unwrap();
+        assert!(eng.query(motif_spec("a", 32, 32)).is_ok());
         eng.shutdown();
         eng.join();
     }

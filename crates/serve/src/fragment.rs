@@ -39,7 +39,8 @@
 //! **speculative**: it may take only free space (or space held by other
 //! speculative states) and is evicted before any fragment. Once it has
 //! been extended ([`SegmentState::was_extended`]) it is **proven** for
-//! good and competes with fragments on the LRU clock.
+//! good and competes with fragments on the LRU clock. A **pinned** state (a
+//! hot length's, see [`crate::planner`]) is outside the budget and the clock.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -65,11 +66,15 @@ pub struct FragmentKey {
 /// Key of a parked [`SegmentState`]: no version — the state is *advanced*
 /// across versions (extended over appended samples) rather than invalidated
 /// by them. Its internal sample count is the watermark that tells the
-/// planner how far behind the series it is.
+/// planner how far behind the series it is. The generation (the version a
+/// `LOAD` started the series at) keeps a state parked late by a query that
+/// raced a replace from ever serving the replacement.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StateKey {
     /// Series name.
     pub series: String,
+    /// Version the series' generation was loaded at.
+    pub generation: u64,
     /// Anchor length of the captured segment.
     pub anchor: usize,
     /// Canonical per-length knobs, e.g. `p=50;excl=1/2`.
@@ -119,6 +124,7 @@ pub struct FragmentCache {
     tick: u64,
     map: HashMap<FragmentKey, Entry>,
     states: HashMap<StateKey, StateEntry>,
+    pinned: HashMap<StateKey, SegmentState>,
     stats: FragmentCacheStats,
 }
 
@@ -132,6 +138,7 @@ impl FragmentCache {
             tick: 0,
             map: HashMap::new(),
             states: HashMap::new(),
+            pinned: HashMap::new(),
             stats: FragmentCacheStats::default(),
         }
     }
@@ -191,19 +198,29 @@ impl FragmentCache {
         self.evict_to_budget();
     }
 
-    /// Takes the parked segment state under `(series, anchor, knobs)` out
-    /// of the cache, if any, transferring ownership (and its bytes) to the
-    /// caller — the planner extends/replays it, then returns it via
-    /// [`FragmentCache::put_state`].
-    pub fn take_state(&mut self, series: &str, anchor: usize, knobs: &str) -> Option<SegmentState> {
-        let key = StateKey { series: series.into(), anchor, knobs: knobs.into() };
+    /// Takes the parked segment state under `(series, generation, anchor,
+    /// knobs)` out of the cache, if any, transferring ownership (and its
+    /// bytes) to the caller — the planner extends/replays it, then returns
+    /// it via [`FragmentCache::put_state`].
+    pub fn take_state(
+        &mut self,
+        series: &str,
+        generation: u64,
+        anchor: usize,
+        knobs: &str,
+    ) -> Option<SegmentState> {
+        let key = StateKey { series: series.into(), generation, anchor, knobs: knobs.into() };
+        if let Some(state) = self.pinned.remove(&key) {
+            return Some(state);
+        }
         let entry = self.states.remove(&key)?;
         self.used -= entry.bytes;
         Some(entry.state)
     }
 
     /// Parks a segment state for future extension, replacing any previous
-    /// state under the same key. A speculative state (never extended) may
+    /// state under the same key. A `pinned` state always parks, outside the
+    /// budget. Otherwise a speculative state (never extended) may
     /// only take free space or displace other speculative states; a proven
     /// one may displace anything older on the LRU clock. A state that does
     /// not fit is refused — and the previous one is still dropped — so the
@@ -212,14 +229,21 @@ impl FragmentCache {
     pub fn put_state(
         &mut self,
         series: &str,
+        generation: u64,
         anchor: usize,
         knobs: &str,
         state: SegmentState,
+        pinned: bool,
     ) -> bool {
-        let key = StateKey { series: series.into(), anchor, knobs: knobs.into() };
+        let key = StateKey { series: series.into(), generation, anchor, knobs: knobs.into() };
         if let Some(old) = self.states.remove(&key) {
             self.used -= old.bytes;
         }
+        if pinned {
+            self.pinned.insert(key, state);
+            return true;
+        }
+        self.pinned.remove(&key);
         let bytes = state_bytes(&key, &state);
         let room = if state.was_extended() {
             self.budget
@@ -293,42 +317,53 @@ impl FragmentCache {
         }
     }
 
-    /// Drops every fragment **and** parked state for `series`, any
-    /// version. This is the replace/`LOAD` path: a replace rewrites the
-    /// series' history, so nothing computed against it can be extended.
+    /// Drops every fragment **and** parked state for `series`, pinned or
+    /// not, any version. This is the replace/`LOAD` path: a replace rewrites
+    /// the series' history, so nothing computed against it can be extended.
     pub fn invalidate_series(&mut self, series: &str) {
-        let stale: Vec<FragmentKey> =
-            self.map.keys().filter(|k| k.series == series).cloned().collect();
-        for key in stale {
-            let e = self.map.remove(&key).expect("key just observed");
-            self.used -= e.bytes;
-            self.stats.invalidated += 1;
-        }
-        let stale: Vec<StateKey> =
-            self.states.keys().filter(|k| k.series == series).cloned().collect();
-        for key in stale {
-            let e = self.states.remove(&key).expect("key just observed");
-            self.used -= e.bytes;
-        }
+        self.drop_where(|k| k.series == series, |k| k.series == series);
     }
 
     /// Garbage-collects fragments for `series` whose version watermark is
-    /// behind `current_version` — the lazy-append path. Parked states are
-    /// deliberately kept: they are what the stale fragments get *extended
-    /// from*. Returns the number of fragments collected.
-    pub fn invalidate_stale(&mut self, series: &str, current_version: u64) -> usize {
-        let stale: Vec<FragmentKey> = self
-            .map
-            .keys()
-            .filter(|k| k.series == series && k.version < current_version)
-            .cloned()
-            .collect();
-        let count = stale.len();
-        for key in stale {
-            let e = self.map.remove(&key).expect("key just observed");
-            self.used -= e.bytes;
-            self.stats.invalidated += 1;
-        }
+    /// behind `current_version` — the lazy-append path — and states, pinned
+    /// or not, of a generation before `generation` (parked by a query that
+    /// raced a replace). States of this generation are deliberately kept:
+    /// they are what the stale fragments get *extended from*. Returns the
+    /// number of fragments collected.
+    pub fn invalidate_stale(
+        &mut self,
+        series: &str,
+        generation: u64,
+        current_version: u64,
+    ) -> usize {
+        self.drop_where(
+            |k| k.series == series && k.version < current_version,
+            |k| k.series == series && k.generation < generation,
+        )
+    }
+
+    /// Drops the fragments and the states (pinned or not) whose keys the
+    /// predicates pick, counting the fragments as invalidated. Returns how
+    /// many fragments went.
+    fn drop_where(
+        &mut self,
+        fragment: impl Fn(&FragmentKey) -> bool,
+        state: impl Fn(&StateKey) -> bool,
+    ) -> usize {
+        let (used, before) = (&mut self.used, self.map.len());
+        self.map.retain(|k, e| {
+            let dropped = fragment(k);
+            *used -= if dropped { e.bytes } else { 0 };
+            !dropped
+        });
+        self.states.retain(|k, e| {
+            let dropped = state(k);
+            *used -= if dropped { e.bytes } else { 0 };
+            !dropped
+        });
+        self.pinned.retain(|k, _| !state(k));
+        let count = before - self.map.len();
+        self.stats.invalidated += count as u64;
         count
     }
 
@@ -352,9 +387,14 @@ impl FragmentCache {
         self.states.values().map(|e| e.bytes).sum()
     }
 
-    /// Whether the cache holds neither fragments nor parked states.
+    /// Pinned states and the bytes they hold, outside the budget.
+    pub fn pinned(&self) -> (usize, usize) {
+        (self.pinned.len(), self.pinned.iter().map(|(k, s)| state_bytes(k, s)).sum())
+    }
+
+    /// Whether the cache holds neither fragments nor states, pinned or not.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty() && self.states.is_empty()
+        self.map.is_empty() && self.states.is_empty() && self.pinned.is_empty()
     }
 
     /// Bytes currently accounted against the budget.
@@ -384,8 +424,8 @@ fn entry_bytes(key: &FragmentKey, fragment: &LengthProfile) -> usize {
         + fragment.heap_bytes()
 }
 
-/// Bytes one parked state charges: key plus the state's heap footprint
-/// (anchor profile, top-`p` partials, and the qt tail).
+/// Bytes one parked state holds: key plus the state's heap footprint
+/// (anchor profile, top-`p` partials if any, and the qt tail).
 fn state_bytes(key: &StateKey, state: &SegmentState) -> usize {
     key.series.len() + std::mem::size_of_val(&key.anchor) + key.knobs.len() + state.heap_bytes()
 }
@@ -484,7 +524,7 @@ mod tests {
     }
 
     fn skey(knobs: &str) -> StateKey {
-        StateKey { series: "s".into(), anchor: 8, knobs: knobs.into() }
+        StateKey { series: "s".into(), generation: 1, anchor: 8, knobs: knobs.into() }
     }
 
     #[test]
@@ -496,7 +536,7 @@ mod tests {
         let mut cache = FragmentCache::new(2 * fbytes + sbytes - 1);
         cache.insert(key("s", 1, 16, 16), fragment(16, 32));
         cache.insert(key("s", 1, 16, 17), fragment(17, 32));
-        assert!(!cache.put_state("s", 8, "p=8;excl=1/2", state.clone()), "no free room");
+        assert!(!cache.put_state("s", 1, 8, "p=8;excl=1/2", state.clone(), false), "no free room");
         assert_eq!(cache.len(), 2, "the fragments stay");
         assert_eq!(cache.state_count(), 0);
         assert_eq!(cache.stats().evictions, 0);
@@ -507,11 +547,11 @@ mod tests {
         // state is displaced to make it.
         let mut cache = FragmentCache::new(fbytes + sbytes + sbytes / 2);
         cache.insert(key("s", 1, 16, 16), fragment(16, 32));
-        assert!(cache.put_state("s", 8, "p=8;excl=1/2", state.clone()));
-        assert!(cache.put_state("s", 8, "p=9;excl=1/2", state));
+        assert!(cache.put_state("s", 1, 8, "p=8;excl=1/2", state.clone(), false));
+        assert!(cache.put_state("s", 1, 8, "p=9;excl=1/2", state, false));
         assert_eq!(cache.len(), 1, "the fragment stays");
         assert_eq!(cache.state_count(), 1);
-        assert!(cache.take_state("s", 8, "p=9;excl=1/2").is_some(), "newest state kept");
+        assert!(cache.take_state("s", 1, 8, "p=9;excl=1/2").is_some(), "newest state kept");
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().states_refused, 0);
     }
@@ -524,7 +564,7 @@ mod tests {
         let mut cache = FragmentCache::new(sbytes + fbytes + fbytes / 2);
         // The fragment is older than the state, yet the state goes first.
         cache.insert(key("s", 1, 16, 16), fragment(16, 32));
-        assert!(cache.put_state("s", 8, "p=8;excl=1/2", state));
+        assert!(cache.put_state("s", 1, 8, "p=8;excl=1/2", state, false));
         cache.insert(key("s", 1, 16, 17), fragment(17, 32));
         assert_eq!(cache.state_count(), 0, "speculative state evicted before any fragment");
         assert_eq!(cache.len(), 2);
@@ -541,7 +581,7 @@ mod tests {
         cache.insert(key("s", 1, 16, 16), fragment(16, 32));
         cache.insert(key("s", 1, 17, 17), fragment(17, 32));
         // A proven state may displace older fragments: fragment 16 is LRU.
-        assert!(cache.put_state("s", 8, "p=8;excl=1/2", state));
+        assert!(cache.put_state("s", 1, 8, "p=8;excl=1/2", state, false));
         assert_eq!((cache.state_count(), cache.proven_count()), (1, 1));
         assert_eq!(cache.parked_bytes(), sbytes);
         assert!(cache.get_segment("s", 1, 16, 16, "p=8;excl=1/2").is_none(), "16 was LRU");
@@ -560,15 +600,20 @@ mod tests {
     fn parked_states_round_trip_with_exact_accounting() {
         let mut cache = FragmentCache::new(1 << 20);
         let (state, _) = captured_state(80, 8);
-        let skey = StateKey { series: "s".into(), anchor: 8, knobs: "p=50;excl=1/2".into() };
+        let skey = StateKey {
+            series: "s".into(),
+            generation: 1,
+            anchor: 8,
+            knobs: "p=50;excl=1/2".into(),
+        };
         let bytes = state_bytes(&skey, &state);
-        cache.put_state("s", 8, "p=50;excl=1/2", state);
+        cache.put_state("s", 1, 8, "p=50;excl=1/2", state, false);
         assert_eq!(cache.state_count(), 1);
         assert_eq!(cache.used_bytes(), bytes);
 
-        let taken = cache.take_state("s", 8, "p=50;excl=1/2").expect("parked above");
+        let taken = cache.take_state("s", 1, 8, "p=50;excl=1/2").expect("parked above");
         assert_eq!(cache.used_bytes(), 0, "take transfers the bytes to the caller");
-        assert!(cache.take_state("s", 8, "p=50;excl=1/2").is_none());
+        assert!(cache.take_state("s", 1, 8, "p=50;excl=1/2").is_none());
         assert_eq!(taken.anchor(), 8);
         assert_eq!(taken.n(), 80);
     }
@@ -581,17 +626,22 @@ mod tests {
             let ps = ProfiledSeries::from_values(&series[..80]).unwrap();
             ps.offset()
         };
-        cache.put_state("s", 8, "p=50;excl=1/2", state);
+        cache.put_state("s", 1, 8, "p=50;excl=1/2", state, false);
         let before = cache.used_bytes();
 
-        let mut state = cache.take_state("s", 8, "p=50;excl=1/2").unwrap();
+        let mut state = cache.take_state("s", 1, 8, "p=50;excl=1/2").unwrap();
         let grown = ProfiledSeries::with_offset(&series[..140], offset).unwrap();
         state.extend(&grown, &SharedRecorder::noop()).unwrap();
-        cache.put_state("s", 8, "p=50;excl=1/2", state);
+        cache.put_state("s", 1, 8, "p=50;excl=1/2", state, false);
         cache.note_extended();
 
         assert!(cache.used_bytes() > before, "an extended state must charge its grown size");
-        let skey = StateKey { series: "s".into(), anchor: 8, knobs: "p=50;excl=1/2".into() };
+        let skey = StateKey {
+            series: "s".into(),
+            generation: 1,
+            anchor: 8,
+            knobs: "p=50;excl=1/2".into(),
+        };
         let entry = cache.states.get(&skey).unwrap();
         assert_eq!(entry.bytes, state_bytes(&skey, &entry.state));
         assert_eq!(cache.used_bytes(), entry.bytes);
@@ -604,14 +654,14 @@ mod tests {
         fill_segment(&mut cache, 16, 18); // version 1 fragments
         cache.insert(key("s", 2, 16, 16), fragment(16, 32));
         let (state, _) = captured_state(80, 8);
-        cache.put_state("s", 8, "p=8;excl=1/2", state);
+        cache.put_state("s", 1, 8, "p=8;excl=1/2", state, false);
 
-        let collected = cache.invalidate_stale("s", 2);
+        let collected = cache.invalidate_stale("s", 1, 2);
         assert_eq!(collected, 3, "only the version-1 fragments are behind the watermark");
         assert_eq!(cache.len(), 1, "the current-version fragment survives");
         assert_eq!(cache.state_count(), 1, "states are what stale fragments extend from");
         assert_eq!(cache.stats().invalidated, 3);
-        assert_eq!(cache.invalidate_stale("s", 2), 0, "idempotent at the same watermark");
+        assert_eq!(cache.invalidate_stale("s", 1, 2), 0, "idempotent at the same watermark");
 
         // A replace purges states too: nothing survives a rewritten history.
         cache.invalidate_series("s");
@@ -623,19 +673,24 @@ mod tests {
     fn oversized_and_zero_budget_states_are_rejected_cleanly() {
         let (state, _) = captured_state(80, 8);
         let mut cache = FragmentCache::new(0);
-        cache.put_state("s", 8, "p=50;excl=1/2", state.clone());
+        cache.put_state("s", 1, 8, "p=50;excl=1/2", state.clone(), false);
         assert!(cache.is_empty(), "zero budget disables state parking");
         assert_eq!(cache.used_bytes(), 0);
 
         // A budget smaller than the state: parking is refused, and the
         // refusal also drops any stale previous state under the key rather
         // than leaving it to be served later.
-        let skey = StateKey { series: "s".into(), anchor: 8, knobs: "p=50;excl=1/2".into() };
+        let skey = StateKey {
+            series: "s".into(),
+            generation: 1,
+            anchor: 8,
+            knobs: "p=50;excl=1/2".into(),
+        };
         let mut cache = FragmentCache::new(state_bytes(&skey, &state) + 64);
-        cache.put_state("s", 8, "p=50;excl=1/2", state.clone());
+        cache.put_state("s", 1, 8, "p=50;excl=1/2", state.clone(), false);
         assert_eq!(cache.state_count(), 1);
         let (bigger, _) = captured_state(200, 8);
-        cache.put_state("s", 8, "p=50;excl=1/2", bigger);
+        cache.put_state("s", 1, 8, "p=50;excl=1/2", bigger, false);
         assert!(cache.is_empty(), "oversized replacement drops the stale state too");
         assert_eq!(cache.used_bytes(), 0);
     }
@@ -643,12 +698,13 @@ mod tests {
     #[test]
     fn fragments_and_states_compete_under_one_lru_clock() {
         let (state, _) = captured_state(80, 8);
-        let skey = StateKey { series: "s".into(), anchor: 8, knobs: "p=8;excl=1/2".into() };
+        let skey =
+            StateKey { series: "s".into(), generation: 1, anchor: 8, knobs: "p=8;excl=1/2".into() };
         let sbytes = state_bytes(&skey, &state);
         let fbytes = entry_bytes(&key("s", 1, 16, 16), &fragment(16, 32));
         // Room for the state plus one fragment, not two.
         let mut cache = FragmentCache::new(sbytes + fbytes + fbytes / 2);
-        cache.put_state("s", 8, "p=8;excl=1/2", state);
+        cache.put_state("s", 1, 8, "p=8;excl=1/2", state, false);
         cache.insert(key("s", 1, 16, 16), fragment(16, 32));
         assert_eq!(cache.stats().evictions, 0);
         // The state is the LRU; a second fragment evicts it, not fragment 16.
@@ -675,6 +731,57 @@ mod tests {
             entry_bytes(&key("t", 1, 16, 16), &fragment(16, 8)),
             "accounting survives invalidation"
         );
+    }
+
+    #[test]
+    fn pinned_states_sit_outside_the_budget_and_are_never_evicted() {
+        let (state, _) = captured_state(80, 8);
+        let sbytes = state_bytes(&skey("excl=1/2"), &state);
+        let fbytes = entry_bytes(&key("s", 1, 16, 16), &fragment(16, 32));
+        // A budget of one fragment: far too small for the state.
+        let mut cache = FragmentCache::new(fbytes);
+        assert!(cache.put_state("s", 1, 8, "excl=1/2", state.clone(), true), "a pin always parks");
+        assert_eq!(cache.pinned(), (1, sbytes));
+        assert_eq!((cache.state_count(), cache.parked_bytes(), cache.used_bytes()), (0, 0, 0));
+        // Fragments churn through the budget around it.
+        for l in 16..24 {
+            cache.insert(key("s", 1, l, l), fragment(l, 32));
+        }
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().evictions, 7, "only fragments were evicted");
+        assert_eq!(cache.pinned().0, 1);
+        assert_eq!(cache.stats().states_refused, 0);
+        // Take and re-park: the accounting round-trips.
+        let taken = cache.take_state("s", 1, 8, "excl=1/2").unwrap();
+        assert_eq!(cache.pinned().0, 0);
+        assert!(cache.put_state("s", 1, 8, "excl=1/2", taken, true));
+        // A zero budget still pins.
+        let mut off = FragmentCache::new(0);
+        assert!(off.put_state("s", 1, 8, "excl=1/2", state, true));
+        assert_eq!(off.pinned().0, 1);
+        // Only a replace drops it.
+        cache.invalidate_stale("s", 1, 9);
+        assert_eq!(cache.pinned().0, 1);
+        cache.invalidate_series("s");
+        assert!(cache.is_empty());
+        assert_eq!((cache.used_bytes(), cache.pinned().1), (0, 0));
+    }
+
+    #[test]
+    fn a_later_generation_never_takes_an_earlier_ones_state_and_collects_it() {
+        // A query that raced a replace parks its state under the old
+        // generation after the replace purged the series.
+        let (state, _) = captured_state(80, 8);
+        let mut cache = FragmentCache::new(1 << 20);
+        assert!(cache.put_state("s", 1, 8, "excl=1/2", state.clone(), true));
+        assert!(cache.put_state("s", 1, 8, "p=8;excl=1/2", state.clone(), false));
+        assert!(cache.take_state("s", 5, 8, "excl=1/2").is_none());
+        assert!(cache.take_state("s", 5, 8, "p=8;excl=1/2").is_none());
+        // The new generation's own states stay; the old ones are collected.
+        assert!(cache.put_state("s", 5, 8, "excl=1/2", state, true));
+        cache.invalidate_stale("s", 5, 6);
+        assert_eq!((cache.pinned().0, cache.state_count(), cache.used_bytes()), (1, 0, 0));
+        assert!(cache.take_state("s", 5, 8, "excl=1/2").is_some());
     }
 
     mod accounting_props {
@@ -714,12 +821,13 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// After any randomized sequence of fragment inserts, state
-            /// park/take cycles over both tiers (including size-changing
+            /// park/take cycles over both tiers and pins (including size-changing
             /// replacements, the shape an in-place extension produces),
             /// lazy staleness GC, and full invalidation, the tracked byte
             /// total equals the sum recomputed from both live maps and
-            /// never exceeds the budget, and no speculative park ever
-            /// evicts a fragment.
+            /// never exceeds the budget (pinned states are charged nothing),
+            /// no speculative or pinned park ever evicts a fragment, and
+            /// nothing but a take, a replace or a re-park drops a pin.
             #[test]
             fn used_bytes_equals_recomputed_sum_across_both_maps(
                 ops in prop::collection::vec(
@@ -734,6 +842,7 @@ mod tests {
                 for (op, s, version, a, size) in ops {
                     let name = series[s];
                     let anchor = anchors[a];
+                    let pinned_before = cache.pinned().0;
                     match op {
                         0 | 1 => cache.insert(
                             key(name, version, anchor, anchor + size),
@@ -742,14 +851,20 @@ mod tests {
                         2 => { cache.get_segment(name, version, anchor, anchor + 2, "p=8;excl=1/2"); }
                         3 => {
                             let state = states()[size].clone();
+                            // Version 3 doubles as the pin flag.
+                            let pinned = version == 3;
                             let speculative = !state.was_extended();
                             let before = cache.len();
-                            cache.put_state(name, anchor, "p=8;excl=1/2", state);
-                            prop_assert!(!speculative || cache.len() == before);
+                            let parked = cache.put_state(name, 1, anchor, "p=8;excl=1/2", state, pinned);
+                            prop_assert!(!(speculative || pinned) || cache.len() == before);
+                            prop_assert!(parked || !pinned, "a pinned state is never refused");
                         }
-                        4 => { cache.take_state(name, anchor, "p=8;excl=1/2"); }
-                        5 => { cache.invalidate_stale(name, version); }
+                        4 => { cache.take_state(name, 1, anchor, "p=8;excl=1/2"); }
+                        5 => { cache.invalidate_stale(name, 1, version); }
                         _ => cache.invalidate_series(name),
+                    }
+                    if matches!(op, 0..=2 | 5) {
+                        prop_assert_eq!(cache.pinned().0, pinned_before, "pins are never evicted");
                     }
                     let mut recomputed = 0usize;
                     for (k, e) in &cache.map {

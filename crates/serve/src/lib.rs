@@ -10,8 +10,7 @@
 //! Layers (each usable on its own):
 //!
 //! * [`store::SeriesStore`] — named series with monotonically versioned
-//!   append ingestion; batch state rebuilt lazily, hot fixed lengths kept
-//!   live through [`valmod_mp::StreamingProfile`] at `O(n)` per point;
+//!   append ingestion; batch state rebuilt lazily, hot lengths pinned;
 //! * [`persist::Persistence`] — optional durability: per-series
 //!   checksummed snapshots (temp-file + atomic rename) plus an
 //!   append-only WAL that is fsynced *before* each batch applies, with
@@ -19,10 +18,10 @@
 //! * [`cache::ResultCache`] — LRU result cache with byte-budget
 //!   accounting, keyed by `(name, version, canonical query)` so stale
 //!   hits are structurally impossible;
-//! * [`planner`] + [`fragment::FragmentCache`] — the query planner:
-//!   variable-length requests decompose into grid-aligned segments whose
-//!   per-length profile fragments are cached and recomposed, so
-//!   overlapping length ranges share work bit-identically;
+//! * [`planner`] + [`fragment::FragmentCache`] — the one path of every
+//!   MOTIFS and DISCORDS query: grid-aligned segments whose per-length
+//!   fragments are cached and recomposed bit-identically, and whose parked
+//!   states extend over appended samples;
 //! * [`engine::QueryEngine`] — a worker pool behind a bounded queue with
 //!   per-request deadlines and single-flight coalescing of identical
 //!   concurrent queries; overload degrades to explicit `busy` errors;

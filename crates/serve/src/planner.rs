@@ -29,6 +29,14 @@
 //! which is what the `valmod check` planner oracle proves under mixed
 //! overlapping ranges.
 //!
+//! A single-length segment (`hi == anchor`) is only its anchor's full
+//! profile, which does not depend on `p`, so its fragment and its
+//! `listDP`-free state are keyed by the policy alone; a range anchored at ℓ
+//! keeps its own `p`-keyed ones and never takes that state. A hot length's
+//! state is *pinned* (see [`crate::fragment`]). States are keyed by the
+//! series' generation too, so nothing parked before a replace is revived
+//! after it, whatever the new series' length.
+//!
 //! ## Lazy revalidation after APPEND
 //!
 //! An append bumps the series version, so every cached fragment stops
@@ -101,6 +109,9 @@ pub struct PlanStats {
     pub segments: usize,
     /// Segments served whole from the fragment cache.
     pub segments_reused: usize,
+    /// Segments computed by reviving a parked state instead of a cold run
+    /// (a subset of the segments not reused).
+    pub segments_revived: usize,
     /// Per-length fragments served from the cache.
     pub fragments_cached: usize,
     /// Per-length fragments computed by this execution.
@@ -111,11 +122,17 @@ pub struct PlanStats {
 /// fetches each segment from the fragment cache or computes it via `runner`
 /// (caching the result), then composes the fragments into a
 /// [`ValmodOutput`]. `runner` supplies the per-length knobs (`p`, policy,
-/// threads) and the recorder.
+/// threads) and the recorder. Parked states are keyed by `generation`, the
+/// version the series was loaded at, so a replace never revives an older
+/// state. Single-length states of `pinned` lengths park pinned: pass the
+/// hot lengths when `runner`'s policy is the series' own.
+#[allow(clippy::too_many_arguments)] // the series identity, its pins and the query
 pub fn execute_plan(
     ps: &ProfiledSeries,
     series: &str,
+    generation: u64,
     version: u64,
+    pinned: &[usize],
     runner: &Valmod,
     fragments: &Mutex<FragmentCache>,
     recorder: &SharedRecorder,
@@ -131,7 +148,8 @@ pub fn execute_plan(
     let _span = valmod_obs::span!(recorder, "serve.planner.plan_us");
 
     let policy = cfg.policy.reduced();
-    let knobs = format!("p={};excl={}/{}", cfg.p, policy.num(), policy.den());
+    let anchor_knobs = format!("excl={}/{}", policy.num(), policy.den());
+    let advance_knobs = format!("p={};{anchor_knobs}", cfg.p);
     let segments = plan_segments(l_min, l_max);
     let mut stats = PlanStats { segments: segments.len(), ..PlanStats::default() };
     let mut plan_fragments = Vec::with_capacity(l_max - l_min + 1);
@@ -139,14 +157,15 @@ pub fn execute_plan(
     // Lazy GC: fragments watermarked with an older version are dead (their
     // version can never be queried again) but were deliberately not purged
     // at append time — collect them now, on the query path that owns the
-    // cache lock anyway.
-    fragments.lock().expect("fragment cache lock").invalidate_stale(series, version);
+    // cache lock anyway. States of an older generation go too.
+    fragments.lock().expect("fragment cache lock").invalidate_stale(series, generation, version);
 
     for seg in &segments {
+        let knobs = if seg.hi == seg.anchor { &anchor_knobs } else { &advance_knobs };
         let cached = fragments
             .lock()
             .expect("fragment cache lock")
-            .get_segment(series, version, seg.anchor, seg.hi, &knobs);
+            .get_segment(series, version, seg.anchor, seg.hi, knobs);
         match cached {
             Some(frags) => {
                 stats.segments_reused += 1;
@@ -155,8 +174,13 @@ pub fn execute_plan(
                 plan_fragments.extend(frags);
             }
             None => {
-                let (computed, state) =
-                    revive_or_compute(ps, series, seg, runner, fragments, recorder, &knobs)?;
+                let parked = fragments
+                    .lock()
+                    .expect("fragment cache lock")
+                    .take_state(series, generation, seg.anchor, knobs);
+                let (computed, state, revived) =
+                    revive_or_compute(ps, seg, parked, runner, fragments, recorder)?;
+                stats.segments_revived += usize::from(revived);
                 stats.fragments_computed += computed.len();
                 recorder.add("serve.fragment.miss", computed.len() as u64);
                 let mut cache = fragments.lock().expect("fragment cache lock");
@@ -176,7 +200,8 @@ pub fn execute_plan(
                 // speculative state then only gets what they left free,
                 // and a proven one is the newest entry on the clock.
                 if let Some(state) = state {
-                    if !cache.put_state(series, seg.anchor, &knobs, state) {
+                    let pin = seg.hi == seg.anchor && pinned.contains(&seg.anchor);
+                    if !cache.put_state(series, generation, seg.anchor, knobs, state, pin) {
                         recorder.add("serve.fragment.state_refused", 1);
                     }
                 }
@@ -186,28 +211,26 @@ pub fn execute_plan(
     recorder.add("serve.planner.segments_reused", stats.segments_reused as u64);
     recorder
         .add("serve.planner.segments_computed", (stats.segments - stats.segments_reused) as u64);
+    recorder.add("serve.planner.segments_revived", stats.segments_revived as u64);
 
     let output = compose_output(plan_fragments.iter().map(|a| a.as_ref()))?;
     Ok((output, stats))
 }
 
-/// Produces one segment's fragments on a cache miss: revive the parked
-/// [`SegmentState`] if one exists — extending it over any appended tail
+/// Produces one segment's fragments on a cache miss: revive the `parked`
+/// [`SegmentState`] if there is one — extending it over any appended tail
 /// first — and only fall back to a cold `O(n²)` segment run when there is
 /// no state (or it cannot serve this series' current shape). Cold runs
 /// capture a fresh state so the *next* append finds something to extend.
-/// The state, revived or fresh, is handed back for the caller to park.
+/// The state, revived (flagged `true`) or fresh, goes back to the caller.
 fn revive_or_compute(
     ps: &ProfiledSeries,
-    series: &str,
     seg: &Segment,
+    parked: Option<SegmentState>,
     runner: &Valmod,
     fragments: &Mutex<FragmentCache>,
     recorder: &SharedRecorder,
-    knobs: &str,
-) -> ServeResult<(Vec<LengthProfile>, Option<SegmentState>)> {
-    let parked =
-        fragments.lock().expect("fragment cache lock").take_state(series, seg.anchor, knobs);
+) -> ServeResult<(Vec<LengthProfile>, Option<SegmentState>, bool)> {
     if let Some(mut state) = parked {
         let current = if state.n() < ps.len() {
             let _span = valmod_obs::span!(recorder, "serve.fragment.revalidate_us");
@@ -222,15 +245,17 @@ fn revive_or_compute(
                 Err(_) => false,
             }
         } else {
-            state.n() == ps.len()
+            // With nothing appended, `extend` only checks the state's frame.
+            state.n() == ps.len() && state.extend(ps, recorder).is_ok()
         };
         if current {
             if let Ok(out) = state.replay(ps, seg.hi, recorder) {
-                return Ok((out, Some(state)));
+                return Ok((out, Some(state), true));
             }
         }
     }
-    runner.run_lengths_capturing(ps, seg.anchor, seg.hi)
+    let (out, state) = runner.run_lengths_capturing(ps, seg.anchor, seg.hi)?;
+    Ok((out, state, false))
 }
 
 #[cfg(test)]
@@ -291,11 +316,11 @@ mod tests {
         let fragments = Mutex::new(FragmentCache::new(1 << 20));
         let recorder = SharedRecorder::noop();
         let (cold, s1) =
-            execute_plan(&ps, "s", 1, &runner, &fragments, &recorder, (16, 40)).unwrap();
+            execute_plan(&ps, "s", 1, 1, &[], &runner, &fragments, &recorder, (16, 40)).unwrap();
         assert_eq!(s1.segments_reused, 0);
         assert!(s1.fragments_computed > 0);
         let (warm, s2) =
-            execute_plan(&ps, "s", 1, &runner, &fragments, &recorder, (16, 40)).unwrap();
+            execute_plan(&ps, "s", 1, 1, &[], &runner, &fragments, &recorder, (16, 40)).unwrap();
         assert_eq!(s2.segments_reused, s2.segments, "identical query reuses every segment");
         assert_eq!(s2.fragments_computed, 0);
         for (a, b) in cold.valmp.norm_distances.iter().zip(&warm.valmp.norm_distances) {
@@ -304,7 +329,8 @@ mod tests {
         assert_eq!(cold.valmp.indices, warm.valmp.indices);
         // An overlapping wider range reuses the grid-aligned interior but
         // recomputes its own ℓ_min-anchored head segment.
-        let (_, s3) = execute_plan(&ps, "s", 1, &runner, &fragments, &recorder, (20, 40)).unwrap();
+        let (_, s3) =
+            execute_plan(&ps, "s", 1, 1, &[], &runner, &fragments, &recorder, (20, 40)).unwrap();
         assert!(s3.segments_reused > 0, "grid segments must be shared across queries");
         assert!(s3.fragments_computed > 0, "the head segment anchors at the new ℓ_min");
     }
@@ -317,7 +343,7 @@ mod tests {
         let fragments = Mutex::new(FragmentCache::new(1 << 22));
         let recorder = SharedRecorder::noop();
         let (_, s1) =
-            execute_plan(&base, "s", 1, &runner, &fragments, &recorder, (16, 40)).unwrap();
+            execute_plan(&base, "s", 1, 1, &[], &runner, &fragments, &recorder, (16, 40)).unwrap();
         assert!(s1.fragments_computed > 0);
         let parked = fragments.lock().unwrap().state_count();
         assert_eq!(parked, s1.segments, "every cold segment parks its state");
@@ -327,7 +353,7 @@ mod tests {
         // watermark), but every segment revives from its parked state.
         let grown = ProfiledSeries::with_offset(&series, base.offset()).unwrap();
         let (warm, s2) =
-            execute_plan(&grown, "s", 2, &runner, &fragments, &recorder, (16, 40)).unwrap();
+            execute_plan(&grown, "s", 1, 2, &[], &runner, &fragments, &recorder, (16, 40)).unwrap();
         assert_eq!(s2.segments_reused, 0, "version bump misses every fragment");
         let cache = fragments.lock().unwrap();
         assert_eq!(cache.stats().extended, s2.segments as u64, "each segment extended in place");
@@ -349,8 +375,54 @@ mod tests {
 
         // And the revived fragments are cached: the same query is now warm.
         let (_, s3) =
-            execute_plan(&grown, "s", 2, &runner, &fragments, &recorder, (16, 40)).unwrap();
+            execute_plan(&grown, "s", 1, 2, &[], &runner, &fragments, &recorder, (16, 40)).unwrap();
         assert_eq!(s3.segments_reused, s3.segments);
+    }
+
+    #[test]
+    fn single_length_segments_ignore_p_and_pin_hot_lengths() {
+        let series = random_walk(460, 91);
+        let base = ProfiledSeries::from_values(&series[..400]).unwrap();
+        let grown = ProfiledSeries::with_offset(&series, base.offset()).unwrap();
+        let fragments = Mutex::new(FragmentCache::new(1 << 22));
+        let recorder = SharedRecorder::noop();
+        let plan = |ps: &ProfiledSeries, version: u64, p: usize, lengths: (usize, usize)| {
+            let runner = Valmod::new(1, 1).p(p);
+            execute_plan(ps, "s", 1, version, &[24], &runner, &fragments, &recorder, lengths)
+                .unwrap()
+        };
+        let assert_cold = |out: &ValmodOutput, ps: &ProfiledSeries, what: &str| {
+            let frags = Valmod::new(1, 1).run_lengths_on(ps, 24, 24).unwrap();
+            let cold = compose_output(frags.iter()).unwrap();
+            assert_eq!(out.valmp.indices, cold.valmp.indices, "{what}");
+            for (a, b) in out.valmp.norm_distances.iter().zip(&cold.valmp.norm_distances) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+            }
+        };
+        // p = 1 computes the segment; p = 8 and 50 reuse its fragment.
+        let (out, stats) = plan(&base, 1, 1, (24, 24));
+        assert_eq!(stats.segments_reused, 0);
+        assert_cold(&out, &base, "p=1");
+        for p in [8, 50] {
+            let (out, stats) = plan(&base, 1, p, (24, 24));
+            assert_eq!(stats.segments_reused, 1, "p={p} must hit the p-free key");
+            assert_cold(&out, &base, &format!("p={p}"));
+        }
+        let counts = |f: &Mutex<FragmentCache>| {
+            let cache = f.lock().unwrap();
+            (cache.pinned().0, cache.state_count())
+        };
+        assert_eq!(counts(&fragments), (1, 0), "the hot length's state is pinned");
+        // A range anchored at 24 keeps its own, p-keyed segment and state.
+        let (_, stats) = plan(&base, 1, 8, (24, 26));
+        assert_eq!(stats.segments_reused, 0, "a range never takes the single-length fragments");
+        assert_eq!(counts(&fragments), (1, 1));
+        // After an append, the fixed-length query revives the pinned state.
+        let (out, stats) = plan(&grown, 2, 50, (24, 24));
+        assert_eq!((stats.segments_revived, stats.segments_reused), (1, 0));
+        assert_cold(&out, &grown, "revived");
+        assert_eq!(fragments.lock().unwrap().stats().extended, 1);
+        assert_eq!(counts(&fragments), (1, 1), "the revived state is pinned again");
     }
 
     #[test]
@@ -362,7 +434,8 @@ mod tests {
         let recorder = SharedRecorder::noop();
         for (lo, hi) in [(0, 8), (20, 10), (16, 600)] {
             assert!(
-                execute_plan(&ps, "s", 1, &runner, &fragments, &recorder, (lo, hi)).is_err(),
+                execute_plan(&ps, "s", 1, 1, &[], &runner, &fragments, &recorder, (lo, hi))
+                    .is_err(),
                 "[{lo},{hi}] must be rejected"
             );
         }

@@ -80,28 +80,19 @@ impl MotifHit {
 pub struct MotifsBody {
     /// Ranked motifs, best first.
     pub motifs: Vec<MotifHit>,
-    /// `"hot"` (streaming profile) or `"cold"` (planned batch compute).
-    pub source: String,
 }
 
 impl BodyShape for MotifsBody {
     fn to_value(&self) -> Value {
-        Value::obj(vec![
-            ("motifs", Value::Arr(self.motifs.iter().map(MotifHit::to_value).collect())),
-            ("source", Value::str(&self.source)),
-        ])
+        Value::obj(vec![(
+            "motifs",
+            Value::Arr(self.motifs.iter().map(MotifHit::to_value).collect()),
+        )])
     }
 
     fn from_value(v: &Value) -> ServeResult<Self> {
         let arr = v.get("motifs").and_then(Value::as_arr).ok_or_else(|| missing("\"motifs\""))?;
-        Ok(MotifsBody {
-            motifs: arr.iter().map(MotifHit::from_value).collect::<ServeResult<_>>()?,
-            source: v
-                .get("source")
-                .and_then(Value::as_str)
-                .ok_or_else(|| missing("\"source\""))?
-                .to_string(),
-        })
+        Ok(MotifsBody { motifs: arr.iter().map(MotifHit::from_value).collect::<ServeResult<_>>()? })
     }
 }
 
@@ -360,8 +351,6 @@ pub struct StatsReply {
     pub computed: u64,
     /// Queries that attached to another request's in-flight compute.
     pub coalesced: u64,
-    /// Fixed-length queries served from a hot streaming profile.
-    pub served_hot: u64,
     /// Result-cache hits.
     pub cache_hits: u64,
     /// Per-length fragment-cache hits.
@@ -388,7 +377,6 @@ impl StatsReply {
             queries: counter(engine, "queries")?,
             computed: counter(engine, "computed")?,
             coalesced: counter(engine, "coalesced")?,
-            served_hot: counter(engine, "served_hot")?,
             cache_hits: counter(cache, "hits")?,
             fragment_hits: counter(planner, "fragment_hits")?,
             fragment_misses: counter(planner, "fragment_misses")?,
@@ -406,11 +394,11 @@ mod tests {
     fn motif_bodies_roundtrip() {
         let body = MotifsBody {
             motifs: vec![MotifHit { a: 3, b: 90, l: 32, dist: 0.25, norm_dist: 0.0441 }],
-            source: "cold".into(),
         };
         let v = body.to_value();
-        // The wire order is pinned: motifs, then source.
+        // The wire shape is pinned: the motifs list and nothing else.
         assert!(v.encode().starts_with(r#"{"motifs""#));
+        assert_eq!(v.as_obj().map(<[_]>::len), Some(1));
         assert_eq!(MotifsBody::from_value(&v).unwrap(), body);
         assert!(MotifsBody::from_value(&Value::obj(vec![])).is_err());
     }

@@ -7,10 +7,8 @@
 //! name continues from the previous version rather than resetting to 1,
 //! so a cache entry keyed by an old generation can never alias a key from
 //! the new one. Batch state (the [`ProfiledSeries`] with its O(1) rolling
-//! statistics) is rebuilt lazily — at most once per version — while
-//! **hot lengths** keep a [`StreamingProfile`] live across appends at
-//! `O(n)` per point, so a fixed-length motif monitor never pays a batch
-//! recomputation.
+//! statistics) is rebuilt lazily — at most once per version. **Hot
+//! lengths** are plain numbers whose states the planner pins.
 //!
 //! ## Sharding
 //!
@@ -50,8 +48,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use valmod_core::validate_length_range;
 use valmod_data::stats::neumaier_sum;
-use valmod_mp::{ExclusionPolicy, ProfiledSeries, StreamingProfile};
+use valmod_mp::{ExclusionPolicy, ProfiledSeries};
 use valmod_obs::SharedRecorder;
 
 use crate::error::{ServeError, ServeResult};
@@ -77,7 +76,7 @@ pub fn stripe_of(name: &str, stripes: usize) -> usize {
 pub struct StoredSeries {
     values: Vec<f64>,
     version: u64,
-    /// Policy the hot profiles were seeded with (recorded in snapshots).
+    /// Policy the hot lengths are pinned under (recorded in snapshots).
     policy: ExclusionPolicy,
     /// Centring offset **pinned at load time** (the mean of the loaded
     /// samples). Every batch view is built in this frame, so statistics and
@@ -89,8 +88,8 @@ pub struct StoredSeries {
     /// since the last build. `Arc` so workers can compute without holding
     /// the store lock.
     profiled: Option<Arc<ProfiledSeries>>,
-    /// Live fixed-length profiles, extended incrementally on append.
-    hot: HashMap<usize, StreamingProfile>,
+    /// Lengths whose single-length planner state is pinned, sorted.
+    hot_lengths: Vec<usize>,
     /// Set (under this series' write lock) when a replace supersedes this
     /// generation; an appender that acquires the write lock afterwards
     /// must retry its lookup instead of bumping a dead generation.
@@ -106,19 +105,22 @@ impl StoredSeries {
         base_offset: f64,
     ) -> ServeResult<Self> {
         validate_samples(&values, 0)?;
-        let mut series = StoredSeries {
+        // A hot length must be one the series can answer now.
+        for &l in hot_lengths {
+            validate_length_range(values.len(), l, l)?;
+        }
+        let mut hot_lengths = hot_lengths.to_vec();
+        hot_lengths.sort_unstable();
+        hot_lengths.dedup();
+        Ok(StoredSeries {
             values,
             version,
             policy,
             base_offset,
             profiled: None,
-            hot: HashMap::new(),
+            hot_lengths,
             retired: false,
-        };
-        for &l in hot_lengths {
-            series.track(l, policy)?;
-        }
-        Ok(series)
+        })
     }
 
     /// Number of samples.
@@ -147,7 +149,7 @@ impl StoredSeries {
         &self.values
     }
 
-    /// The exclusion policy hot profiles are seeded with.
+    /// The exclusion policy the hot lengths are pinned under.
     pub fn policy(&self) -> ExclusionPolicy {
         self.policy
     }
@@ -157,41 +159,14 @@ impl StoredSeries {
         self.base_offset
     }
 
-    /// Registers a hot length: seeds a streaming profile from the current
-    /// samples so subsequent appends keep it live.
-    pub fn track(&mut self, l: usize, policy: ExclusionPolicy) -> ServeResult<()> {
-        if self.hot.contains_key(&l) {
-            return Ok(());
-        }
-        let sp = StreamingProfile::new(&self.values, l, policy)?;
-        self.hot.insert(l, sp);
-        Ok(())
-    }
-
-    /// The live profile at a hot length, if one is registered.
-    pub fn hot_profile(&self, l: usize) -> Option<&StreamingProfile> {
-        self.hot.get(&l)
-    }
-
-    /// The registered hot lengths, sorted.
-    pub fn hot_lengths(&self) -> Vec<usize> {
-        let mut ls: Vec<usize> = self.hot.keys().copied().collect();
-        ls.sort_unstable();
-        ls
-    }
-
-    /// Appends a batch of samples: bumps the version, extends every hot
-    /// profile incrementally, and invalidates the lazily-built batch view.
-    /// All-or-nothing — a non-finite sample rejects the whole batch and
-    /// leaves every piece of state untouched.
+    /// Appends a batch of samples: bumps the version and invalidates the
+    /// lazily-built batch view. All-or-nothing — a non-finite sample
+    /// rejects the whole batch and leaves every piece of state untouched.
     pub fn append(&mut self, samples: &[f64]) -> ServeResult<u64> {
         if samples.is_empty() {
             return Err(ServeError::InvalidParameter("append requires at least one sample".into()));
         }
         validate_samples(samples, self.values.len())?;
-        for sp in self.hot.values_mut() {
-            sp.extend(samples)?;
-        }
         self.values.extend_from_slice(samples);
         self.version += 1;
         self.profiled = None;
@@ -214,7 +189,7 @@ impl StoredSeries {
         SnapshotMeta {
             version: self.version,
             policy: self.policy,
-            hot_lengths: self.hot_lengths(),
+            hot_lengths: self.hot_lengths.clone(),
             base_offset: self.base_offset,
         }
     }
@@ -233,6 +208,8 @@ pub struct SeriesSlot {
     /// Hot lengths are fixed at load time for a generation (a replace
     /// swaps the whole slot), so STATS reads them without a lock.
     hot_lengths: Vec<usize>,
+    /// The version this generation's slot was made at.
+    generation: u64,
 }
 
 impl SeriesSlot {
@@ -240,12 +217,13 @@ impl SeriesSlot {
         SeriesSlot {
             version: AtomicU64::new(series.version()),
             len: AtomicUsize::new(series.len()),
-            hot_lengths: series.hot_lengths(),
+            hot_lengths: series.hot_lengths.clone(),
+            generation: series.version(),
             series: RwLock::new(series),
         }
     }
 
-    /// Shared access to the series (readers of values / hot profiles).
+    /// Shared access to the series (readers of its values).
     pub fn read(&self) -> RwLockReadGuard<'_, StoredSeries> {
         self.series.read().expect("series lock")
     }
@@ -273,6 +251,13 @@ impl SeriesSlot {
     /// The generation's hot lengths, sorted (fixed at load time).
     pub fn hot_lengths(&self) -> &[usize] {
         &self.hot_lengths
+    }
+
+    /// The version this generation started at (its `LOAD`, or the version
+    /// it was recovered at). Versions are monotonic across replaces, so no
+    /// two generations of one name share it.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Publishes a mutation into the lock-free mirrors. Called under the
@@ -575,7 +560,6 @@ impl SeriesStore {
 mod tests {
     use super::*;
     use valmod_data::generators::random_walk;
-    use valmod_mp::stomp::stomp;
 
     fn noop() -> SharedRecorder {
         SharedRecorder::noop()
@@ -652,32 +636,35 @@ mod tests {
         let s = slot.read();
         assert_eq!(s.version(), 1);
         assert_eq!(s.len(), 120);
-        assert_eq!(s.hot_profile(16).unwrap().len(), 120);
         drop(s);
         assert!(store.append("a", &[], &noop()).is_err());
         assert_eq!(store.get("a").unwrap().version(), 1);
     }
 
     #[test]
-    fn hot_profile_tracks_appends_and_matches_batch() {
-        let series = random_walk(300, 7);
+    fn hot_lengths_are_validated_sorted_and_fixed_per_generation() {
         let store = SeriesStore::new();
-        store
-            .load("a", series[..200].to_vec(), &[20], ExclusionPolicy::HALF, false, &noop())
-            .unwrap();
-        store.append("a", &series[200..], &noop()).unwrap();
-
-        let slot = store.get("a").unwrap();
-        assert_eq!(slot.hot_lengths(), &[20]);
-        let entry = slot.read();
-        let hot = entry.hot_profile(20).unwrap().profile();
-        let ps = ProfiledSeries::from_values(&series).unwrap();
-        let batch = stomp(&ps, 20, ExclusionPolicy::HALF).unwrap();
-        for i in 0..batch.len() {
-            if batch.mp[i].is_finite() {
-                assert!((hot.mp[i] - batch.mp[i]).abs() < 1e-6, "row {i}");
-            }
+        // ℓ = 0 and ℓ + 1 > n are rejected, and the series is not registered.
+        for bad in [0usize, 120] {
+            let err = store
+                .load("a", random_walk(120, 7), &[16, bad], ExclusionPolicy::HALF, false, &noop())
+                .unwrap_err();
+            assert!(matches!(err, ServeError::InvalidParameter(_) | ServeError::TooShort { .. }));
+            assert!(store.get("a").is_err());
         }
+        store
+            .load(
+                "a",
+                random_walk(120, 7),
+                &[32, 16, 32, 119],
+                ExclusionPolicy::HALF,
+                false,
+                &noop(),
+            )
+            .unwrap();
+        store.append("a", &random_walk(10, 8), &noop()).unwrap();
+        let slot = store.get("a").unwrap();
+        assert_eq!(slot.hot_lengths(), &[16, 32, 119]);
     }
 
     #[test]
@@ -778,7 +765,7 @@ mod tests {
         for (a, b) in s.values().iter().zip(&series) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(s.hot_lengths(), vec![16]);
+        assert_eq!(slot.hot_lengths(), &[16]);
         assert_eq!(s.policy(), ExclusionPolicy::HALF);
         drop(s);
         let _ = std::fs::remove_dir_all(&dir);

@@ -265,9 +265,9 @@ fn regression_hot_profile_tiny_appends_across_the_boundary_match_one_extend() {
 
 #[test]
 fn regression_hot_length_longer_than_the_series_fails_cleanly() {
-    // PR 6 companion: seeding a hot profile needs at least one complete
-    // window. A shorter series must be a clean error at every layer — the
-    // raw streaming profile, and a store LOAD, which must reject the whole
+    // A hot length needs at least two complete windows.
+    // A shorter series must be a clean error at every layer — the raw
+    // streaming profile, and a store LOAD, which must reject the whole
     // request without registering the series.
     let short = random_walk(10, 4);
     assert!(valmod_mp::StreamingProfile::new(&short, 16, ExclusionPolicy::HALF).is_err());
@@ -277,14 +277,13 @@ fn regression_hot_length_longer_than_the_series_fails_cleanly() {
         .load("tiny", short.clone(), &[16], ExclusionPolicy::HALF, false, &recorder)
         .is_err());
     assert!(store.get("tiny").is_err(), "a failed load must not register the series");
-    // The same hot length is fine once the series can seed a profile, and
-    // the profile then grows with appends as usual.
+    // The same hot length is fine once the series holds a pair of windows,
+    // and it stays registered as the series grows.
     store.load("tiny", random_walk(24, 4), &[16], ExclusionPolicy::HALF, false, &recorder).unwrap();
     store.append("tiny", &short, &recorder).unwrap();
     let slot = store.get("tiny").unwrap();
-    let series = slot.read();
-    let hot = series.hot_profile(16).unwrap();
-    assert_eq!(hot.profile().mp.len(), 24 + 10 - 16 + 1);
+    assert_eq!(slot.hot_lengths(), &[16]);
+    assert_eq!(slot.read().len(), 24 + 10);
 }
 
 #[test]
