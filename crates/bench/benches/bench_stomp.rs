@@ -11,7 +11,6 @@ use valmod_data::datasets::Dataset;
 use valmod_mp::parallel::stomp_parallel;
 use valmod_mp::stamp::stamp;
 use valmod_mp::stomp::stomp;
-use valmod_mp::streaming::StreamingProfile;
 use valmod_mp::{ExclusionPolicy, ProfiledSeries};
 use valmod_obs::SharedRecorder;
 
@@ -81,7 +80,7 @@ fn bench_sub_mp_step(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_and_streaming(c: &mut Criterion) {
+fn bench_parallel(c: &mut Criterion) {
     let ps = prepared();
     let mut group = c.benchmark_group("profile_variants");
     group.sample_size(10);
@@ -115,21 +114,8 @@ fn bench_parallel_and_streaming(c: &mut Criterion) {
             },
         );
     }
-    // Streaming: cost of one O(n) append at n = 2 000.
-    let series = Dataset::Ecg.generate(N, 1);
-    let stream = StreamingProfile::new(series.values(), L, ExclusionPolicy::HALF).unwrap();
-    group.bench_function("streaming_append", |b| {
-        b.iter_batched(
-            || stream.clone(),
-            |mut s| {
-                s.append(black_box(0.123)).unwrap();
-                black_box(s.len())
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
     group.finish();
 }
 
-criterion_group!(benches, bench_profiles, bench_sub_mp_step, bench_parallel_and_streaming);
+criterion_group!(benches, bench_profiles, bench_sub_mp_step, bench_parallel);
 criterion_main!(benches);

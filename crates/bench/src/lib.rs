@@ -24,9 +24,9 @@
 //! ## Regression guarding
 //!
 //! Separate from the paper-reproduction binaries, [`regression`] holds the
-//! pinned suite behind `valmod bench`: it times the row kernel and the
-//! diagonal-blocked kernel over identical inputs in the same run and emits
-//! the `BENCH_core.json` snapshot checked into `docs/baselines/`.
+//! pinned suite behind `valmod bench`: each entry times a current path
+//! against its own baseline in the same run, and the suite emits the
+//! `BENCH_core.json` snapshot checked into `docs/baselines/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

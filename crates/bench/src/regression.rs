@@ -1,36 +1,36 @@
-//! The pinned bench-regression suite guarding the diagonal-blocked kernel.
+//! The pinned bench-regression suite behind `valmod bench`.
 //!
 //! Unlike the figure/table binaries (which reproduce the paper's plots),
-//! this suite exists to catch *performance regressions* in the hot path: it
-//! times the pre-rewrite row kernel ([`valmod_mp::stomp::stomp_row`]) and
-//! the diagonal-blocked kernel ([`valmod_mp::diagonal`]) over the same
-//! inputs **in the same run**, so every report carries its own baseline —
-//! machine speed differences cancel out of the speedup column.
+//! this suite exists to catch *performance regressions*: every entry times
+//! a current path against its own baseline over the same inputs **in the
+//! same run**, so machine speed differences cancel out of the speedup
+//! column. The entries are the harvesting pass at 1 vs 2 threads, the
+//! serve planner's fragment-composed sweep vs cold recomputes, warm
+//! append-then-query extension vs cold recomputes, and a mixed serve
+//! workload at 1 vs 4 client threads. End-to-end latency and throughput
+//! are measured by the separate `perfbench` crate.
 //!
 //! The suite is pinned: entry names are stable identifiers
-//! (`stomp/n16384/l256`, `valmod/n8192/l64..96`, …) so successive
-//! `BENCH_core.json` snapshots diff cleanly. `valmod bench` (the CLI) runs
-//! it and writes the JSON; CI runs the `--smoke` variant, which shrinks the
-//! sizes but keeps every entry name's *shape*, and only asserts the JSON is
-//! well-formed — wall-clock numbers are never gated in CI.
+//! (`planner/n8192/l64..96/sweep4`, `append/n8192/l64/k128`, …) so
+//! successive `BENCH_core.json` snapshots diff cleanly. `valmod bench`
+//! (the CLI) runs it and writes the JSON; CI runs the `--smoke` variant,
+//! which shrinks the sizes but keeps every entry name's *shape*, and gates
+//! only the structural speedups: `planner` and `append` at 2x or more,
+//! `serve_mixed` at 1.0x or more.
 
 use std::time::Instant;
 
-use valmod_core::prelude::*;
 use valmod_data::generators::random_walk;
-use valmod_mp::diagonal::stomp_diagonal_ws;
-use valmod_mp::stomp::stomp_row;
 use valmod_mp::workspace::Workspace;
-use valmod_mp::{ExclusionPolicy, ProfiledSeries, StreamingProfile};
+use valmod_mp::{ExclusionPolicy, ProfiledSeries};
 use valmod_obs::SharedRecorder;
 
 /// One timed comparison of the pinned suite.
 #[derive(Debug, Clone)]
 pub struct BenchEntry {
-    /// Stable identifier, e.g. `stomp/n16384/l256`.
+    /// Stable identifier, e.g. `append/n8192/l64/k128`.
     pub name: String,
-    /// Entry family: `stomp`, `compute_mp`, `valmod`, `streaming`,
-    /// `cluster`, `planner`, `append`, or `serve_mixed`.
+    /// Entry family: `compute_mp`, `planner`, `append`, or `serve_mixed`.
     pub kind: &'static str,
     /// Series size in points.
     pub n: usize,
@@ -38,18 +38,17 @@ pub struct BenchEntry {
     pub l: usize,
     /// Timed iterations per kernel (the median is reported).
     pub iters: usize,
-    /// Median wall-clock of the pre-rewrite baseline kernel, when the entry
-    /// has one (the row kernel / row-streamed harvest); `None` for entries
-    /// that only track the current implementation over time.
-    pub baseline_ms: Option<f64>,
+    /// Median wall-clock of the baseline the entry measures itself against
+    /// (one thread, a cold recompute, or one client thread).
+    pub baseline_ms: f64,
     /// Median wall-clock of the current implementation.
     pub current_ms: f64,
 }
 
 impl BenchEntry {
-    /// `baseline / current`, when a baseline was measured (> 1 = faster).
-    pub fn speedup(&self) -> Option<f64> {
-        self.baseline_ms.map(|b| b / self.current_ms.max(1e-9))
+    /// `baseline / current` (> 1 = faster).
+    pub fn speedup(&self) -> f64 {
+        self.baseline_ms / self.current_ms.max(1e-9)
     }
 }
 
@@ -81,17 +80,12 @@ impl RegressionReport {
                 "{{\"name\":\"{}\",\"kind\":\"{}\",\"n\":{},\"l\":{},\"iters\":{},",
                 e.name, e.kind, e.n, e.l, e.iters
             ));
-            if let Some(b) = e.baseline_ms {
-                s.push_str("\"baseline_ms\":");
-                push_json_f64(&mut s, b);
-                s.push(',');
-            }
-            s.push_str("\"current_ms\":");
+            s.push_str("\"baseline_ms\":");
+            push_json_f64(&mut s, e.baseline_ms);
+            s.push_str(",\"current_ms\":");
             push_json_f64(&mut s, e.current_ms);
-            if let Some(x) = e.speedup() {
-                s.push_str(",\"speedup\":");
-                push_json_f64(&mut s, x);
-            }
+            s.push_str(",\"speedup\":");
+            push_json_f64(&mut s, e.speedup());
             s.push('}');
         }
         s.push_str("]}");
@@ -106,11 +100,13 @@ impl RegressionReport {
             "entry", "iters", "baseline_ms", "current_ms", "speedup"
         ));
         for e in &self.entries {
-            let base = e.baseline_ms.map_or("-".into(), |b| format!("{b:.3}"));
-            let speed = e.speedup().map_or("-".into(), |x| format!("{x:.2}x"));
             s.push_str(&format!(
-                "{:<28} {:>10} {:>12} {:>12.3} {:>8}\n",
-                e.name, e.iters, base, e.current_ms, speed
+                "{:<28} {:>10} {:>12.3} {:>12.3} {:>7.2}x\n",
+                e.name,
+                e.iters,
+                e.baseline_ms,
+                e.current_ms,
+                e.speedup()
             ));
         }
         s
@@ -149,37 +145,6 @@ const SEED: u64 = 20_180_610; // matches the figure binaries
 pub fn run_suite(smoke: bool) -> RegressionReport {
     let mut entries = Vec::new();
 
-    // --- STOMP kernel: row streamer vs diagonal-blocked, same inputs. ---
-    let stomp_sizes: &[(usize, usize)] = if smoke {
-        &[(1_024, 64), (2_048, 64)]
-    } else {
-        &[(16_384, 256), (32_768, 256), (65_536, 256), (131_072, 256)]
-    };
-    let mut ws = Workspace::new();
-    for &(n, l) in stomp_sizes {
-        let ps = ProfiledSeries::from_values(&random_walk(n, SEED)).unwrap();
-        let iters = iters_for(n);
-        let mut sink = 0.0f64;
-        let row_ms = median_ms(iters, || {
-            let p = stomp_row(&ps, l, ExclusionPolicy::HALF).unwrap();
-            sink += std::hint::black_box(p.mp[0]);
-        });
-        let diag_ms = median_ms(iters, || {
-            let p = stomp_diagonal_ws(&ps, l, ExclusionPolicy::HALF, &mut ws).unwrap();
-            sink += std::hint::black_box(p.mp[0]);
-        });
-        std::hint::black_box(sink);
-        entries.push(BenchEntry {
-            name: format!("stomp/n{n}/l{l}"),
-            kind: "stomp",
-            n,
-            l,
-            iters,
-            baseline_ms: Some(row_ms),
-            current_ms: diag_ms,
-        });
-    }
-
     // --- Harvesting matrix profile: the one fused diagonal pass at one
     // thread (baseline) vs two threads (current), same workspace reuse. ---
     let (hn, hl, hp) = if smoke { (1_024, 32, 8) } else { (8_192, 128, 50) };
@@ -213,97 +178,9 @@ pub fn run_suite(smoke: bool) -> RegressionReport {
             n: hn,
             l: hl,
             iters,
-            baseline_ms: Some(one_ms),
+            baseline_ms: one_ms,
             current_ms: two_ms,
         });
-    }
-
-    // --- VALMOD range sweep: current implementation only (tracked over
-    // time; the interesting baseline is the previous snapshot). ---
-    let (vn, vl_min, vl_max, vp) = if smoke { (1_024, 24, 32, 8) } else { (8_192, 64, 96, 50) };
-    {
-        let series = Series::new(random_walk(vn, SEED)).unwrap();
-        let iters = iters_for(vn);
-        let mut sink = 0usize;
-        let run_ms = median_ms(iters, || {
-            let out = Valmod::new(vl_min, vl_max).p(vp).run(&series).unwrap();
-            sink += std::hint::black_box(out.per_length.len());
-        });
-        std::hint::black_box(sink);
-        entries.push(BenchEntry {
-            name: format!("valmod/n{vn}/l{vl_min}..{vl_max}/p{vp}"),
-            kind: "valmod",
-            n: vn,
-            l: vl_min,
-            iters,
-            baseline_ms: None,
-            current_ms: run_ms,
-        });
-    }
-
-    // --- Streaming append throughput: current implementation only. ---
-    let (sn, sl, appended) = if smoke { (2_048, 32, 256) } else { (16_384, 128, 4_096) };
-    {
-        let values = random_walk(sn + appended, SEED);
-        let iters = iters_for(sn);
-        let mut sink = 0.0f64;
-        let append_ms = median_ms(iters, || {
-            let mut sp = StreamingProfile::new(&values[..sn], sl, ExclusionPolicy::HALF).unwrap();
-            sp.extend(&values[sn..]).unwrap();
-            sink += std::hint::black_box(sp.profile().mp[0]);
-        });
-        std::hint::black_box(sink);
-        entries.push(BenchEntry {
-            name: format!("streaming/n{sn}/l{sl}/append{appended}"),
-            kind: "streaming",
-            n: sn,
-            l: sl,
-            iters,
-            baseline_ms: None,
-            current_ms: append_ms,
-        });
-    }
-
-    // --- Cluster scaling: the same STOMP case dispatched across 1/2/4
-    // in-process workers over loopback TCP. The 1-worker time is the
-    // baseline for the multi-worker entries, so the speedup column reads
-    // directly as scaling efficiency. Series shipping (`load_job`) is
-    // inside the timed region — the number is end-to-end job latency.
-    let (cn, cl) = if smoke { (2_048, 64) } else { (131_072, 256) };
-    {
-        use valmod_cluster::{
-            run_distributed, spawn_local_workers, CoordinatorConfig, JobSpec, WorkerConfig,
-        };
-        let values = random_walk(cn, SEED);
-        let mut one_worker_ms = None;
-        for w in [1usize, 2, 4] {
-            let workers = spawn_local_workers(w, WorkerConfig::default()).unwrap();
-            let addrs: Vec<String> = workers.iter().map(|x| x.addr()).collect();
-            let cfg = CoordinatorConfig { parts_per_length: 2 * w, ..CoordinatorConfig::default() };
-            let iters = if smoke { 2 } else { 1 };
-            let mut sink = 0usize;
-            let ms = median_ms(iters, || {
-                let spec = JobSpec::new("bench", values.clone(), cl, cl);
-                let run = run_distributed(&spec, &addrs, &cfg, &SharedRecorder::noop()).unwrap();
-                sink += std::hint::black_box(run.output.profiles.len());
-            });
-            std::hint::black_box(sink);
-            for worker in workers {
-                worker.shutdown();
-            }
-            if w == 1 {
-                one_worker_ms = Some(ms);
-            }
-            entries.push(BenchEntry {
-                name: format!("cluster/n{cn}/l{cl}/w{w}"),
-                kind: "cluster",
-                n: cn,
-                l: cl,
-                iters,
-                baseline_ms: if w == 1 { None } else { one_worker_ms },
-                current_ms: ms,
-            });
-        }
     }
 
     // --- Serve query planner: a warm overlapping-range sweep composed from
@@ -377,7 +254,7 @@ pub fn run_suite(smoke: bool) -> RegressionReport {
             n: pn,
             l: plo,
             iters,
-            baseline_ms: Some(cold_ms),
+            baseline_ms: cold_ms,
             current_ms: warm_ms,
         });
     }
@@ -449,7 +326,7 @@ pub fn run_suite(smoke: bool) -> RegressionReport {
             n: an,
             l: al,
             iters,
-            baseline_ms: Some(cold_ms),
+            baseline_ms: cold_ms,
             current_ms: warm_ms,
         });
     }
@@ -565,7 +442,7 @@ pub fn run_suite(smoke: bool) -> RegressionReport {
             n: mn,
             l: ml,
             iters: 1,
-            baseline_ms: Some(one_ms),
+            baseline_ms: one_ms,
             current_ms: four_ms,
         });
     }
@@ -581,19 +458,10 @@ mod tests {
     fn smoke_suite_produces_every_pinned_entry_kind() {
         let report = run_suite(true);
         let kinds: Vec<&str> = report.entries.iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&"stomp"));
-        assert!(kinds.contains(&"compute_mp"));
-        assert!(kinds.contains(&"valmod"));
-        assert!(kinds.contains(&"streaming"));
-        assert!(kinds.contains(&"cluster"));
-        assert!(kinds.contains(&"planner"));
-        assert!(kinds.contains(&"append"));
-        assert!(kinds.contains(&"serve_mixed"));
+        assert_eq!(kinds, ["compute_mp", "planner", "append", "serve_mixed"]);
         for e in &report.entries {
             assert!(e.current_ms > 0.0, "{}: non-positive timing", e.name);
-            if let Some(b) = e.baseline_ms {
-                assert!(b > 0.0, "{}: non-positive baseline", e.name);
-            }
+            assert!(e.baseline_ms > 0.0, "{}: non-positive baseline", e.name);
         }
     }
 
@@ -612,8 +480,9 @@ mod tests {
             assert_eq!(v.get("name").and_then(|x| x.as_str()), Some(e.name.as_str()));
             let cur = v.get("current_ms").and_then(|x| x.as_f64()).unwrap();
             assert!((cur - e.current_ms).abs() < 1e-3);
-            assert_eq!(v.get("baseline_ms").is_some(), e.baseline_ms.is_some());
-            assert_eq!(v.get("speedup").is_some(), e.baseline_ms.is_some());
+            let base = v.get("baseline_ms").and_then(|x| x.as_f64()).unwrap();
+            assert!((base - e.baseline_ms).abs() < 1e-3);
+            assert!(v.get("speedup").and_then(|x| x.as_f64()).is_some());
         }
     }
 
@@ -622,18 +491,18 @@ mod tests {
         let report = RegressionReport {
             smoke: true,
             entries: vec![BenchEntry {
-                name: "stomp/n1024/l64".into(),
-                kind: "stomp",
-                n: 1024,
-                l: 64,
+                name: "append/n2048/l32/k64".into(),
+                kind: "append",
+                n: 2048,
+                l: 32,
                 iters: 3,
-                baseline_ms: Some(2.0),
+                baseline_ms: 2.0,
                 current_ms: 1.0,
             }],
         };
         let t = report.table();
-        assert!(t.contains("stomp/n1024/l64"));
+        assert!(t.contains("append/n2048/l32/k64"));
         assert!(t.contains("2.00x"));
-        assert_eq!(report.entries[0].speedup(), Some(2.0));
+        assert_eq!(report.entries[0].speedup(), 2.0);
     }
 }

@@ -15,8 +15,9 @@
 //! * [`oracles`] — the diagonal-blocked kernel vs the row streamer
 //!   (bit-exact, across block widths), VALMOD vs STOMP-per-length, parallel
 //!   vs sequential, the complete per-length profiles vs STOMP (and at 2
-//!   threads vs 1, bit-exact), streaming-append vs batch recompute, serve
-//!   cached vs cold, the seeded `listDP` harvest vs an unseeded one
+//!   threads vs 1, bit-exact), a tail-extended profile vs cold STOMP in
+//!   its pinned frame (bit-exact) and vs batch STOMP in the series' own
+//!   frame, serve cached vs cold, the seeded `listDP` harvest vs an unseeded one
 //!   (bit-exact), ComputeSubMP's lazy advance vs an eager reference
 //!   rebuilt from every live entry's distance (bit-exact), and the Eq. 2
 //!   lower-bound admissibility invariant probed against naive z-normalised
@@ -37,9 +38,8 @@
 //!   byte-for-byte against independent cold computes, and appends shown to
 //!   park fragments that the next query lazily extends, bit-identically;
 //! * [`extend`] — the incremental-extension machinery under randomized
-//!   append schedules: batched streaming appends vs the per-sample loop,
-//!   tail-extended per-length profiles vs cold STOMP, and warm engines vs
-//!   cold same-history replays, all `to_bits`-exact;
+//!   append schedules: tail-extended per-length profiles vs cold STOMP,
+//!   and warm engines vs cold same-history replays, all `to_bits`-exact;
 //! * [`stress`] — the sharded engine under real thread contention: N
 //!   client threads driving seeded mixed LOAD/APPEND/MOTIFS/DISCORDS/
 //!   SAVE/STATS schedules, with per-thread version monotonicity, merged
@@ -94,10 +94,9 @@ pub struct CheckConfig {
     /// Whether to run the query-planner oracle matrix (fragment reuse and
     /// single-flight coalescing vs independent cold computes).
     pub run_planner: bool,
-    /// Whether to run the incremental-extension oracle matrix (batched
-    /// streaming appends, tail-extended profiles, and lazily revived
-    /// fragments vs cold same-history recomputes, under randomized append
-    /// schedules).
+    /// Whether to run the incremental-extension oracle matrix
+    /// (tail-extended profiles and lazily revived fragments vs cold
+    /// same-history recomputes, under randomized append schedules).
     pub run_extend: bool,
     /// Whether to run the concurrent stress oracle (sharded engine under
     /// N client threads vs cold linearized replays).

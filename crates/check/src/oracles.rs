@@ -2,20 +2,23 @@
 //! question must agree.
 //!
 //! Two implementations that reach a distance along different arithmetic
-//! paths — VALMOD's advanced entries against per-length STOMP, streaming
-//! against batch — are compared with a tolerance, and tie-breaks between
-//! equal-distance pairs may pick different indices. A divergence is then
-//! only reported when *distances* disagree beyond tolerance or when one side
-//! finds a motif the other says does not exist.
+//! paths — VALMOD's advanced entries against per-length STOMP, an extended
+//! profile against batch STOMP in the series' own frame — are compared with
+//! a tolerance, and tie-breaks between equal-distance pairs may pick
+//! different indices. A divergence is then only reported when *distances*
+//! disagree beyond tolerance or when one side finds a motif the other says
+//! does not exist.
 //!
 //! Where the two sides share their arithmetic, the oracle compares bits:
 //! [`check_diagonal_vs_row`] (the diagonal-blocked kernel against the row
 //! streamer, across block widths and a parallel run),
 //! [`check_parallel_vs_sequential`] (3 threads against 1),
 //! [`check_complete_vs_stomp`]'s thread half (2 threads against 1),
-//! [`check_harvest_seeded_vs_cold`] (a seeded harvest against an unseeded
-//! one) and [`check_lazy_advance`] (ComputeSubMP's lazy advance against an
-//! eager reference that computes every distance).
+//! [`check_extend_vs_batch`]'s pinned half (an extended profile against a
+//! cold STOMP in the same frame), [`check_harvest_seeded_vs_cold`] (a
+//! seeded harvest against an unseeded one) and [`check_lazy_advance`]
+//! (ComputeSubMP's lazy advance against an eager reference that computes
+//! every distance).
 
 use valmod_baselines::stomp_profiles;
 use valmod_core::harvest::seed_gate;
@@ -26,6 +29,7 @@ use valmod_core::{
     compute_matrix_profile_ws, compute_sub_mp_threaded_with_ws, MpWithProfiles, Valmod,
     ValmodConfig,
 };
+use valmod_data::error::DataError;
 use valmod_data::rng::Xoshiro256;
 use valmod_mp::diagonal::{stomp_diagonal_parallel_ws, stomp_diagonal_ws};
 use valmod_mp::distance::zdist_naive;
@@ -33,7 +37,7 @@ use valmod_mp::matrix_profile::MatrixProfile;
 use valmod_mp::motif::MotifPair;
 use valmod_mp::stomp::{stomp, stomp_row};
 use valmod_mp::workspace::{HarvestHint, Workspace};
-use valmod_mp::{ExclusionPolicy, ProfiledSeries, StreamingProfile};
+use valmod_mp::{extend_profile, stomp_with_tail, ExclusionPolicy, ProfiledSeries};
 use valmod_obs::{Registry, SharedRecorder};
 use valmod_serve::engine::{EngineConfig, QueryEngine, QueryKind, QuerySpec};
 use valmod_serve::Value;
@@ -99,7 +103,7 @@ pub fn run_case(case: &Case, lb_probe_budget: usize) -> CaseOutcome {
     if let Some(d) = check_parallel_vs_sequential(case, &ps) {
         out.divergences.push(d);
     }
-    if let Some(d) = check_streaming_vs_batch(case) {
+    if let Some(d) = check_extend_vs_batch(case, &ps) {
         out.divergences.push(d);
     }
     if let Some(d) = check_serve_cached_vs_cold(case) {
@@ -357,44 +361,74 @@ pub fn check_parallel_vs_sequential(case: &Case, ps: &ProfiledSeries) -> Option<
     None
 }
 
-/// Streaming append against a batch recompute: seeding with a prefix and
-/// appending the rest must land on the batch profile of the whole series.
-pub fn check_streaming_vs_batch(case: &Case) -> Option<Divergence> {
+/// A profile extended from a prefix against batch recomputes: seeding
+/// `stomp_with_tail` with the first half of the case and growing it by one
+/// sample, then by the rest, with `extend_profile` in the seed's pinned
+/// frame must land on the cold STOMP of the whole series in that frame bit
+/// for bit, and on the batch profile in the series' own frame (`ps`)
+/// within tolerance.
+pub fn check_extend_vs_batch(case: &Case, ps: &ProfiledSeries) -> Option<Divergence> {
+    const ORACLE: &str = "extend-vs-batch";
     let l = case.l_min;
     let n = case.values.len();
     let seed_len = (n / 2).clamp(l + 1, n);
-    let mut streaming =
-        match StreamingProfile::new(&case.values[..seed_len], l, ExclusionPolicy::HALF) {
-            Ok(s) => s,
-            Err(e) => return Some(diverge(case, "streaming-vs-batch", format!("seed: {e}"))),
+    let fail = |what: &str, e: DataError| Some(diverge(case, ORACLE, format!("{what}: {e}")));
+    let base = match ProfiledSeries::from_values(&case.values[..seed_len]) {
+        Ok(b) => b,
+        Err(e) => return fail("seed", e),
+    };
+    let (mut extended, mut state) = match stomp_with_tail(&base, l, ExclusionPolicy::HALF) {
+        Ok(seeded) => seeded,
+        Err(e) => return fail("seed", e),
+    };
+    let mut pinned = base;
+    for end in [(seed_len + 1).min(n), n] {
+        pinned = match ProfiledSeries::with_offset(&case.values[..end], pinned.offset()) {
+            Ok(p) => p,
+            Err(e) => return fail("pinned view", e),
         };
-    if let Err(e) = streaming.extend(&case.values[seed_len..]) {
-        return Some(diverge(case, "streaming-vs-batch", format!("append: {e}")));
+        if let Err(e) = extend_profile(&mut extended, &mut state, &pinned) {
+            return fail("extend", e);
+        }
     }
-    let streamed = streaming.profile();
-    let ps = match ProfiledSeries::from_values(&case.values) {
-        Ok(ps) => ps,
-        Err(e) => return Some(diverge(case, "streaming-vs-batch", format!("batch: {e}"))),
-    };
-    let batch = match stomp(&ps, l, ExclusionPolicy::HALF) {
+    let cold = match stomp(&pinned, l, ExclusionPolicy::HALF) {
         Ok(p) => p,
-        Err(e) => return Some(diverge(case, "streaming-vs-batch", format!("batch: {e}"))),
+        Err(e) => return fail("pinned cold", e),
     };
-    if streamed.len() != batch.len() {
+    let batch = match stomp(ps, l, ExclusionPolicy::HALF) {
+        Ok(p) => p,
+        Err(e) => return fail("batch", e),
+    };
+    if extended.len() != cold.len() || extended.len() != batch.len() {
         return Some(diverge(
             case,
-            "streaming-vs-batch",
-            format!("profile lengths differ: {} vs {}", streamed.len(), batch.len()),
+            ORACLE,
+            format!(
+                "profile lengths differ: extended {} vs pinned cold {} vs batch {}",
+                extended.len(),
+                cold.len(),
+                batch.len()
+            ),
         ));
     }
     for i in 0..batch.len() {
-        let (s, b) = (streamed.mp[i], batch.mp[i]);
-        let agree = (s.is_finite() == b.is_finite()) && (!s.is_finite() || close(s, b));
+        let (x, c, b) = (extended.mp[i], cold.mp[i], batch.mp[i]);
+        if x.to_bits() != c.to_bits() || extended.ip[i] != cold.ip[i] {
+            return Some(diverge(
+                case,
+                ORACLE,
+                format!(
+                    "row {i} at l={l}: extended {x} @ {} vs pinned cold {c} @ {}",
+                    extended.ip[i], cold.ip[i]
+                ),
+            ));
+        }
+        let agree = (x.is_finite() == b.is_finite()) && (!x.is_finite() || close(x, b));
         if !agree {
             return Some(diverge(
                 case,
-                "streaming-vs-batch",
-                format!("row {i} at l={l}: streamed {s} vs batch {b}"),
+                ORACLE,
+                format!("row {i} at l={l}: extended {x} vs batch {b}"),
             ));
         }
     }

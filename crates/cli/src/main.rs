@@ -161,15 +161,15 @@ and latency histograms from every layer — in a human-readable table
 
 `check` runs the seeded differential-correctness harness (valmod-check):
 adversarial series through VALMOD-vs-STOMP, complete-vs-STOMP,
-parallel-vs-sequential, streaming-vs-batch, and serve cached-vs-cold
+parallel-vs-sequential, extend-vs-batch, and serve cached-vs-cold
 oracles, the Eq. 2 lower-bound admissibility invariant, a serve
 fault-injection matrix, a crash-recovery kill-point matrix against the
 durable store, and a query
 planner matrix (fragment-composed and coalesced answers vs independent
 cold computes; `--no-planner` skips it), and an incremental-extension
-matrix (batched streaming appends, tail-extended profiles, and lazily
-revived fragments vs cold same-history replays under randomized append
-schedules; `--no-extend` skips it), and a concurrent stress oracle
+matrix (tail-extended profiles and lazily revived fragments vs cold
+same-history replays under randomized append schedules; `--no-extend`
+skips it), and a concurrent stress oracle
 (seeded multi-threaded LOAD/APPEND/query/SAVE/STATS schedules replayed
 against a cold single-threaded engine, asserting version monotonicity
 and byte-identical replies; `--no-stress` skips it, `--stress-threads`
@@ -184,9 +184,11 @@ deadlines, and redispatch from dead workers, and merges the partials
 bit-identically to a single-node run. `--local` computes the same job in
 process — its `--json` body is byte-comparable with a distributed run's.
 
-`bench` runs the pinned kernel-regression suite (row kernel vs the
-diagonal-blocked kernel over identical inputs, plus VALMOD and streaming
-timings) and writes the snapshot to BENCH_core.json (`--out` overrides).
+`bench` runs the pinned regression suite (the harvesting pass at 1 vs 2
+threads, the serve planner's fragment-composed sweep vs cold recomputes,
+append-then-query extension vs cold recomputes, and a mixed serve
+workload at 1 vs 4 client threads) and writes the snapshot to
+BENCH_core.json (`--out` overrides).
 `--smoke` shrinks every size for CI plumbing checks; `--json` echoes the
 snapshot to stdout instead of the table.";
 

@@ -239,6 +239,12 @@ pub fn extend_profile(
             profile.l, state.l
         )));
     }
+    if profile.exclusion_radius != state.radius {
+        return Err(DataError::InvalidParameter(format!(
+            "tail extension exclusion mismatch: profile radius {}, state radius {}",
+            profile.exclusion_radius, state.radius
+        )));
+    }
     let (old_ndp, new_ndp) = state.check(ps)?;
     if profile.len() != old_ndp {
         return Err(DataError::InvalidParameter(format!(
@@ -385,5 +391,17 @@ mod tests {
         let (mut other, _) = stomp_with_tail(&base, 20, ExclusionPolicy::HALF).unwrap();
         let grown = ProfiledSeries::with_offset(&series, base.offset()).unwrap();
         assert!(extend_profile(&mut other, &mut state, &grown).is_err());
+        // And a profile whose exclusion radius is not the state's (QUARTER
+        // radius 4 against a HALF state's 8 at ℓ = 16): refused before
+        // anything is resized.
+        let (mut quarter, _) = stomp_with_tail(&base, 16, ExclusionPolicy::QUARTER).unwrap();
+        let before = quarter.clone();
+        let err = extend_profile(&mut quarter, &mut state, &grown).unwrap_err();
+        assert!(matches!(err, DataError::InvalidParameter(_)), "{err}");
+        assert_bits(&quarter, &before, "rejected radius mismatch");
+        assert_eq!(state.n(), 200, "a rejected extension must not advance the state");
+        // The matching profile still extends from the untouched state.
+        extend_profile(&mut profile, &mut state, &grown).unwrap();
+        assert_bits(&profile, &stomp(&grown, 16, ExclusionPolicy::HALF).unwrap(), "after refusals");
     }
 }

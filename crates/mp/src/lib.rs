@@ -3,7 +3,8 @@
 //! Matrix-profile substrate for the VALMOD reproduction: z-normalised
 //! distances (paper Eq. 3), distance profiles and MASS (Definition 2.4),
 //! STOMP and the anytime STAMP (Definition 2.5), motif-pair and discord
-//! extraction, and trivial-match exclusion zones.
+//! extraction, trivial-match exclusion zones, and the exact tail extension
+//! of a profile as its series grows ([`extend`]).
 //!
 //! The hot path is the cache-friendly [`diagonal`]-blocked STOMP kernel,
 //! backed by a reusable [`workspace::Workspace`] (scratch buffers + FFT plan
@@ -45,7 +46,6 @@ pub mod motif;
 pub mod parallel;
 pub mod stamp;
 pub mod stomp;
-pub mod streaming;
 pub mod workspace;
 
 pub use context::ProfiledSeries;
@@ -66,5 +66,4 @@ pub use motif::{top_motifs, MotifPair};
 pub use parallel::{map_chunks, resolve_threads, stomp_parallel, stomp_parallel_with};
 pub use stamp::stamp;
 pub use stomp::{stomp, stomp_row, StompDriver};
-pub use streaming::StreamingProfile;
 pub use workspace::{HarvestHint, Workspace, DEFAULT_BLOCK};

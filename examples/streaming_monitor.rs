@@ -1,5 +1,6 @@
 //! Streaming monitoring: maintain a matrix profile *online* as sensor
-//! samples arrive (`valmod_mp::streaming`, STAMPI-style O(n) appends) and
+//! samples arrive (`valmod_mp::extend`: each sample extends the profile in
+//! O(n), bit-identical to a cold STOMP in the frame pinned at the seed) and
 //! raise an alert the moment a never-before-seen pattern (a discord) shows
 //! up — the real-time complement of the batch analyses in the other
 //! examples.
@@ -10,26 +11,29 @@
 //! ```
 
 use valmod_data::datasets::ecg_like;
-use valmod_mp::streaming::StreamingProfile;
-use valmod_mp::ExclusionPolicy;
+use valmod_mp::{extend_profile, stomp_with_tail, ExclusionPolicy, ProfiledSeries};
 
 fn main() {
     let l = 96usize;
     // Historical data: two minutes of clean ECG-like telemetry.
     let history = ecg_like(6_000, 3);
-    let mut monitor =
-        StreamingProfile::new(history.values(), l, ExclusionPolicy::HALF).expect("seed profile");
+    let seed = ProfiledSeries::new(&history);
+    let (mut profile, mut tail) =
+        stomp_with_tail(&seed, l, ExclusionPolicy::HALF).expect("seed profile");
+    // Every grown view keeps the seed's centring offset, so the samples
+    // already profiled never move and each extension only adds new cells.
+    let offset = seed.offset();
+    let mut samples = history.values().to_vec();
 
     // Alert threshold: a new window is anomalous when its nearest-neighbour
     // distance is far above what the history considers normal.
-    let baseline = monitor.profile();
-    let mut finite: Vec<f64> = baseline.mp.iter().copied().filter(|d| d.is_finite()).collect();
+    let mut finite: Vec<f64> = profile.mp.iter().copied().filter(|d| d.is_finite()).collect();
     finite.sort_by(f64::total_cmp);
     let p99 = finite[(finite.len() * 99) / 100];
     let threshold = p99 * 1.25;
     println!(
         "seeded with {} samples; normal NN-distance p99 = {p99:.3}, alert threshold {threshold:.3}\n",
-        monitor.len()
+        samples.len()
     );
 
     // Live feed: more normal beats, then an arrhythmia-like corruption.
@@ -41,10 +45,12 @@ fn main() {
 
     let mut alerts: Vec<usize> = Vec::new();
     for (step, sample) in incoming.iter().enumerate() {
-        monitor.append(*sample).expect("finite sample");
+        samples.push(*sample);
+        let grown = ProfiledSeries::with_offset(&samples, offset).expect("finite sample");
+        extend_profile(&mut profile, &mut tail, &grown).expect("pinned growth");
         // The newest complete window ends at the appended sample.
-        let newest = monitor.len() - l;
-        let nn_dist = monitor.newest_nn_dist().unwrap_or(f64::INFINITY);
+        let newest = samples.len() - l;
+        let nn_dist = profile.mp[newest];
         if nn_dist.is_finite() && nn_dist > threshold {
             // Suppress repeated alerts for overlapping windows.
             if alerts.last().is_none_or(|&last| newest > last + l / 2) {

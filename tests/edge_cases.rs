@@ -185,21 +185,51 @@ fn regression_inverted_range_is_an_error_not_an_empty_answer() {
 
 #[test]
 fn regression_streaming_extreme_amplitude_matches_batch() {
-    // 1e9-scale samples on a 1e9 DC offset, streamed in two halves: the
+    // 1e9-scale samples on a 1e9 DC offset, grown in two halves: the
     // incremental dot-product updates must not drift from the batch answer.
     let values: Vec<f64> = random_walk(240, 31).iter().map(|x| 1e9 + x * 1e9).collect();
-    let mut streaming =
-        valmod_mp::StreamingProfile::new(&values[..120], 10, ExclusionPolicy::HALF).unwrap();
-    streaming.extend(&values[120..]).unwrap();
-    let streamed = streaming.profile();
+    let (profile, pinned) = extend_in_chunks(&values, 120, &[120], 10);
+    // Bit for bit the cold STOMP of the grown series in the seed's frame...
+    assert_bit_identical(&profile, &valmod_mp::stomp(&pinned, 10, ExclusionPolicy::HALF).unwrap());
+    // ...and close to batch STOMP in the grown series' own frame.
     let ps = ProfiledSeries::from_values(&values).unwrap();
     let batch = valmod_mp::stomp(&ps, 10, ExclusionPolicy::HALF).unwrap();
     for i in 0..batch.len() {
-        let (s, b) = (streamed.mp[i], batch.mp[i]);
+        let (s, b) = (profile.mp[i], batch.mp[i]);
         assert_eq!(s.is_finite(), b.is_finite(), "row {i}");
         if s.is_finite() {
-            assert!((s - b).abs() < 1e-5 * (1.0 + b), "row {i}: streamed {s} vs batch {b}");
+            assert!((s - b).abs() < 1e-5 * (1.0 + b), "row {i}: extended {s} vs batch {b}");
         }
+    }
+}
+
+/// Profiles `values[..seed_len]` with a captured tail, then extends it by
+/// each chunk of `chunks` in turn, in the seed's pinned frame. Returns the
+/// grown profile and the pinned view of the whole grown series.
+fn extend_in_chunks(
+    values: &[f64],
+    seed_len: usize,
+    chunks: &[usize],
+    l: usize,
+) -> (valmod_mp::MatrixProfile, ProfiledSeries) {
+    let base = ProfiledSeries::from_values(&values[..seed_len]).unwrap();
+    let (mut profile, mut state) =
+        valmod_mp::stomp_with_tail(&base, l, ExclusionPolicy::HALF).unwrap();
+    let offset = base.offset();
+    let (mut grown, mut n) = (base, seed_len);
+    for &k in chunks {
+        n += k;
+        grown = ProfiledSeries::with_offset(&values[..n], offset).unwrap();
+        valmod_mp::extend_profile(&mut profile, &mut state, &grown).unwrap();
+    }
+    (profile, grown)
+}
+
+fn assert_bit_identical(a: &valmod_mp::MatrixProfile, b: &valmod_mp::MatrixProfile) {
+    assert_eq!(a.mp.len(), b.mp.len());
+    for i in 0..a.mp.len() {
+        assert_eq!(a.mp[i].to_bits(), b.mp[i].to_bits(), "row {i}: distances differ");
+        assert_eq!(a.ip[i], b.ip[i], "row {i}: neighbour offsets differ");
     }
 }
 
@@ -217,46 +247,37 @@ fn regression_text_loader_rejects_inf_and_nan_tokens() {
 fn regression_hot_profile_tiny_appends_across_the_boundary_match_one_extend() {
     // PR 6: a hot profile fed tiny appends (1–3 samples) that straddle the
     // hot-length boundary must end bit-for-bit identical to one extend over
-    // the same samples — the streaming recurrence must not depend on how
-    // the stream is chunked. The first chunks complete no window at all
+    // the same samples — the incremental recurrence must not depend on how
+    // the growth is chunked. The first chunks complete no window at all
     // (seed 20, ℓ = 16: the profile grows only once 16 new rows exist),
     // which is exactly where partial-window bookkeeping used to be fragile.
     let l = 16;
     let values = random_walk(140, 63);
-    let (seed, rest) = values.split_at(20);
-    let mut chunked = valmod_mp::StreamingProfile::new(seed, l, ExclusionPolicy::HALF).unwrap();
-    let mut single = valmod_mp::StreamingProfile::new(seed, l, ExclusionPolicy::HALF).unwrap();
-    let (mut offset, mut size) = (0, 1);
-    while offset < rest.len() {
-        let end = (offset + size).min(rest.len());
-        chunked.extend(&rest[offset..end]).unwrap();
-        offset = end;
+    let seed_len = 20;
+    let mut sizes = Vec::new();
+    let (mut rest, mut size) = (values.len() - seed_len, 1);
+    while rest > 0 {
+        sizes.push(size.min(rest));
+        rest -= size.min(rest);
         size = size % 3 + 1; // 1, 2, 3, 1, 2, 3, ...
     }
-    single.extend(rest).unwrap();
-    let (c, s) = (chunked.profile(), single.profile());
-    assert_eq!(c.mp.len(), s.mp.len());
-    assert_eq!(c.mp.len(), values.len() - l + 1, "profile must cover every window");
-    for i in 0..c.mp.len() {
-        assert_eq!(
-            c.mp[i].to_bits(),
-            s.mp[i].to_bits(),
-            "row {i}: chunked appends drifted from a single extend"
-        );
-        assert_eq!(c.ip[i], s.ip[i], "row {i}: neighbour offsets diverged");
-    }
-    // And both agree with a batch recompute over the final series to
-    // numerical tolerance (the streaming pipeline centres on the seed mean,
-    // so bit-identity with batch is not expected).
+    let (chunked, pinned) = extend_in_chunks(&values, seed_len, &sizes, l);
+    let (single, _) = extend_in_chunks(&values, seed_len, &[values.len() - seed_len], l);
+    assert_eq!(chunked.mp.len(), values.len() - l + 1, "profile must cover every window");
+    assert_bit_identical(&chunked, &single);
+    // Both are the cold STOMP of the final series in the seed's frame, bit
+    // for bit, and agree with a batch recompute in the series' own frame
+    // to numerical tolerance (that frame centres on a different mean).
+    assert_bit_identical(&chunked, &valmod_mp::stomp(&pinned, l, ExclusionPolicy::HALF).unwrap());
     let ps = ProfiledSeries::from_values(&values).unwrap();
     let batch = valmod_mp::stomp(&ps, l, ExclusionPolicy::HALF).unwrap();
     for i in 0..batch.len() {
-        assert_eq!(c.mp[i].is_finite(), batch.mp[i].is_finite(), "row {i}");
+        assert_eq!(chunked.mp[i].is_finite(), batch.mp[i].is_finite(), "row {i}");
         if batch.mp[i].is_finite() {
             assert!(
-                (c.mp[i] - batch.mp[i]).abs() < 1e-6,
-                "row {i}: streamed {} vs batch {}",
-                c.mp[i],
+                (chunked.mp[i] - batch.mp[i]).abs() < 1e-6,
+                "row {i}: extended {} vs batch {}",
+                chunked.mp[i],
                 batch.mp[i]
             );
         }
@@ -267,10 +288,11 @@ fn regression_hot_profile_tiny_appends_across_the_boundary_match_one_extend() {
 fn regression_hot_length_longer_than_the_series_fails_cleanly() {
     // A hot length needs at least two complete windows.
     // A shorter series must be a clean error at every layer — the raw
-    // streaming profile, and a store LOAD, which must reject the whole
+    // profile-with-tail seed, and a store LOAD, which must reject the whole
     // request without registering the series.
     let short = random_walk(10, 4);
-    assert!(valmod_mp::StreamingProfile::new(&short, 16, ExclusionPolicy::HALF).is_err());
+    let short_ps = ProfiledSeries::from_values(&short).unwrap();
+    assert!(valmod_mp::stomp_with_tail(&short_ps, 16, ExclusionPolicy::HALF).is_err());
     let recorder = valmod_serve::SharedRecorder::noop();
     let store = valmod_serve::SeriesStore::new();
     assert!(store
