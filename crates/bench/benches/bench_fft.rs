@@ -1,4 +1,4 @@
-//! Microbench: the FFT substrate — radix-2 plans, Bluestein, and the
+//! Microbench: the FFT substrate — radix-2 plans and the
 //! sliding dot product vs its naive O(nm) form (the DESIGN.md §5 "FFT vs
 //! naive first dot-product" ablation; the crossover justifies using the FFT
 //! only for the first profile row).
@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use valmod_data::generators::random_walk;
 use valmod_fft::complex::Complex;
 use valmod_fft::real::{sliding_dot_product, sliding_dot_product_naive};
-use valmod_fft::{BluesteinPlan, Radix2Plan};
+use valmod_fft::Radix2Plan;
 
 fn bench_radix2(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft/radix2");
@@ -23,18 +23,6 @@ fn bench_radix2(c: &mut Criterion) {
                 plan.forward(&mut buf);
                 black_box(buf[0])
             })
-        });
-    }
-    group.finish();
-}
-
-fn bench_bluestein(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fft/bluestein");
-    for n in [250usize, 1000] {
-        let plan = BluesteinPlan::new(n);
-        let input: Vec<Complex> = (0..n).map(|i| Complex::from_real((i as f64).sin())).collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(plan.forward(&input)))
         });
     }
     group.finish();
@@ -55,5 +43,5 @@ fn bench_sliding_dot(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_radix2, bench_bluestein, bench_sliding_dot);
+criterion_group!(benches, bench_radix2, bench_sliding_dot);
 criterion_main!(benches);

@@ -4,10 +4,9 @@
 //! this suite exists to catch *performance regressions*: every entry times
 //! a current path against its own baseline over the same inputs **in the
 //! same run**, so machine speed differences cancel out of the speedup
-//! column. The entries are the harvesting pass at 1 vs 2 threads, the
-//! serve planner's fragment-composed sweep vs cold recomputes, warm
-//! append-then-query extension vs cold recomputes, and a mixed serve
-//! workload at 1 vs 4 client threads. End-to-end latency and throughput
+//! column. The entries are the serve planner's fragment-composed sweep vs
+//! cold recomputes, warm append-then-query extension vs cold recomputes,
+//! and a mixed serve workload at 1 vs 4 client threads. End-to-end latency and throughput
 //! are measured by the separate `perfbench` crate.
 //!
 //! The suite is pinned: entry names are stable identifiers
@@ -21,16 +20,14 @@
 use std::time::Instant;
 
 use valmod_data::generators::random_walk;
-use valmod_mp::workspace::Workspace;
-use valmod_mp::{ExclusionPolicy, ProfiledSeries};
-use valmod_obs::SharedRecorder;
+use valmod_mp::ExclusionPolicy;
 
 /// One timed comparison of the pinned suite.
 #[derive(Debug, Clone)]
 pub struct BenchEntry {
     /// Stable identifier, e.g. `append/n8192/l64/k128`.
     pub name: String,
-    /// Entry family: `compute_mp`, `planner`, `append`, or `serve_mixed`.
+    /// Entry family: `planner`, `append`, or `serve_mixed`.
     pub kind: &'static str,
     /// Series size in points.
     pub n: usize,
@@ -39,7 +36,7 @@ pub struct BenchEntry {
     /// Timed iterations per kernel (the median is reported).
     pub iters: usize,
     /// Median wall-clock of the baseline the entry measures itself against
-    /// (one thread, a cold recompute, or one client thread).
+    /// (a cold recompute or one client thread).
     pub baseline_ms: f64,
     /// Median wall-clock of the current implementation.
     pub current_ms: f64,
@@ -129,59 +126,13 @@ fn median_ms<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn iters_for(n: usize) -> usize {
-    if n <= 16_384 {
-        3
-    } else {
-        1
-    }
-}
-
 const SEED: u64 = 20_180_610; // matches the figure binaries
 
 /// Runs the pinned suite. `smoke = true` shrinks every size so the whole
 /// run finishes in a few seconds (used by CI to validate the plumbing);
-/// `smoke = false` runs the real sizes (STOMP at 2^14..2^17 points).
+/// `smoke = false` runs the real sizes (8192-point series).
 pub fn run_suite(smoke: bool) -> RegressionReport {
     let mut entries = Vec::new();
-
-    // --- Harvesting matrix profile: the one fused diagonal pass at one
-    // thread (baseline) vs two threads (current), same workspace reuse. ---
-    let (hn, hl, hp) = if smoke { (1_024, 32, 8) } else { (8_192, 128, 50) };
-    {
-        let ps = ProfiledSeries::from_values(&random_walk(hn, SEED)).unwrap();
-        let iters = iters_for(hn);
-        let noop = SharedRecorder::noop();
-        let mut sink = 0usize;
-        let mut pass_ms = |threads: usize| {
-            let mut hws = Workspace::new();
-            median_ms(iters, || {
-                let h = valmod_core::compute_matrix_profile_with_ws(
-                    &ps,
-                    hl,
-                    hp,
-                    ExclusionPolicy::HALF,
-                    threads,
-                    &noop,
-                    &mut hws,
-                )
-                .unwrap();
-                sink += std::hint::black_box(h.partials.len());
-            })
-        };
-        let one_ms = pass_ms(1);
-        let two_ms = pass_ms(2);
-        std::hint::black_box(sink);
-        entries.push(BenchEntry {
-            name: format!("compute_mp/n{hn}/l{hl}/p{hp}/threads{{1,2}}"),
-            kind: "compute_mp",
-            n: hn,
-            l: hl,
-            iters,
-            baseline_ms: one_ms,
-            current_ms: two_ms,
-        });
-    }
 
     // --- Serve query planner: a warm overlapping-range sweep composed from
     // the fragment cache vs the same sweep on an engine with a zero
@@ -458,7 +409,7 @@ mod tests {
     fn smoke_suite_produces_every_pinned_entry_kind() {
         let report = run_suite(true);
         let kinds: Vec<&str> = report.entries.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, ["compute_mp", "planner", "append", "serve_mixed"]);
+        assert_eq!(kinds, ["planner", "append", "serve_mixed"]);
         for e in &report.entries {
             assert!(e.current_ms > 0.0, "{}: non-positive timing", e.name);
             assert!(e.baseline_ms > 0.0, "{}: non-positive baseline", e.name);

@@ -184,10 +184,9 @@ deadlines, and redispatch from dead workers, and merges the partials
 bit-identically to a single-node run. `--local` computes the same job in
 process — its `--json` body is byte-comparable with a distributed run's.
 
-`bench` runs the pinned regression suite (the harvesting pass at 1 vs 2
-threads, the serve planner's fragment-composed sweep vs cold recomputes,
-append-then-query extension vs cold recomputes, and a mixed serve
-workload at 1 vs 4 client threads) and writes the snapshot to
+`bench` runs the pinned regression suite (the serve planner's
+fragment-composed sweep vs cold recomputes, append-then-query extension
+vs cold recomputes, and a mixed serve workload at 1 vs 4 client threads) and writes the snapshot to
 BENCH_core.json (`--out` overrides).
 `--smoke` shrinks every size for CI plumbing checks; `--json` echoes the
 snapshot to stdout instead of the table.";

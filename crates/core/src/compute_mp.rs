@@ -17,7 +17,7 @@
 //! refinement step of `ComputeSubMP` — at every thread count.
 
 use valmod_data::error::{Result, ValmodError};
-use valmod_mp::diagonal::{diagonal_rows, Diagonals};
+use valmod_mp::diagonal::{diagonal_rows, Diagonals, PassBaseline};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::extend::{capture_cells, stomp_with_tail_ws, TailState};
 use valmod_mp::matrix_profile::MatrixProfile;
@@ -117,6 +117,7 @@ fn fused_harvest<T: Send>(
             walk(&diags, range, sink)
         });
     baseline.record(recorder, ndp, l, policy, ws);
+    recorder.add("core.mp.full_profiles", 1);
     harvest.stats.record(recorder);
     let profile =
         MatrixProfile { l, mp: harvest.mp, ip: harvest.ip, exclusion_radius: policy.radius(l) };
@@ -207,49 +208,8 @@ pub(crate) fn capture_profile_with_ws(
     let baseline = PassBaseline::take(ws);
     let (profile, tail) = stomp_with_tail_ws(ps, l, policy, threads, ws)?;
     baseline.record(recorder, profile.len(), l, policy, ws);
+    recorder.add("core.mp.full_profiles", 1);
     Ok((profile, tail))
-}
-
-/// Pre-pass workspace snapshot, turned into the per-pass accounting.
-struct PassBaseline {
-    hits0: u64,
-    misses0: u64,
-    reused: bool,
-}
-
-impl PassBaseline {
-    fn take(ws: &Workspace) -> Self {
-        PassBaseline {
-            hits0: ws.plan_cache().hits(),
-            misses0: ws.plan_cache().misses(),
-            reused: ws.uses() > 0,
-        }
-    }
-
-    fn record(
-        self,
-        recorder: &SharedRecorder,
-        ndp: usize,
-        l: usize,
-        policy: ExclusionPolicy,
-        ws: &Workspace,
-    ) {
-        if !recorder.enabled() {
-            return;
-        }
-        recorder.add("core.mp.full_profiles", 1);
-        recorder.add("mp.mass.calls", 1);
-        recorder.add("mp.stomp.rows", ndp as u64);
-        recorder.add(
-            "mp.diag.blocks",
-            valmod_mp::diagonal::block_count(ndp, policy.radius(l), ws.block()),
-        );
-        if self.reused {
-            recorder.add("mp.workspace.reuses", 1);
-        }
-        recorder.add("fft.plan_cache.hits", ws.plan_cache().hits() - self.hits0);
-        recorder.add("fft.plan_cache.misses", ws.plan_cache().misses() - self.misses0);
-    }
 }
 
 #[cfg(test)]

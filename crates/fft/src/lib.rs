@@ -10,7 +10,6 @@
 //! * [`complex::Complex`] — a minimal complex number.
 //! * [`radix2`] — an in-place iterative radix-2 Cooley–Tukey FFT with
 //!   reusable plans.
-//! * [`bluestein`] — exact DFT for arbitrary sizes (chirp-z).
 //! * [`real`] — packed real convolution and the
 //!   [`real::sliding_dot_product`] used by MASS/STOMP.
 //! * [`plan_cache`] — a [`plan_cache::PlanCache`] of plans and scratch
@@ -35,13 +34,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bluestein;
 pub mod complex;
 pub mod plan_cache;
 pub mod radix2;
 pub mod real;
 
-pub use bluestein::BluesteinPlan;
 pub use complex::Complex;
 pub use plan_cache::PlanCache;
 pub use radix2::{fft, ifft, Direction, Radix2Plan};

@@ -16,16 +16,15 @@
 //! naive-path threshold, and a plan is a pure function of its size, so a
 //! cached plan and a fresh plan run exactly the same floating-point
 //! operations. `tests/plan_cache_props.rs` asserts this property over random
-//! inputs, including Bluestein sizes (1, primes, n−1).
+//! inputs.
 
 use std::collections::HashMap;
 
-use crate::bluestein::BluesteinPlan;
 use crate::complex::Complex;
 use crate::radix2::Radix2Plan;
 use crate::real::{convolve_fft_into, convolve_naive_into, NAIVE_THRESHOLD};
 
-/// Caches radix-2 and Bluestein plans by transform size, together with the
+/// Caches radix-2 plans by transform size, together with the
 /// scratch buffers the packed real convolution needs.
 ///
 /// Not thread-safe by design (no interior mutability): each worker owns its
@@ -33,7 +32,6 @@ use crate::real::{convolve_fft_into, convolve_naive_into, NAIVE_THRESHOLD};
 #[derive(Debug, Default)]
 pub struct PlanCache {
     radix2: HashMap<usize, Radix2Plan>,
-    bluestein: HashMap<usize, BluesteinPlan>,
     buf: Vec<Complex>,
     spec: Vec<Complex>,
     reversed: Vec<f64>,
@@ -58,15 +56,14 @@ impl PlanCache {
         self.misses
     }
 
-    /// Number of plans currently cached (radix-2 plus Bluestein).
+    /// Number of plans currently cached.
     pub fn plans(&self) -> usize {
-        self.radix2.len() + self.bluestein.len()
+        self.radix2.len()
     }
 
     /// Drops every cached plan and scratch buffer (counters are kept).
     pub fn clear(&mut self) {
         self.radix2.clear();
-        self.bluestein.clear();
         self.buf = Vec::new();
         self.spec = Vec::new();
         self.reversed = Vec::new();
@@ -85,32 +82,6 @@ impl PlanCache {
                 v.insert(Radix2Plan::new(n))
             }
         }
-    }
-
-    /// The Bluestein plan for arbitrary size `n > 0`, built on first use.
-    pub fn bluestein(&mut self, n: usize) -> &BluesteinPlan {
-        match self.bluestein.entry(n) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.misses += 1;
-                v.insert(BluesteinPlan::new(n))
-            }
-        }
-    }
-
-    /// Forward DFT of arbitrary size via a cached Bluestein plan.
-    /// Bit-identical to `BluesteinPlan::new(input.len()).forward(input)`.
-    pub fn dft(&mut self, input: &[Complex]) -> Vec<Complex> {
-        self.bluestein(input.len()).forward(input)
-    }
-
-    /// Inverse DFT of arbitrary size via a cached Bluestein plan.
-    /// Bit-identical to `BluesteinPlan::new(input.len()).inverse(input)`.
-    pub fn idft(&mut self, input: &[Complex]) -> Vec<Complex> {
-        self.bluestein(input.len()).inverse(input)
     }
 
     /// Full linear convolution into `out` (cleared first). Bit-identical to
@@ -237,19 +208,5 @@ mod tests {
         cache.clear();
         assert_eq!(cache.plans(), 0);
         assert_eq!(cache.misses(), misses);
-    }
-
-    #[test]
-    fn bluestein_plans_are_cached() {
-        let mut cache = PlanCache::new();
-        let input: Vec<Complex> = (0..7).map(|i| Complex::new(i as f64, -(i as f64))).collect();
-        let a = cache.dft(&input);
-        let b = cache.dft(&input);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
     }
 }

@@ -302,32 +302,56 @@ pub fn stomp_diagonal_ws(
     policy: ExclusionPolicy,
     ws: &mut Workspace,
 ) -> Result<MatrixProfile> {
-    stomp_diagonal_with(ps, l, policy, ws, &SharedRecorder::noop())
+    stomp_diagonal_parallel_ws(ps, l, policy, 1, ws)
 }
 
-/// [`stomp_diagonal_ws`] with instrumentation: block count into
-/// `mp.diag.blocks`, workspace recycling into `mp.workspace.reuses`, and
-/// FFT plan-cache traffic into `fft.plan_cache.hits`/`misses`.
-pub fn stomp_diagonal_with(
-    ps: &ProfiledSeries,
-    l: usize,
-    policy: ExclusionPolicy,
-    ws: &mut Workspace,
-    recorder: &SharedRecorder,
-) -> Result<MatrixProfile> {
-    let observe = recorder.enabled();
-    let (hits0, misses0, reused) =
-        (ws.plan_cache().hits(), ws.plan_cache().misses(), ws.uses() > 0);
-    let out = stomp_diagonal_parallel_ws(ps, l, policy, 1, ws)?;
-    if observe {
-        recorder.add("mp.diag.blocks", block_count(out.len(), policy.radius(l), ws.block()));
-        if reused {
+/// The accounting of one full-profile kernel pass over a [`Workspace`]:
+/// [`PassBaseline::take`] snapshots the workspace before the pass and
+/// [`PassBaseline::record`] turns the difference into the pass counters.
+/// Every recorded full-profile pass, plain or harvesting, is counted here.
+#[derive(Debug, Clone, Copy)]
+pub struct PassBaseline {
+    hits0: u64,
+    misses0: u64,
+    reused: bool,
+}
+
+impl PassBaseline {
+    /// Snapshots `ws` before a pass.
+    pub fn take(ws: &Workspace) -> Self {
+        PassBaseline {
+            hits0: ws.plan_cache().hits(),
+            misses0: ws.plan_cache().misses(),
+            reused: ws.uses() > 0,
+        }
+    }
+
+    /// Records the pass over `ndp` rows at `l` into `recorder`: one seed
+    /// row (`mp.mass.calls`; every other cell uses the O(1) update), the
+    /// rows (`mp.stomp.rows`), the diagonal blocks (`mp.diag.blocks`),
+    /// workspace recycling (`mp.workspace.reuses`) and the FFT plan-cache
+    /// traffic (`fft.plan_cache.hits`/`misses`). A disabled recorder costs
+    /// one branch.
+    pub fn record(
+        self,
+        recorder: &SharedRecorder,
+        ndp: usize,
+        l: usize,
+        policy: ExclusionPolicy,
+        ws: &Workspace,
+    ) {
+        if !recorder.enabled() {
+            return;
+        }
+        recorder.add("mp.mass.calls", 1);
+        recorder.add("mp.stomp.rows", ndp as u64);
+        recorder.add("mp.diag.blocks", block_count(ndp, policy.radius(l), ws.block()));
+        if self.reused {
             recorder.add("mp.workspace.reuses", 1);
         }
-        recorder.add("fft.plan_cache.hits", ws.plan_cache().hits() - hits0);
-        recorder.add("fft.plan_cache.misses", ws.plan_cache().misses() - misses0);
+        recorder.add("fft.plan_cache.hits", ws.plan_cache().hits() - self.hits0);
+        recorder.add("fft.plan_cache.misses", ws.plan_cache().misses() - self.misses0);
     }
-    Ok(out)
 }
 
 /// Splits diagonals `[radius, ndp)` into at most `threads` contiguous

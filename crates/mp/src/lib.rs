@@ -51,7 +51,7 @@ pub mod workspace;
 pub use context::ProfiledSeries;
 pub use diagonal::{
     diagonal_chunks, diagonal_rows, lex_update, merge_partial, stomp_diagonal_parallel_ws,
-    stomp_diagonal_range_ws, stomp_diagonal_ws, Diagonals,
+    stomp_diagonal_range_ws, stomp_diagonal_ws, Diagonals, PassBaseline,
 };
 pub use discord::{top_discords, Discord};
 pub use distance::{dist_from_qt, length_normalize, zdist_naive};

@@ -14,9 +14,10 @@
 //! [`row_chunks`] splits rows for `ComputeSubMP`'s per-row advance.
 
 use valmod_data::error::Result;
-use valmod_obs::{Recorder, SharedRecorder};
+use valmod_obs::SharedRecorder;
 
 use crate::context::ProfiledSeries;
+use crate::diagonal::PassBaseline;
 use crate::exclusion::ExclusionPolicy;
 use crate::matrix_profile::MatrixProfile;
 
@@ -87,9 +88,8 @@ pub fn stomp_parallel(
 }
 
 /// [`stomp_parallel`] with instrumentation: the whole parallel traversal is
-/// timed into `mp.diag.parallel_us`, the one seed row into `mp.mass.calls`,
-/// the row total into `mp.stomp.rows`, and the block count into
-/// `mp.diag.blocks`. With a disabled recorder the only cost is one
+/// timed into `mp.diag.parallel_us` and the pass is counted by
+/// [`PassBaseline`]. With a disabled recorder the only cost is one
 /// `enabled()` branch per call.
 pub fn stomp_parallel_with(
     ps: &ProfiledSeries,
@@ -99,19 +99,12 @@ pub fn stomp_parallel_with(
     recorder: &SharedRecorder,
 ) -> Result<MatrixProfile> {
     let mut ws = crate::workspace::Workspace::new();
+    let baseline = PassBaseline::take(&ws);
     let profile = {
         let _span = valmod_obs::span!(recorder, "mp.diag.parallel_us");
         crate::diagonal::stomp_diagonal_parallel_ws(ps, l, policy, threads, &mut ws)?
     };
-    if recorder.enabled() {
-        // One seed row; every other cell uses the O(1) update.
-        recorder.add("mp.mass.calls", 1);
-        recorder.add("mp.stomp.rows", profile.len() as u64);
-        recorder.add(
-            "mp.diag.blocks",
-            crate::diagonal::block_count(profile.len(), policy.radius(l), ws.block()),
-        );
-    }
+    baseline.record(recorder, profile.len(), l, policy, &ws);
     Ok(profile)
 }
 

@@ -12,6 +12,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use valmod_obs::{Counter, Registry};
+
 use crate::value::Value;
 
 /// Cache key: series identity + data version + canonical query.
@@ -32,17 +34,32 @@ struct Entry {
     last_used: u64,
 }
 
-/// Counters exposed through `STATS`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CacheStats {
-    /// Lookups that found a live entry.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
+/// The result cache's event counters in the engine's registry, bound once.
+/// The cache counts what happens inside it (evictions, invalidations); the
+/// engine counts its probes (hits, admission misses). STATS' `cache`
+/// section reads these same cells.
+#[derive(Debug, Clone)]
+pub struct CacheCounters {
+    /// Probes that found a live entry.
+    pub(crate) hit: Counter,
+    /// Admission probes that missed.
+    pub(crate) miss: Counter,
     /// Entries evicted to stay within the byte budget.
-    pub evictions: u64,
+    pub(crate) evictions: Counter,
     /// Entries purged by series invalidation (append/replace).
-    pub invalidated: u64,
+    pub(crate) invalidated: Counter,
+}
+
+impl CacheCounters {
+    /// Binds (registering on first use) every counter in `registry`.
+    pub fn bind(registry: &Registry) -> Self {
+        CacheCounters {
+            hit: registry.counter("serve.cache.hit"),
+            miss: registry.counter("serve.cache.miss"),
+            evictions: registry.counter("serve.cache.evictions"),
+            invalidated: registry.counter("serve.cache.invalidated"),
+        }
+    }
 }
 
 /// An LRU cache of encoded query results, bounded by approximate bytes.
@@ -52,29 +69,23 @@ pub struct ResultCache {
     used: usize,
     tick: u64,
     map: HashMap<CacheKey, Entry>,
-    stats: CacheStats,
+    counters: CacheCounters,
 }
 
 impl ResultCache {
-    /// A cache bounded by `budget` bytes (0 disables caching entirely).
-    pub fn new(budget: usize) -> Self {
-        ResultCache { budget, used: 0, tick: 0, map: HashMap::new(), stats: CacheStats::default() }
+    /// A cache bounded by `budget` bytes (0 disables caching entirely) that
+    /// counts its evictions and invalidations into `counters`.
+    pub fn new(budget: usize, counters: CacheCounters) -> Self {
+        ResultCache { budget, used: 0, tick: 0, map: HashMap::new(), counters }
     }
 
-    /// Looks up `key`, refreshing its recency on a hit.
+    /// Looks up `key`, refreshing its recency on a hit. Counts nothing: the
+    /// caller knows whether the probe is an admission.
     pub fn get(&mut self, key: &CacheKey) -> Option<Arc<Value>> {
         self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                self.stats.hits += 1;
-                Some(Arc::clone(&entry.value))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let entry = self.map.get_mut(key)?;
+        entry.last_used = self.tick;
+        Some(Arc::clone(&entry.value))
     }
 
     /// Inserts a result, evicting least-recently-used entries until the
@@ -103,7 +114,7 @@ impl ResultCache {
                 .expect("used > budget implies non-empty");
             let e = self.map.remove(&lru).expect("key just observed");
             self.used -= e.bytes;
-            self.stats.evictions += 1;
+            self.counters.evictions.incr();
         }
     }
 
@@ -114,7 +125,7 @@ impl ResultCache {
         for key in stale {
             let e = self.map.remove(&key).expect("key just observed");
             self.used -= e.bytes;
-            self.stats.invalidated += 1;
+            self.counters.invalidated.incr();
         }
     }
 
@@ -136,11 +147,6 @@ impl ResultCache {
     /// The configured byte budget.
     pub fn budget_bytes(&self) -> usize {
         self.budget
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -164,24 +170,37 @@ mod tests {
         Arc::new(Value::Arr(vec![Value::Num(1.0); n]))
     }
 
+    /// A cache over a fresh registry, and that registry to read its counts.
+    fn counted(budget: usize) -> (ResultCache, Registry) {
+        let registry = Registry::new();
+        (ResultCache::new(budget, CacheCounters::bind(&registry)), registry)
+    }
+
+    fn count(registry: &Registry, key: &str) -> u64 {
+        registry.counter(key).get()
+    }
+
     #[test]
     fn hit_miss_and_versioning() {
-        let mut cache = ResultCache::new(10_000);
+        let (mut cache, registry) = counted(10_000);
         assert!(cache.get(&key("a", 1, "q")).is_none());
         cache.insert(key("a", 1, "q"), payload(4));
         assert!(cache.get(&key("a", 1, "q")).is_some());
         // A different version or query is a different entry.
         assert!(cache.get(&key("a", 2, "q")).is_none());
         assert!(cache.get(&key("a", 1, "q2")).is_none());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 3));
+        // Probes are the caller's to count.
+        assert_eq!(
+            (count(&registry, "serve.cache.hit"), count(&registry, "serve.cache.miss")),
+            (0, 0)
+        );
     }
 
     #[test]
     fn lru_eviction_respects_recency_and_budget() {
         // Budget sized for two payloads; inserting a third evicts the LRU.
         let one = entry_bytes(&key("a", 1, "q1"), &payload(8));
-        let mut cache = ResultCache::new(2 * one + 4);
+        let (mut cache, registry) = counted(2 * one + 4);
         cache.insert(key("a", 1, "q1"), payload(8));
         cache.insert(key("a", 1, "q2"), payload(8));
         assert!(cache.get(&key("a", 1, "q1")).is_some()); // refresh q1
@@ -189,13 +208,13 @@ mod tests {
         assert!(cache.get(&key("a", 1, "q2")).is_none(), "q2 was LRU");
         assert!(cache.get(&key("a", 1, "q1")).is_some());
         assert!(cache.get(&key("a", 1, "q3")).is_some());
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(count(&registry, "serve.cache.evictions"), 1);
         assert!(cache.used_bytes() <= cache.budget_bytes());
     }
 
     #[test]
     fn oversized_results_are_skipped() {
-        let mut cache = ResultCache::new(16);
+        let mut cache = counted(16).0;
         cache.insert(key("a", 1, "q"), payload(1000));
         assert!(cache.is_empty());
         assert_eq!(cache.used_bytes(), 0);
@@ -203,7 +222,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_without_double_accounting() {
-        let mut cache = ResultCache::new(10_000);
+        let mut cache = counted(10_000).0;
         cache.insert(key("a", 1, "q"), payload(8));
         let used = cache.used_bytes();
         cache.insert(key("a", 1, "q"), payload(8));
@@ -213,19 +232,19 @@ mod tests {
 
     #[test]
     fn invalidate_series_purges_all_versions() {
-        let mut cache = ResultCache::new(10_000);
+        let (mut cache, registry) = counted(10_000);
         cache.insert(key("a", 1, "q1"), payload(2));
         cache.insert(key("a", 2, "q1"), payload(2));
         cache.insert(key("b", 1, "q1"), payload(2));
         cache.invalidate_series("a");
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key("b", 1, "q1")).is_some());
-        assert_eq!(cache.stats().invalidated, 2);
+        assert_eq!(count(&registry, "serve.cache.invalidated"), 2);
     }
 
     #[test]
     fn zero_budget_disables_caching() {
-        let mut cache = ResultCache::new(0);
+        let mut cache = counted(0).0;
         cache.insert(key("a", 1, "q"), payload(1));
         assert!(cache.get(&key("a", 1, "q")).is_none());
     }
@@ -258,7 +277,7 @@ mod tests {
             ) {
                 let series = ["a", "bb", "ccc"];
                 let queries = ["q", "motifs l=16", "profile l_min=8 l_max=64"];
-                let mut cache = ResultCache::new(budget);
+                let mut cache = counted(budget).0;
                 for (op, s, version, q, size) in ops {
                     let k = key(series[s], version, queries[q]);
                     match op {
@@ -305,7 +324,7 @@ mod tests {
                 let budgets = crate::engine::split_budget(total_budget, STRIPES);
                 prop_assert_eq!(budgets.iter().sum::<usize>(), total_budget);
                 let caches: Arc<Vec<Mutex<ResultCache>>> = Arc::new(
-                    budgets.iter().map(|b| Mutex::new(ResultCache::new(*b))).collect(),
+                    budgets.iter().map(|b| Mutex::new(counted(*b).0)).collect(),
                 );
                 let threads: Vec<_> = per_thread_ops
                     .into_iter()

@@ -60,11 +60,11 @@ use valmod_core::{
     ValmodConfig,
 };
 use valmod_mp::{ExclusionPolicy, ProfiledSeries};
-use valmod_obs::{MetricSnapshot, Recorder, Registry, SharedRecorder, Snapshot};
+use valmod_obs::{Counter, Gauge, MetricSnapshot, Recorder, Registry, SharedRecorder, Snapshot};
 
-use crate::cache::{CacheKey, ResultCache};
+use crate::cache::{CacheCounters, CacheKey, ResultCache};
 use crate::error::{ServeError, ServeResult};
-use crate::fragment::FragmentCache;
+use crate::fragment::{FragmentCache, FragmentCounters};
 use crate::response::{
     BodyShape, DiscordHit, DiscordsBody, MotifHit, MotifsBody, SetEntry, SetsBody,
 };
@@ -350,12 +350,10 @@ impl FlightGuard {
         let shard = &self.shared.shards[self.stripe];
         let removed = shard.flights.lock().expect("flights lock").remove(&self.key).is_some();
         if removed {
-            self.shared.counters.inflight_flights.fetch_sub(1, Ordering::Relaxed);
+            self.shared.inflight_flights.fetch_sub(1, Ordering::Relaxed);
         }
-        self.shared
-            .registry
-            .gauge("serve.flights.inflight")
-            .set(self.shared.counters.inflight_flights.load(Ordering::Relaxed) as f64);
+        let inflight = self.shared.inflight_flights.load(Ordering::Relaxed);
+        self.shared.counters.inflight.set(inflight as f64);
     }
 
     /// Normal-path completion: retire the flight, then hand the leader's
@@ -381,35 +379,22 @@ impl Drop for FlightGuard {
     }
 }
 
-/// RAII span over one cold compute: maintains the `active_computes`
-/// counter and CAS-maxes `peak_computes`, the engine's proof that
-/// different-stripe computes genuinely overlap in time.
+/// RAII span over one cold compute: maintains the `active_computes` level
+/// and raises the `serve.compute.peak_active` high-water mark, the engine's
+/// proof that different-stripe computes genuinely overlap in time.
 struct ComputeSpan<'a>(&'a Shared);
 
 impl<'a> ComputeSpan<'a> {
     fn enter(shared: &'a Shared) -> Self {
-        let c = &shared.counters;
-        let active = c.active_computes.fetch_add(1, Ordering::AcqRel) + 1;
-        let mut peak = c.peak_computes.load(Ordering::Relaxed);
-        while active > peak {
-            match c.peak_computes.compare_exchange_weak(
-                peak,
-                active,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => peak = seen,
-            }
-        }
-        shared.registry.gauge("serve.compute.peak_active").set_max(active as f64);
+        let active = shared.active_computes.fetch_add(1, Ordering::AcqRel) + 1;
+        shared.counters.peak_active.set_max(active as f64);
         ComputeSpan(shared)
     }
 }
 
 impl Drop for ComputeSpan<'_> {
     fn drop(&mut self) {
-        self.0.counters.active_computes.fetch_sub(1, Ordering::AcqRel);
+        self.0.active_computes.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -454,20 +439,39 @@ struct Job {
     reply: SyncSender<ServeResult<QueryOutcome>>,
 }
 
-#[derive(Debug, Default)]
-struct EngineCounters {
-    queries: AtomicU64,
-    computed: AtomicU64,
-    coalesced: AtomicU64,
-    busy_rejections: AtomicU64,
-    deadline_misses: AtomicU64,
-    /// Open single-flight entries across all stripes (STATS reads this
-    /// instead of walking the per-stripe tables).
-    inflight_flights: AtomicU64,
-    /// Cold computes currently inside their [`ComputeSpan`].
-    active_computes: AtomicU64,
-    /// High-water mark of `active_computes` — > 1 proves computes overlap.
-    peak_computes: AtomicU64,
+/// Every serve event's one counter, bound once from the engine's registry
+/// when the engine is built: counting on the request path is one relaxed
+/// atomic add, never a registry lookup. STATS fills its `engine`, `cache`
+/// and `planner` event keys from these cells, and the `obs` section shows
+/// the same cells under their registry names.
+struct Counters {
+    queries: Counter,
+    computed: Counter,
+    coalesced: Counter,
+    shed_busy: Counter,
+    shed_deadline: Counter,
+    /// High-water mark of concurrent cold computes: > 1 proves computes
+    /// overlap.
+    peak_active: Gauge,
+    inflight: Gauge,
+    cache: CacheCounters,
+    fragments: FragmentCounters,
+}
+
+impl Counters {
+    fn bind(registry: &Registry) -> Self {
+        Counters {
+            queries: registry.counter("serve.query.requests"),
+            computed: registry.counter("serve.query.computed"),
+            coalesced: registry.counter("serve.query.coalesced"),
+            shed_busy: registry.counter("serve.queue.shed_busy"),
+            shed_deadline: registry.counter("serve.queue.shed_deadline"),
+            peak_active: registry.gauge("serve.compute.peak_active"),
+            inflight: registry.gauge("serve.flights.inflight"),
+            cache: CacheCounters::bind(registry),
+            fragments: FragmentCounters::bind(registry),
+        }
+    }
 }
 
 /// One stripe's slice of the engine-level shared state. A series' shard
@@ -483,7 +487,12 @@ struct Shared {
     cfg: EngineConfig,
     store: SeriesStore,
     shards: Box<[Shard]>,
-    counters: EngineCounters,
+    counters: Counters,
+    /// Open single-flight entries across all stripes (STATS reads this
+    /// instead of walking the per-stripe tables).
+    inflight_flights: AtomicU64,
+    /// Cold computes currently inside their [`ComputeSpan`].
+    active_computes: AtomicU64,
     registry: Registry,
     recorder: SharedRecorder,
     shutting_down: AtomicBool,
@@ -527,6 +536,7 @@ impl QueryEngine {
         let registry = Registry::new();
         valmod_core::instrument::register_probe_histograms(&registry);
         let recorder = SharedRecorder::from(registry.clone());
+        let counters = Counters::bind(&registry);
         let store = match &cfg.data_dir {
             Some(dir) => {
                 SeriesStore::open_with_stripes(dir, cfg.wal_compact_bytes, cfg.stripes, &recorder)?
@@ -540,8 +550,11 @@ impl QueryEngine {
             .into_iter()
             .zip(split_budget(cfg.fragment_cache_bytes, cfg.stripes))
             .map(|(cache_budget, fragment_budget)| Shard {
-                cache: Mutex::new(ResultCache::new(cache_budget)),
-                fragments: Mutex::new(FragmentCache::new(fragment_budget)),
+                cache: Mutex::new(ResultCache::new(cache_budget, counters.cache.clone())),
+                fragments: Mutex::new(FragmentCache::new(
+                    fragment_budget,
+                    counters.fragments.clone(),
+                )),
                 flights: Mutex::new(HashMap::new()),
             })
             .collect();
@@ -549,7 +562,9 @@ impl QueryEngine {
             cfg,
             store,
             shards,
-            counters: EngineCounters::default(),
+            counters,
+            inflight_flights: AtomicU64::new(0),
+            active_computes: AtomicU64::new(0),
             registry,
             recorder,
             shutting_down: AtomicBool::new(false),
@@ -628,7 +643,8 @@ impl QueryEngine {
     /// in-flight computation when one exists (single-flight coalescing);
     /// otherwise scheduled on the worker pool behind the bounded queue.
     pub fn query(&self, spec: QuerySpec) -> ServeResult<QueryOutcome> {
-        self.shared.counters.queries.fetch_add(1, Ordering::Relaxed);
+        let c = &self.shared.counters;
+        c.queries.incr();
         self.reject_if_shutting_down()?;
         // Admission-time cache probe against the current version, read
         // from the slot's lock-free mirror — admission never waits behind
@@ -639,10 +655,10 @@ impl QueryEngine {
         let shard = &self.shared.shards[stripe];
         let key = CacheKey { series: spec.series.clone(), version, query: spec.query_key() };
         if let Some(payload) = shard.cache.lock().expect("cache lock").get(&key) {
-            self.shared.recorder.add("serve.cache.hit", 1);
+            c.cache.hit.incr();
             return Ok(QueryOutcome { payload, cached: true, coalesced: false });
         }
-        self.shared.recorder.add("serve.cache.miss", 1);
+        c.cache.miss.incr();
         let deadline = Instant::now() + spec.deadline.unwrap_or(self.shared.cfg.default_deadline);
         // Single-flight, per stripe: exactly one request per cache key
         // becomes the leader and submits a job; identical requests arriving
@@ -657,8 +673,8 @@ impl QueryEngine {
             let flight = Arc::new(Flight::default());
             flights.insert(key.clone(), Arc::clone(&flight));
             drop(flights);
-            let inflight = self.shared.counters.inflight_flights.fetch_add(1, Ordering::Relaxed);
-            self.shared.registry.gauge("serve.flights.inflight").set((inflight + 1) as f64);
+            let inflight = self.shared.inflight_flights.fetch_add(1, Ordering::Relaxed);
+            c.inflight.set((inflight + 1) as f64);
             FlightGuard { shared: Arc::clone(&self.shared), stripe, key, flight, done: false }
         };
         let result = self.submit(Work::Query(spec), deadline);
@@ -680,8 +696,7 @@ impl QueryEngine {
         loop {
             match &*done {
                 Some(Ok(payload)) => {
-                    self.shared.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                    self.shared.recorder.add("serve.query.coalesced", 1);
+                    self.shared.counters.coalesced.incr();
                     return Ok(QueryOutcome {
                         payload: Arc::clone(payload),
                         cached: false,
@@ -693,8 +708,7 @@ impl QueryEngine {
             }
             let now = Instant::now();
             if now >= deadline {
-                self.shared.counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                self.shared.recorder.add("serve.queue.shed_deadline", 1);
+                self.shared.counters.shed_deadline.incr();
                 return Err(ServeError::DeadlineExceeded);
             }
             let (guard, _) = flight.cv.wait_timeout(done, deadline - now).expect("flight lock");
@@ -721,8 +735,7 @@ impl QueryEngine {
             match tx.try_send(job) {
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) => {
-                    self.shared.counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    self.shared.recorder.add("serve.queue.shed_busy", 1);
+                    self.shared.counters.shed_busy.incr();
                     return Err(ServeError::Busy);
                 }
                 Err(TrySendError::Disconnected(_)) => return Err(ServeError::ShuttingDown),
@@ -746,7 +759,9 @@ impl QueryEngine {
 
     /// A `STATS` snapshot: engine counters, cache accounting (aggregated
     /// and per stripe), per-series inventory, and the scheduler
-    /// configuration. Assembled without stopping the world: counters are
+    /// configuration. Every event key reads its one registry counter, so it
+    /// equals the `obs` entry of the same event; the sections compute only
+    /// state. Assembled without stopping the world: counters and levels are
     /// atomics, the series section reads each slot's lock-free mirrors
     /// (never a series lock — a slow append cannot stall STATS), and the
     /// per-stripe cache mutexes are taken one stripe at a time.
@@ -776,62 +791,66 @@ impl QueryEngine {
             ),
             ("recovery_skipped", store.recovery_skipped().len().into()),
         ]);
-        // Aggregate the striped caches; expose per-stripe accounting so a
-        // hot stripe is visible, not averaged away.
+        // Aggregate the striped caches' state; expose it per stripe too so
+        // a hot stripe is visible, not averaged away.
+        let c = &self.shared.counters;
         let (mut cache_rows, mut per_stripe) = (Vec::new(), Vec::new());
         for (i, shard) in self.shared.shards.iter().enumerate() {
             let cache = shard.cache.lock().expect("cache lock");
-            let cs = cache.stats();
             let row = vec![
                 ("entries", cache.len() as u64),
                 ("used_bytes", cache.used_bytes() as u64),
                 ("budget_bytes", cache.budget_bytes() as u64),
-                ("hits", cs.hits),
-                ("misses", cs.misses),
-                ("evictions", cs.evictions),
-                ("invalidated", cs.invalidated),
             ];
-            let stripe = row[..5].iter().map(|&(k, v)| (k, v.into()));
+            let stripe = row.iter().map(|&(k, v)| (k, v.into()));
             per_stripe
                 .push(Value::obj(std::iter::once(("stripe", i.into())).chain(stripe).collect()));
             cache_rows.push(row);
         }
         let mut cache_fields = sum_fields(cache_rows);
+        cache_fields.extend([
+            ("hits", c.cache.hit.get().into()),
+            ("misses", c.cache.miss.get().into()),
+            ("evictions", c.cache.evictions.get().into()),
+            ("invalidated", c.cache.invalidated.get().into()),
+        ]);
         cache_fields.push(("per_stripe", Value::Arr(per_stripe)));
         let planner_rows = self.shared.shards.iter().map(|shard| {
             let fragments = shard.fragments.lock().expect("fragment cache lock");
-            let (fs, (pinned, pinned_bytes)) = (fragments.stats(), fragments.pinned());
+            let (pinned, pinned_bytes) = fragments.pinned();
             vec![
                 ("fragment_entries", fragments.len() as u64),
                 ("fragment_used_bytes", fragments.used_bytes() as u64),
                 ("fragment_budget_bytes", fragments.budget_bytes() as u64),
-                ("fragment_hits", fs.hits),
-                ("fragment_misses", fs.misses),
-                ("fragment_evictions", fs.evictions),
-                ("fragment_invalidated", fs.invalidated),
-                ("fragments_extended", fs.extended),
                 ("parked_states", fragments.state_count() as u64),
                 ("parked_bytes", fragments.parked_bytes() as u64),
                 ("parked_proven", fragments.proven_count() as u64),
                 ("pinned_states", pinned as u64),
                 ("pinned_bytes", pinned_bytes as u64),
-                ("states_refused", fs.states_refused),
             ]
         });
-        let c = &self.shared.counters;
+        let f = &c.fragments;
         let mut planner_fields = sum_fields(planner_rows);
-        planner_fields.push(("inflight", c.inflight_flights.load(Ordering::Relaxed).into()));
+        planner_fields.extend([
+            ("fragment_hits", f.hit.get().into()),
+            ("fragment_misses", f.miss.get().into()),
+            ("fragment_evictions", f.evictions.get().into()),
+            ("fragment_invalidated", f.invalidated.get().into()),
+            ("fragments_extended", f.extended.get().into()),
+            ("states_refused", f.state_refused.get().into()),
+            ("inflight", self.shared.inflight_flights.load(Ordering::Relaxed).into()),
+        ]);
         Value::obj(vec![
             (
                 "engine",
                 Value::obj(vec![
-                    ("queries", c.queries.load(Ordering::Relaxed).into()),
-                    ("computed", c.computed.load(Ordering::Relaxed).into()),
-                    ("coalesced", c.coalesced.load(Ordering::Relaxed).into()),
-                    ("busy_rejections", c.busy_rejections.load(Ordering::Relaxed).into()),
-                    ("deadline_misses", c.deadline_misses.load(Ordering::Relaxed).into()),
-                    ("active_computes", c.active_computes.load(Ordering::Relaxed).into()),
-                    ("peak_computes", c.peak_computes.load(Ordering::Relaxed).into()),
+                    ("queries", c.queries.get().into()),
+                    ("computed", c.computed.get().into()),
+                    ("coalesced", c.coalesced.get().into()),
+                    ("busy_rejections", c.shed_busy.get().into()),
+                    ("deadline_misses", c.shed_deadline.get().into()),
+                    ("active_computes", self.shared.active_computes.load(Ordering::Relaxed).into()),
+                    ("peak_computes", (c.peak_active.get() as u64).into()),
                     ("stripes", self.shared.cfg.stripes.into()),
                     ("workers", self.shared.cfg.workers.into()),
                     ("queue_depth", self.shared.cfg.queue_depth.into()),
@@ -894,8 +913,7 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
         };
         shared.recorder.observe("serve.queue.wait_us", job.submitted.elapsed().as_secs_f64() * 1e6);
         if Instant::now() > job.deadline {
-            shared.counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
-            shared.recorder.add("serve.queue.shed_deadline", 1);
+            shared.counters.shed_deadline.incr();
             let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
             continue;
         }
@@ -913,8 +931,7 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) {
             Ok(_) if Instant::now() > job.deadline => {
                 // Too late to be useful to this caller, but the computed
                 // result stays cached for the next one.
-                shared.counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                shared.recorder.add("serve.queue.shed_deadline", 1);
+                shared.counters.shed_deadline.incr();
                 Err(ServeError::DeadlineExceeded)
             }
             other => other,
@@ -972,7 +989,7 @@ fn execute_query(shared: &Shared, spec: &QuerySpec) -> ServeResult<QueryOutcome>
     let shard = shared.shard_for(&spec.series);
     let key = CacheKey { series: spec.series.clone(), version, query: spec.query_key() };
     if let Some(payload) = shard.cache.lock().expect("cache lock").get(&key) {
-        shared.recorder.add("serve.cache.hit", 1);
+        shared.counters.cache.hit.incr();
         return Ok(QueryOutcome { payload, cached: true, coalesced: false });
     }
     let started = Instant::now();
@@ -987,7 +1004,7 @@ fn execute_query(shared: &Shared, spec: &QuerySpec) -> ServeResult<QueryOutcome>
         ("compute_ms", (started.elapsed().as_secs_f64() * 1e3).into()),
         ("body", body),
     ]));
-    shared.counters.computed.fetch_add(1, Ordering::Relaxed);
+    shared.counters.computed.incr();
     shard.cache.lock().expect("cache lock").insert(key, Arc::clone(&payload));
     Ok(QueryOutcome { payload, cached: false, coalesced: false })
 }
@@ -1016,6 +1033,7 @@ fn compute_payload(
             pinned,
             &runner,
             &shard.fragments,
+            &shared.counters.fragments,
             &shared.recorder,
             (spec.l_min, spec.l_max),
         )
@@ -1426,6 +1444,83 @@ mod tests {
     }
 
     #[test]
+    fn every_stats_event_key_is_the_obs_counter_of_its_event() {
+        // Overlapping ranges, one repeated: a result-cache hit, three
+        // computes, and segments that are partly cached yet recomputed
+        // whole. Each STATS event key must read its event's one counter.
+        let eng = QueryEngine::new(EngineConfig::default());
+        eng.load("s", random_walk(1200, 3), &[], ExclusionPolicy::HALF, false).unwrap();
+        let ranges = [(16, 40), (16, 40), (16, 30), (16, 48)];
+        for (l_min, l_max) in ranges {
+            eng.query(motif_spec("s", l_min, l_max)).unwrap();
+        }
+        let stats = eng.stats();
+        let key = |path: &str| {
+            let (section, key) = path.split_once('.').unwrap();
+            stats.get(section).and_then(|s| s.get(key)).and_then(Value::as_u64).unwrap()
+        };
+        let obs = |name: &str| {
+            stats.get("obs").and_then(|o| o.get(name)).and_then(Value::as_f64).unwrap_or(0.0) as u64
+        };
+        for (stat, counter) in [
+            ("engine.queries", "serve.query.requests"),
+            ("engine.computed", "serve.query.computed"),
+            ("engine.coalesced", "serve.query.coalesced"),
+            ("engine.busy_rejections", "serve.queue.shed_busy"),
+            ("engine.deadline_misses", "serve.queue.shed_deadline"),
+            ("engine.peak_computes", "serve.compute.peak_active"),
+            ("cache.hits", "serve.cache.hit"),
+            ("cache.misses", "serve.cache.miss"),
+            ("cache.evictions", "serve.cache.evictions"),
+            ("cache.invalidated", "serve.cache.invalidated"),
+            ("planner.fragment_hits", "serve.fragment.hit"),
+            ("planner.fragment_misses", "serve.fragment.miss"),
+            ("planner.fragment_evictions", "serve.fragment.evictions"),
+            ("planner.fragment_invalidated", "serve.fragment.invalidated"),
+            ("planner.fragments_extended", "serve.fragment.extended"),
+            ("planner.states_refused", "serve.fragment.state_refused"),
+        ] {
+            assert_eq!(key(stat), obs(counter), "{stat} vs {counter}");
+        }
+        assert_eq!((key("engine.queries"), key("engine.computed")), (4, 3));
+        // Misses are admission misses: one per computed query.
+        assert_eq!((key("cache.hits"), key("cache.misses")), (1, 3));
+        // Fragment misses are the fragments the plans computed: replaying
+        // the three computed plans over a cache of the same stripe share
+        // computes exactly as many.
+        let stripes = eng.shared.cfg.stripes;
+        let budget = split_budget(eng.shared.cfg.fragment_cache_bytes, stripes)
+            [eng.shared.store.stripe_index("s")];
+        let counters = FragmentCounters::bind(&Registry::new());
+        let fragments = Mutex::new(FragmentCache::new(budget, counters.clone()));
+        let ps = ProfiledSeries::from_values(&random_walk(1200, 3)).unwrap();
+        let runner = Valmod::from_config(motif_spec("s", 16, 16).valmod_config(1));
+        let noop = SharedRecorder::noop();
+        let computed: usize = [(16, 40), (16, 30), (16, 48)]
+            .into_iter()
+            .map(|lengths| {
+                let run = crate::planner::execute_plan(
+                    &ps,
+                    "s",
+                    1,
+                    1,
+                    &[],
+                    &runner,
+                    &fragments,
+                    &counters,
+                    &noop,
+                    lengths,
+                );
+                run.unwrap().1.fragments_computed
+            })
+            .sum();
+        assert_eq!(key("planner.fragment_misses"), computed as u64);
+        assert_eq!(counters.miss.get(), computed as u64);
+        eng.shutdown();
+        eng.join();
+    }
+
+    #[test]
     fn bottom_slots_never_leak_the_sentinel_onto_the_wire() {
         // A 51-sample series at l = 32 has 20 offsets; HALF exclusion
         // (radius 16) leaves the middle offsets with no admissible
@@ -1478,7 +1573,7 @@ mod tests {
         // structurally impossible.
         let noop = SharedRecorder::noop();
         let store = SeriesStore::new();
-        let mut cache = ResultCache::new(1 << 20);
+        let mut cache = ResultCache::new(1 << 20, CacheCounters::bind(&Registry::new()));
         store.load("a", random_walk(200, 5), &[], ExclusionPolicy::HALF, false, &noop).unwrap();
         let admitted_version = store.get("a").unwrap().version();
         // Replace + purge land mid-compute.
@@ -1726,7 +1821,7 @@ mod tests {
         let stripe = eng.shared.store.stripe_index("s");
         let flight = Arc::new(Flight::default());
         eng.shared.shards[stripe].flights.lock().unwrap().insert(key.clone(), Arc::clone(&flight));
-        eng.shared.counters.inflight_flights.fetch_add(1, Ordering::Relaxed);
+        eng.shared.inflight_flights.fetch_add(1, Ordering::Relaxed);
         let guard =
             FlightGuard { shared: Arc::clone(&eng.shared), stripe, key, flight, done: false };
         // Follower attaches while the doomed leader still owns the flight.
@@ -1761,7 +1856,7 @@ mod tests {
             waited < Duration::from_secs(20),
             "follower must fail fast, not burn its deadline: waited {waited:?}"
         );
-        assert_eq!(eng.shared.counters.inflight_flights.load(Ordering::Relaxed), 0);
+        assert_eq!(eng.shared.inflight_flights.load(Ordering::Relaxed), 0);
         // The engine still works afterwards.
         assert!(eng.query(motif_spec("s", 16, 20)).is_ok());
         eng.shutdown();

@@ -46,6 +46,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use valmod_core::{LengthProfile, SegmentState};
+use valmod_obs::{Counter, Registry};
 
 /// Fragment key: series identity + data version + producing anchor +
 /// length + canonical per-length knobs.
@@ -95,24 +96,41 @@ struct StateEntry {
     last_used: u64,
 }
 
-/// Counters exposed through `STATS` (`planner` section).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FragmentCacheStats {
-    /// Per-length lookups satisfied from a cached fragment.
-    pub hits: u64,
-    /// Per-length lookups that forced a segment recompute.
-    pub misses: u64,
-    /// Fragments and parked states evicted to stay within the byte budget.
-    pub evictions: u64,
-    /// Fragments purged by invalidation: eagerly on replace, lazily (old
-    /// versions garbage-collected on the next planner touch) on append.
-    pub invalidated: u64,
-    /// Parked segment states extended in place over appended samples
-    /// instead of recomputing the segment from scratch.
-    pub extended: u64,
+/// The fragment cache's event counters in the engine's registry, bound
+/// once. The cache counts what happens inside it (evictions, invalidations,
+/// refused states); the planner counts what a plan does with it (fragments
+/// served, computed, extended). STATS' `planner` section reads these same
+/// cells.
+#[derive(Debug, Clone)]
+pub struct FragmentCounters {
+    /// Fragments served from the cache.
+    pub(crate) hit: Counter,
+    /// Fragments computed: a segment not cached whole is recomputed whole.
+    pub(crate) miss: Counter,
+    /// Parked states extended in place over appended samples.
+    pub(crate) extended: Counter,
     /// States not parked: larger than the whole budget, or speculative
     /// without the free space to hold them.
-    pub states_refused: u64,
+    pub(crate) state_refused: Counter,
+    /// Fragments and parked states evicted to stay within the byte budget.
+    pub(crate) evictions: Counter,
+    /// Fragments purged: eagerly on replace, lazily on the next planner
+    /// touch after an append.
+    pub(crate) invalidated: Counter,
+}
+
+impl FragmentCounters {
+    /// Binds (registering on first use) every counter in `registry`.
+    pub fn bind(registry: &Registry) -> Self {
+        FragmentCounters {
+            hit: registry.counter("serve.fragment.hit"),
+            miss: registry.counter("serve.fragment.miss"),
+            extended: registry.counter("serve.fragment.extended"),
+            state_refused: registry.counter("serve.fragment.state_refused"),
+            evictions: registry.counter("serve.fragment.evictions"),
+            invalidated: registry.counter("serve.fragment.invalidated"),
+        }
+    }
 }
 
 /// An LRU cache of per-length profile fragments, bounded by approximate
@@ -125,13 +143,15 @@ pub struct FragmentCache {
     map: HashMap<FragmentKey, Entry>,
     states: HashMap<StateKey, StateEntry>,
     pinned: HashMap<StateKey, SegmentState>,
-    stats: FragmentCacheStats,
+    counters: FragmentCounters,
 }
 
 impl FragmentCache {
     /// A cache bounded by `budget` bytes (0 disables fragment reuse — the
-    /// planner then recomputes every segment, which is always correct).
-    pub fn new(budget: usize) -> Self {
+    /// planner then recomputes every segment, which is always correct) that
+    /// counts its evictions, invalidations and refused states into
+    /// `counters`.
+    pub fn new(budget: usize, counters: FragmentCounters) -> Self {
         FragmentCache {
             budget,
             used: 0,
@@ -139,16 +159,17 @@ impl FragmentCache {
             map: HashMap::new(),
             states: HashMap::new(),
             pinned: HashMap::new(),
-            stats: FragmentCacheStats::default(),
+            counters,
         }
     }
 
     /// All-or-nothing lookup of one planned segment: the fragments for
     /// every length `anchor..=hi` under the same `(series, version,
-    /// anchor, knobs)`. Returns `None` — counting one miss per absent
-    /// length — unless **every** length is present, because a partially
-    /// cached segment is recomputed whole from its anchor (the advance
-    /// chain is only valid from the anchor's full profile).
+    /// anchor, knobs)`. Returns `None` unless **every** length is present,
+    /// because a partially cached segment is recomputed whole from its
+    /// anchor (the advance chain is only valid from the anchor's full
+    /// profile). Counts nothing: the planner counts what it serves and
+    /// what it computes.
     pub fn get_segment(
         &mut self,
         series: &str,
@@ -164,9 +185,7 @@ impl FragmentCache {
             l,
             knobs: knobs.into(),
         };
-        let missing = (anchor..=hi).filter(|&l| !self.map.contains_key(&key(l))).count() as u64;
-        if missing > 0 {
-            self.stats.misses += missing;
+        if (anchor..=hi).any(|l| !self.map.contains_key(&key(l))) {
             return None;
         }
         self.tick += 1;
@@ -174,7 +193,6 @@ impl FragmentCache {
         for l in anchor..=hi {
             let entry = self.map.get_mut(&key(l)).expect("all lengths present");
             entry.last_used = self.tick;
-            self.stats.hits += 1;
             out.push(Arc::clone(&entry.fragment));
         }
         Some(out)
@@ -251,7 +269,7 @@ impl FragmentCache {
             self.budget - (self.used - self.speculative_bytes())
         };
         if bytes > room {
-            self.stats.states_refused += 1;
+            self.counters.state_refused.incr();
             return false;
         }
         self.tick += 1;
@@ -259,11 +277,6 @@ impl FragmentCache {
         self.states.insert(key, StateEntry { state, bytes, last_used: self.tick });
         self.evict_to_budget();
         true
-    }
-
-    /// Notes one in-place extension (surfaced through `STATS`).
-    pub fn note_extended(&mut self) {
-        self.stats.extended += 1;
     }
 
     /// Bytes held by speculative (never extended) states.
@@ -285,7 +298,7 @@ impl FragmentCache {
             if let Some(key) = speculative {
                 let e = self.states.remove(&key).expect("key just observed");
                 self.used -= e.bytes;
-                self.stats.evictions += 1;
+                self.counters.evictions.incr();
                 continue;
             }
             let frag_lru = self
@@ -313,7 +326,7 @@ impl FragmentCache {
                 let e = self.states.remove(&key).expect("key just observed");
                 self.used -= e.bytes;
             }
-            self.stats.evictions += 1;
+            self.counters.evictions.incr();
         }
     }
 
@@ -363,7 +376,7 @@ impl FragmentCache {
         });
         self.pinned.retain(|k, _| !state(k));
         let count = before - self.map.len();
-        self.stats.invalidated += count as u64;
+        self.counters.invalidated.add(count as u64);
         count
     }
 
@@ -406,11 +419,6 @@ impl FragmentCache {
     pub fn budget_bytes(&self) -> usize {
         self.budget
     }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> FragmentCacheStats {
-        self.stats
-    }
 }
 
 /// Bytes one fragment charges against the budget: the key's variable parts
@@ -452,6 +460,17 @@ mod tests {
         })
     }
 
+    /// A cache counting into a registry of its own, and that registry.
+    fn counted(budget: usize) -> (FragmentCache, Registry) {
+        let registry = Registry::new();
+        (FragmentCache::new(budget, FragmentCounters::bind(&registry)), registry)
+    }
+
+    /// The `serve.fragment.<event>` count in `registry`.
+    fn count(registry: &Registry, event: &str) -> u64 {
+        registry.counter(&format!("serve.fragment.{event}")).get()
+    }
+
     fn key(series: &str, version: u64, anchor: usize, l: usize) -> FragmentKey {
         FragmentKey { series: series.into(), version, anchor, l, knobs: "p=8;excl=1/2".into() }
     }
@@ -464,7 +483,7 @@ mod tests {
 
     #[test]
     fn segment_lookup_is_all_or_nothing() {
-        let mut cache = FragmentCache::new(1 << 20);
+        let (mut cache, registry) = counted(1 << 20);
         fill_segment(&mut cache, 16, 20);
         let seg = cache.get_segment("s", 1, 16, 20, "p=8;excl=1/2").unwrap();
         assert_eq!(seg.len(), 5);
@@ -472,14 +491,13 @@ mod tests {
         assert_eq!(seg[4].l, 20);
         // One length short of the asked range: the whole lookup misses.
         assert!(cache.get_segment("s", 1, 16, 21, "p=8;excl=1/2").is_none());
-        let s = cache.stats();
-        assert_eq!(s.hits, 5);
-        assert_eq!(s.misses, 1, "only the absent length counts as a miss");
+        // Lookups are the planner's to count: it knows what it computes.
+        assert_eq!((count(&registry, "hit"), count(&registry, "miss")), (0, 0));
     }
 
     #[test]
     fn keys_split_on_version_anchor_and_knobs() {
-        let mut cache = FragmentCache::new(1 << 20);
+        let mut cache = counted(1 << 20).0;
         fill_segment(&mut cache, 16, 18);
         assert!(cache.get_segment("s", 2, 16, 18, "p=8;excl=1/2").is_none());
         assert!(cache.get_segment("s", 1, 17, 18, "p=8;excl=1/2").is_none());
@@ -490,14 +508,14 @@ mod tests {
     #[test]
     fn lru_eviction_respects_budget() {
         let one = entry_bytes(&key("s", 1, 16, 16), &fragment(16, 32));
-        let mut cache = FragmentCache::new(2 * one + 8);
+        let (mut cache, registry) = counted(2 * one + 8);
         cache.insert(key("s", 1, 16, 16), fragment(16, 32));
         cache.insert(key("s", 1, 16, 17), fragment(17, 32));
         // Refresh 16, insert a third: 17 is the LRU.
         assert!(cache.get_segment("s", 1, 16, 16, "p=8;excl=1/2").is_some());
         cache.insert(key("s", 1, 16, 18), fragment(18, 32));
         assert!(cache.get_segment("s", 1, 17, 17, "p=8;excl=1/2").is_none());
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(count(&registry, "evictions"), 1);
         assert!(cache.used_bytes() <= cache.budget_bytes());
     }
 
@@ -533,27 +551,27 @@ mod tests {
         let sbytes = state_bytes(&skey("p=8;excl=1/2"), &state);
         let fbytes = entry_bytes(&key("s", 1, 16, 16), &fragment(16, 32));
         // Two fragments leave less free space than the state needs.
-        let mut cache = FragmentCache::new(2 * fbytes + sbytes - 1);
+        let (mut cache, registry) = counted(2 * fbytes + sbytes - 1);
         cache.insert(key("s", 1, 16, 16), fragment(16, 32));
         cache.insert(key("s", 1, 16, 17), fragment(17, 32));
         assert!(!cache.put_state("s", 1, 8, "p=8;excl=1/2", state.clone(), false), "no free room");
         assert_eq!(cache.len(), 2, "the fragments stay");
         assert_eq!(cache.state_count(), 0);
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.stats().states_refused, 1);
+        assert_eq!(count(&registry, "evictions"), 0);
+        assert_eq!(count(&registry, "state_refused"), 1);
         assert_eq!(cache.used_bytes(), 2 * fbytes);
 
         // With one fragment gone there is room, and another speculative
         // state is displaced to make it.
-        let mut cache = FragmentCache::new(fbytes + sbytes + sbytes / 2);
+        let (mut cache, registry) = counted(fbytes + sbytes + sbytes / 2);
         cache.insert(key("s", 1, 16, 16), fragment(16, 32));
         assert!(cache.put_state("s", 1, 8, "p=8;excl=1/2", state.clone(), false));
         assert!(cache.put_state("s", 1, 8, "p=9;excl=1/2", state, false));
         assert_eq!(cache.len(), 1, "the fragment stays");
         assert_eq!(cache.state_count(), 1);
         assert!(cache.take_state("s", 1, 8, "p=9;excl=1/2").is_some(), "newest state kept");
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.stats().states_refused, 0);
+        assert_eq!(count(&registry, "evictions"), 1);
+        assert_eq!(count(&registry, "state_refused"), 0);
     }
 
     #[test]
@@ -561,14 +579,14 @@ mod tests {
         let (state, _) = captured_state(80, 8);
         let sbytes = state_bytes(&skey("p=8;excl=1/2"), &state);
         let fbytes = entry_bytes(&key("s", 1, 16, 16), &fragment(16, 32));
-        let mut cache = FragmentCache::new(sbytes + fbytes + fbytes / 2);
+        let (mut cache, registry) = counted(sbytes + fbytes + fbytes / 2);
         // The fragment is older than the state, yet the state goes first.
         cache.insert(key("s", 1, 16, 16), fragment(16, 32));
         assert!(cache.put_state("s", 1, 8, "p=8;excl=1/2", state, false));
         cache.insert(key("s", 1, 16, 17), fragment(17, 32));
         assert_eq!(cache.state_count(), 0, "speculative state evicted before any fragment");
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(count(&registry, "evictions"), 1);
         assert_eq!(cache.parked_bytes(), 0);
     }
 
@@ -577,7 +595,7 @@ mod tests {
         let state = proven_state(80, 8, 20);
         let sbytes = state_bytes(&skey("p=8;excl=1/2"), &state);
         let fbytes = entry_bytes(&key("s", 1, 16, 16), &fragment(16, 32));
-        let mut cache = FragmentCache::new(sbytes + fbytes + fbytes / 2);
+        let (mut cache, registry) = counted(sbytes + fbytes + fbytes / 2);
         cache.insert(key("s", 1, 16, 16), fragment(16, 32));
         cache.insert(key("s", 1, 17, 17), fragment(17, 32));
         // A proven state may displace older fragments: fragment 16 is LRU.
@@ -586,19 +604,19 @@ mod tests {
         assert_eq!(cache.parked_bytes(), sbytes);
         assert!(cache.get_segment("s", 1, 16, 16, "p=8;excl=1/2").is_none(), "16 was LRU");
         assert!(cache.get_segment("s", 1, 17, 17, "p=8;excl=1/2").is_some());
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(count(&registry, "evictions"), 1);
         // Now the state is the LRU entry: the next fragment evicts it and
         // keeps the just-touched fragment 17.
         cache.insert(key("s", 1, 18, 18), fragment(18, 32));
         assert_eq!(cache.state_count(), 0, "the proven state was the oldest entry");
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(count(&registry, "evictions"), 2);
         assert!(cache.used_bytes() <= cache.budget_bytes());
     }
 
     #[test]
     fn parked_states_round_trip_with_exact_accounting() {
-        let mut cache = FragmentCache::new(1 << 20);
+        let mut cache = counted(1 << 20).0;
         let (state, _) = captured_state(80, 8);
         let skey = StateKey {
             series: "s".into(),
@@ -620,7 +638,7 @@ mod tests {
 
     #[test]
     fn extending_a_state_changes_its_bytes_and_accounting_follows() {
-        let mut cache = FragmentCache::new(1 << 20);
+        let mut cache = counted(1 << 20).0;
         let (state, series) = captured_state(80, 8);
         let offset = {
             let ps = ProfiledSeries::from_values(&series[..80]).unwrap();
@@ -633,7 +651,6 @@ mod tests {
         let grown = ProfiledSeries::with_offset(&series[..140], offset).unwrap();
         state.extend(&grown, &SharedRecorder::noop()).unwrap();
         cache.put_state("s", 1, 8, "p=50;excl=1/2", state, false);
-        cache.note_extended();
 
         assert!(cache.used_bytes() > before, "an extended state must charge its grown size");
         let skey = StateKey {
@@ -645,12 +662,11 @@ mod tests {
         let entry = cache.states.get(&skey).unwrap();
         assert_eq!(entry.bytes, state_bytes(&skey, &entry.state));
         assert_eq!(cache.used_bytes(), entry.bytes);
-        assert_eq!(cache.stats().extended, 1);
     }
 
     #[test]
     fn append_staleness_is_collected_lazily_but_states_survive() {
-        let mut cache = FragmentCache::new(1 << 20);
+        let (mut cache, registry) = counted(1 << 20);
         fill_segment(&mut cache, 16, 18); // version 1 fragments
         cache.insert(key("s", 2, 16, 16), fragment(16, 32));
         let (state, _) = captured_state(80, 8);
@@ -660,7 +676,7 @@ mod tests {
         assert_eq!(collected, 3, "only the version-1 fragments are behind the watermark");
         assert_eq!(cache.len(), 1, "the current-version fragment survives");
         assert_eq!(cache.state_count(), 1, "states are what stale fragments extend from");
-        assert_eq!(cache.stats().invalidated, 3);
+        assert_eq!(count(&registry, "invalidated"), 3);
         assert_eq!(cache.invalidate_stale("s", 1, 2), 0, "idempotent at the same watermark");
 
         // A replace purges states too: nothing survives a rewritten history.
@@ -672,7 +688,7 @@ mod tests {
     #[test]
     fn oversized_and_zero_budget_states_are_rejected_cleanly() {
         let (state, _) = captured_state(80, 8);
-        let mut cache = FragmentCache::new(0);
+        let mut cache = counted(0).0;
         cache.put_state("s", 1, 8, "p=50;excl=1/2", state.clone(), false);
         assert!(cache.is_empty(), "zero budget disables state parking");
         assert_eq!(cache.used_bytes(), 0);
@@ -686,7 +702,7 @@ mod tests {
             anchor: 8,
             knobs: "p=50;excl=1/2".into(),
         };
-        let mut cache = FragmentCache::new(state_bytes(&skey, &state) + 64);
+        let mut cache = counted(state_bytes(&skey, &state) + 64).0;
         cache.put_state("s", 1, 8, "p=50;excl=1/2", state.clone(), false);
         assert_eq!(cache.state_count(), 1);
         let (bigger, _) = captured_state(200, 8);
@@ -703,29 +719,29 @@ mod tests {
         let sbytes = state_bytes(&skey, &state);
         let fbytes = entry_bytes(&key("s", 1, 16, 16), &fragment(16, 32));
         // Room for the state plus one fragment, not two.
-        let mut cache = FragmentCache::new(sbytes + fbytes + fbytes / 2);
+        let (mut cache, registry) = counted(sbytes + fbytes + fbytes / 2);
         cache.put_state("s", 1, 8, "p=8;excl=1/2", state, false);
         cache.insert(key("s", 1, 16, 16), fragment(16, 32));
-        assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(count(&registry, "evictions"), 0);
         // The state is the LRU; a second fragment evicts it, not fragment 16.
         cache.insert(key("s", 1, 16, 17), fragment(17, 32));
         assert_eq!(cache.state_count(), 0, "oldest entry goes first, whichever map holds it");
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(count(&registry, "evictions"), 1);
         assert!(cache.used_bytes() <= cache.budget_bytes());
     }
 
     #[test]
     fn invalidation_and_zero_budget() {
-        let mut cache = FragmentCache::new(0);
+        let mut cache = counted(0).0;
         cache.insert(key("s", 1, 16, 16), fragment(16, 8));
         assert!(cache.is_empty(), "zero budget disables fragment reuse");
-        let mut cache = FragmentCache::new(1 << 20);
+        let (mut cache, registry) = counted(1 << 20);
         fill_segment(&mut cache, 16, 18);
         cache.insert(key("t", 1, 16, 16), fragment(16, 8));
         cache.invalidate_series("s");
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().invalidated, 3);
+        assert_eq!(count(&registry, "invalidated"), 3);
         assert_eq!(
             cache.used_bytes(),
             entry_bytes(&key("t", 1, 16, 16), &fragment(16, 8)),
@@ -739,7 +755,7 @@ mod tests {
         let sbytes = state_bytes(&skey("excl=1/2"), &state);
         let fbytes = entry_bytes(&key("s", 1, 16, 16), &fragment(16, 32));
         // A budget of one fragment: far too small for the state.
-        let mut cache = FragmentCache::new(fbytes);
+        let (mut cache, registry) = counted(fbytes);
         assert!(cache.put_state("s", 1, 8, "excl=1/2", state.clone(), true), "a pin always parks");
         assert_eq!(cache.pinned(), (1, sbytes));
         assert_eq!((cache.state_count(), cache.parked_bytes(), cache.used_bytes()), (0, 0, 0));
@@ -748,15 +764,15 @@ mod tests {
             cache.insert(key("s", 1, l, l), fragment(l, 32));
         }
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().evictions, 7, "only fragments were evicted");
+        assert_eq!(count(&registry, "evictions"), 7, "only fragments were evicted");
         assert_eq!(cache.pinned().0, 1);
-        assert_eq!(cache.stats().states_refused, 0);
+        assert_eq!(count(&registry, "state_refused"), 0);
         // Take and re-park: the accounting round-trips.
         let taken = cache.take_state("s", 1, 8, "excl=1/2").unwrap();
         assert_eq!(cache.pinned().0, 0);
         assert!(cache.put_state("s", 1, 8, "excl=1/2", taken, true));
         // A zero budget still pins.
-        let mut off = FragmentCache::new(0);
+        let mut off = counted(0).0;
         assert!(off.put_state("s", 1, 8, "excl=1/2", state, true));
         assert_eq!(off.pinned().0, 1);
         // Only a replace drops it.
@@ -772,7 +788,7 @@ mod tests {
         // A query that raced a replace parks its state under the old
         // generation after the replace purged the series.
         let (state, _) = captured_state(80, 8);
-        let mut cache = FragmentCache::new(1 << 20);
+        let mut cache = counted(1 << 20).0;
         assert!(cache.put_state("s", 1, 8, "excl=1/2", state.clone(), true));
         assert!(cache.put_state("s", 1, 8, "p=8;excl=1/2", state.clone(), false));
         assert!(cache.take_state("s", 5, 8, "excl=1/2").is_none());
@@ -838,7 +854,7 @@ mod tests {
             ) {
                 let series = ["a", "bb"];
                 let anchors = [8usize, 16];
-                let mut cache = FragmentCache::new(budget);
+                let mut cache = counted(budget).0;
                 for (op, s, version, a, size) in ops {
                     let name = series[s];
                     let anchor = anchors[a];

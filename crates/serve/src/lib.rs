@@ -73,14 +73,14 @@ pub mod server;
 pub mod store;
 pub mod value;
 
-pub use cache::{CacheKey, CacheStats, ResultCache};
+pub use cache::{CacheCounters, CacheKey, ResultCache};
 pub use client::{Client, Timeouts};
 pub use engine::{
     split_budget, EngineConfig, EngineConfigBuilder, QueryEngine, QueryKind, QueryOutcome,
     QuerySpec,
 };
 pub use error::{ServeError, ServeResult};
-pub use fragment::{FragmentCache, FragmentCacheStats, FragmentKey};
+pub use fragment::{FragmentCache, FragmentCounters, FragmentKey};
 pub use persist::{
     Persistence, RecoveredSeries, Recovery, SnapshotMeta, DEFAULT_WAL_COMPACT_BYTES,
 };

@@ -57,10 +57,10 @@ use std::sync::{Arc, Mutex};
 
 use valmod_core::{compose_output, LengthProfile, SegmentState, Valmod, ValmodOutput};
 use valmod_mp::ProfiledSeries;
-use valmod_obs::{Recorder, SharedRecorder};
+use valmod_obs::{Counter, Recorder, SharedRecorder};
 
 use crate::error::ServeResult;
-use crate::fragment::{FragmentCache, FragmentKey};
+use crate::fragment::{FragmentCache, FragmentCounters, FragmentKey};
 
 /// One planned segment: a full profile at `anchor` advanced to `hi`
 /// (inclusive). The first segment of a plan anchors at the query's ℓ_min;
@@ -102,7 +102,8 @@ pub fn plan_segments(l_min: usize, l_max: usize) -> Vec<Segment> {
     segments
 }
 
-/// What one planned execution did (folded into `STATS` and obs counters).
+/// What one planned execution did (its fragment counts are what it adds to
+/// the `serve.fragment.hit`/`miss` counters).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PlanStats {
     /// Segments in the plan.
@@ -125,7 +126,8 @@ pub struct PlanStats {
 /// threads) and the recorder. Parked states are keyed by `generation`, the
 /// version the series was loaded at, so a replace never revives an older
 /// state. Single-length states of `pinned` lengths park pinned: pass the
-/// hot lengths when `runner`'s policy is the series' own.
+/// hot lengths when `runner`'s policy is the series' own. The fragments it
+/// serves, computes and extends count into `counters`.
 #[allow(clippy::too_many_arguments)] // the series identity, its pins and the query
 pub fn execute_plan(
     ps: &ProfiledSeries,
@@ -135,6 +137,7 @@ pub fn execute_plan(
     pinned: &[usize],
     runner: &Valmod,
     fragments: &Mutex<FragmentCache>,
+    counters: &FragmentCounters,
     recorder: &SharedRecorder,
     lengths: (usize, usize),
 ) -> ServeResult<(ValmodOutput, PlanStats)> {
@@ -170,7 +173,7 @@ pub fn execute_plan(
             Some(frags) => {
                 stats.segments_reused += 1;
                 stats.fragments_cached += frags.len();
-                recorder.add("serve.fragment.hit", frags.len() as u64);
+                counters.hit.add(frags.len() as u64);
                 plan_fragments.extend(frags);
             }
             None => {
@@ -179,10 +182,10 @@ pub fn execute_plan(
                     .expect("fragment cache lock")
                     .take_state(series, generation, seg.anchor, knobs);
                 let (computed, state, revived) =
-                    revive_or_compute(ps, seg, parked, runner, fragments, recorder)?;
+                    revive_or_compute(ps, seg, parked, runner, &counters.extended, recorder)?;
                 stats.segments_revived += usize::from(revived);
                 stats.fragments_computed += computed.len();
-                recorder.add("serve.fragment.miss", computed.len() as u64);
+                counters.miss.add(computed.len() as u64);
                 let mut cache = fragments.lock().expect("fragment cache lock");
                 for lp in computed {
                     let key = FragmentKey {
@@ -201,9 +204,7 @@ pub fn execute_plan(
                 // and a proven one is the newest entry on the clock.
                 if let Some(state) = state {
                     let pin = seg.hi == seg.anchor && pinned.contains(&seg.anchor);
-                    if !cache.put_state(series, generation, seg.anchor, knobs, state, pin) {
-                        recorder.add("serve.fragment.state_refused", 1);
-                    }
+                    cache.put_state(series, generation, seg.anchor, knobs, state, pin);
                 }
             }
         }
@@ -222,13 +223,14 @@ pub fn execute_plan(
 /// first — and only fall back to a cold `O(n²)` segment run when there is
 /// no state (or it cannot serve this series' current shape). Cold runs
 /// capture a fresh state so the *next* append finds something to extend.
-/// The state, revived (flagged `true`) or fresh, goes back to the caller.
+/// The state, revived (flagged `true`) or fresh, goes back to the caller;
+/// each in-place extension counts into `extended`.
 fn revive_or_compute(
     ps: &ProfiledSeries,
     seg: &Segment,
     parked: Option<SegmentState>,
     runner: &Valmod,
-    fragments: &Mutex<FragmentCache>,
+    extended: &Counter,
     recorder: &SharedRecorder,
 ) -> ServeResult<(Vec<LengthProfile>, Option<SegmentState>, bool)> {
     if let Some(mut state) = parked {
@@ -236,8 +238,7 @@ fn revive_or_compute(
             let _span = valmod_obs::span!(recorder, "serve.fragment.revalidate_us");
             match state.extend(ps, recorder) {
                 Ok(()) => {
-                    recorder.add("serve.fragment.extended", 1);
-                    fragments.lock().expect("fragment cache lock").note_extended();
+                    extended.incr();
                     true
                 }
                 // A frame mismatch can only mean the state predates a
@@ -263,6 +264,14 @@ mod tests {
     use super::*;
     use valmod_data::generators::random_walk;
     use valmod_data::series::Series;
+    use valmod_obs::Registry;
+
+    /// A fragment cache of `budget` bytes and the counters it shares with
+    /// the plans run over it.
+    fn cache(budget: usize) -> (Mutex<FragmentCache>, FragmentCounters) {
+        let counters = FragmentCounters::bind(&Registry::new());
+        (Mutex::new(FragmentCache::new(budget, counters.clone())), counters)
+    }
 
     #[test]
     fn the_grid_tiles_the_lengths_without_gaps() {
@@ -313,14 +322,16 @@ mod tests {
         let series = Series::new(random_walk(400, 77)).unwrap();
         let ps = ProfiledSeries::new(&series);
         let runner = Valmod::new(1, 1).p(4);
-        let fragments = Mutex::new(FragmentCache::new(1 << 20));
+        let (fragments, counters) = cache(1 << 20);
         let recorder = SharedRecorder::noop();
         let (cold, s1) =
-            execute_plan(&ps, "s", 1, 1, &[], &runner, &fragments, &recorder, (16, 40)).unwrap();
+            execute_plan(&ps, "s", 1, 1, &[], &runner, &fragments, &counters, &recorder, (16, 40))
+                .unwrap();
         assert_eq!(s1.segments_reused, 0);
         assert!(s1.fragments_computed > 0);
         let (warm, s2) =
-            execute_plan(&ps, "s", 1, 1, &[], &runner, &fragments, &recorder, (16, 40)).unwrap();
+            execute_plan(&ps, "s", 1, 1, &[], &runner, &fragments, &counters, &recorder, (16, 40))
+                .unwrap();
         assert_eq!(s2.segments_reused, s2.segments, "identical query reuses every segment");
         assert_eq!(s2.fragments_computed, 0);
         for (a, b) in cold.valmp.norm_distances.iter().zip(&warm.valmp.norm_distances) {
@@ -330,9 +341,15 @@ mod tests {
         // An overlapping wider range reuses the grid-aligned interior but
         // recomputes its own ℓ_min-anchored head segment.
         let (_, s3) =
-            execute_plan(&ps, "s", 1, 1, &[], &runner, &fragments, &recorder, (20, 40)).unwrap();
+            execute_plan(&ps, "s", 1, 1, &[], &runner, &fragments, &counters, &recorder, (20, 40))
+                .unwrap();
         assert!(s3.segments_reused > 0, "grid segments must be shared across queries");
         assert!(s3.fragments_computed > 0, "the head segment anchors at the new ℓ_min");
+        // The counters hold exactly what the plans report.
+        let plans = [s1, s2, s3];
+        let computed: usize = plans.iter().map(|s| s.fragments_computed).sum();
+        let cached: usize = plans.iter().map(|s| s.fragments_cached).sum();
+        assert_eq!((counters.miss.get(), counters.hit.get()), (computed as u64, cached as u64));
     }
 
     #[test]
@@ -340,10 +357,21 @@ mod tests {
         let series = random_walk(460, 77);
         let base = ProfiledSeries::from_values(&series[..400]).unwrap();
         let runner = Valmod::new(1, 1).p(4);
-        let fragments = Mutex::new(FragmentCache::new(1 << 22));
+        let (fragments, counters) = cache(1 << 22);
         let recorder = SharedRecorder::noop();
-        let (_, s1) =
-            execute_plan(&base, "s", 1, 1, &[], &runner, &fragments, &recorder, (16, 40)).unwrap();
+        let (_, s1) = execute_plan(
+            &base,
+            "s",
+            1,
+            1,
+            &[],
+            &runner,
+            &fragments,
+            &counters,
+            &recorder,
+            (16, 40),
+        )
+        .unwrap();
         assert!(s1.fragments_computed > 0);
         let parked = fragments.lock().unwrap().state_count();
         assert_eq!(parked, s1.segments, "every cold segment parks its state");
@@ -352,13 +380,22 @@ mod tests {
         // frame, at the bumped version. Fragments all miss (old
         // watermark), but every segment revives from its parked state.
         let grown = ProfiledSeries::with_offset(&series, base.offset()).unwrap();
-        let (warm, s2) =
-            execute_plan(&grown, "s", 1, 2, &[], &runner, &fragments, &recorder, (16, 40)).unwrap();
+        let (warm, s2) = execute_plan(
+            &grown,
+            "s",
+            1,
+            2,
+            &[],
+            &runner,
+            &fragments,
+            &counters,
+            &recorder,
+            (16, 40),
+        )
+        .unwrap();
         assert_eq!(s2.segments_reused, 0, "version bump misses every fragment");
-        let cache = fragments.lock().unwrap();
-        assert_eq!(cache.stats().extended, s2.segments as u64, "each segment extended in place");
-        assert!(cache.stats().invalidated > 0, "stale fragments were lazily collected");
-        drop(cache);
+        assert_eq!(counters.extended.get(), s2.segments as u64, "each segment extended in place");
+        assert!(counters.invalidated.get() > 0, "stale fragments were lazily collected");
 
         // Revival must be invisible in the body: bit-identical to cold
         // segment runs over the same grown series.
@@ -374,8 +411,19 @@ mod tests {
         }
 
         // And the revived fragments are cached: the same query is now warm.
-        let (_, s3) =
-            execute_plan(&grown, "s", 1, 2, &[], &runner, &fragments, &recorder, (16, 40)).unwrap();
+        let (_, s3) = execute_plan(
+            &grown,
+            "s",
+            1,
+            2,
+            &[],
+            &runner,
+            &fragments,
+            &counters,
+            &recorder,
+            (16, 40),
+        )
+        .unwrap();
         assert_eq!(s3.segments_reused, s3.segments);
     }
 
@@ -384,12 +432,23 @@ mod tests {
         let series = random_walk(460, 91);
         let base = ProfiledSeries::from_values(&series[..400]).unwrap();
         let grown = ProfiledSeries::with_offset(&series, base.offset()).unwrap();
-        let fragments = Mutex::new(FragmentCache::new(1 << 22));
+        let (fragments, counters) = cache(1 << 22);
         let recorder = SharedRecorder::noop();
         let plan = |ps: &ProfiledSeries, version: u64, p: usize, lengths: (usize, usize)| {
             let runner = Valmod::new(1, 1).p(p);
-            execute_plan(ps, "s", 1, version, &[24], &runner, &fragments, &recorder, lengths)
-                .unwrap()
+            execute_plan(
+                ps,
+                "s",
+                1,
+                version,
+                &[24],
+                &runner,
+                &fragments,
+                &counters,
+                &recorder,
+                lengths,
+            )
+            .unwrap()
         };
         let assert_cold = |out: &ValmodOutput, ps: &ProfiledSeries, what: &str| {
             let frags = Valmod::new(1, 1).run_lengths_on(ps, 24, 24).unwrap();
@@ -421,7 +480,7 @@ mod tests {
         let (out, stats) = plan(&grown, 2, 50, (24, 24));
         assert_eq!((stats.segments_revived, stats.segments_reused), (1, 0));
         assert_cold(&out, &grown, "revived");
-        assert_eq!(fragments.lock().unwrap().stats().extended, 1);
+        assert_eq!(counters.extended.get(), 1);
         assert_eq!(counts(&fragments), (1, 1), "the revived state is pinned again");
     }
 
@@ -430,12 +489,23 @@ mod tests {
         let series = Series::new(random_walk(60, 3)).unwrap();
         let ps = ProfiledSeries::new(&series);
         let runner = Valmod::new(1, 1).p(4);
-        let fragments = Mutex::new(FragmentCache::new(1 << 20));
+        let (fragments, counters) = cache(1 << 20);
         let recorder = SharedRecorder::noop();
         for (lo, hi) in [(0, 8), (20, 10), (16, 600)] {
             assert!(
-                execute_plan(&ps, "s", 1, 1, &[], &runner, &fragments, &recorder, (lo, hi))
-                    .is_err(),
+                execute_plan(
+                    &ps,
+                    "s",
+                    1,
+                    1,
+                    &[],
+                    &runner,
+                    &fragments,
+                    &counters,
+                    &recorder,
+                    (lo, hi)
+                )
+                .is_err(),
                 "[{lo},{hi}] must be rejected"
             );
         }

@@ -355,7 +355,8 @@ pub struct StatsReply {
     pub cache_hits: u64,
     /// Per-length fragment-cache hits.
     pub fragment_hits: u64,
-    /// Per-length fragment-cache misses.
+    /// Fragments the planner computed (a segment that is only partly
+    /// cached is recomputed whole, and each of its lengths counts).
     pub fragment_misses: u64,
     /// Live fragments in the planner's cache.
     pub fragment_entries: usize,
